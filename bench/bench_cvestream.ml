@@ -7,8 +7,9 @@
    baselines on exposed host-hours, and pins determinism by running the
    cost-aware point twice.
 
-   Emits BENCH_cvestream.json (consumed by the cvestream-smoke CI job).
-   Accepts --hosts/--tempo/--conc/--rate/--years for a small CI mode. *)
+   The default run rewrites BENCH_cvestream.json.  The small CI mode
+   (--hosts/--tempo/--conc/--rate/--years) writes only to its --out
+   path. *)
 
 open Bench_util
 
@@ -83,8 +84,8 @@ let deterministic k =
   in
   snap () = snap ()
 
-let emit k points deterministic_checked =
-  let oc = open_out "BENCH_cvestream.json" in
+let emit ~out k points deterministic_checked =
+  let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"cvestream\",\n  \"hosts\": %d,\n  \
      \"vms_per_host\": %d,\n  \"years\": %.1f,\n  \"rate_per_year\": %.1f,\n  \
@@ -104,9 +105,9 @@ let emit k points deterministic_checked =
     points;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  note "wrote BENCH_cvestream.json@."
+  note "wrote %s@." out
 
-let run ?(knobs = default_knobs) () =
+let run ?(knobs = default_knobs) ?(out = "BENCH_cvestream.json") () =
   header
     (Printf.sprintf
        "CVE-stream campaign service: %d hosts x %d VMs, %.1f years at \
@@ -144,4 +145,4 @@ let run ?(knobs = default_knobs) () =
     exit 1
   end;
   note "identical journal and report across runs@.";
-  emit knobs points true
+  emit ~out knobs points true

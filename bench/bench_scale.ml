@@ -11,7 +11,8 @@
    region journals plus fleet digests must agree byte-for-byte — the
    sharding mode may only trade wall-clock, never results.
 
-   Emits BENCH_scale.json (consumed by the scale-smoke CI job). *)
+   The full sweep rewrites BENCH_scale.json; a single-size run (the
+   scale-smoke CI job's) writes only to the path it is given. *)
 
 open Bench_util
 
@@ -89,8 +90,8 @@ let deterministic hosts =
   in
   seq = rot && rot = par
 
-let emit points deterministic_checked =
-  let oc = open_out "BENCH_scale.json" in
+let emit ~out points deterministic_checked =
+  let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"scale\",\n  \"vms_per_host\": %d,\n  \
      \"deterministic\": %b,\n  \"points\": [\n"
@@ -110,9 +111,9 @@ let emit points deterministic_checked =
     points;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  note "wrote BENCH_scale.json@."
+  note "wrote %s@." out
 
-let run ?(sizes = default_sizes) ?mode () =
+let run ?(sizes = default_sizes) ?mode ?(out = "BENCH_scale.json") () =
   header "Fleet-scale campaign engine (hosts -> wall-clock / allocation)";
   Format.printf "%-9s %-8s %-14s %-10s %-14s %-9s %-12s %s@." "hosts"
     "regions" "mode" "wall(s)" "minor-words" "events" "exposed-hh" "sim-wall";
@@ -148,4 +149,4 @@ let run ?(sizes = default_sizes) ?mode () =
     end;
     note "byte-identical journals and digests across all three modes@."
   end;
-  emit points check_determinism
+  emit ~out points check_determinism

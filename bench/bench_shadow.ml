@@ -20,8 +20,8 @@
       downtime with wire bytes, a tighter budget pushes hosts down to
       classic and then to defer.
 
-   Emits BENCH_shadow.json (consumed by the shadow-fault-sweep CI
-   job). *)
+   The default run rewrites BENCH_shadow.json; a sized run (the
+   shadow-fault-sweep CI job's) writes only to the path it is given. *)
 
 open Bench_util
 
@@ -139,8 +139,8 @@ let frontier ~hosts pair =
         budgets)
     spares
 
-let emit ~hosts pair points =
-  let oc = open_out "BENCH_shadow.json" in
+let emit ~out ~hosts pair points =
+  let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"shadow\",\n  \"hosts\": %d,\n  \
      \"vms_per_host\": %d,\n  \"inplace_fraction\": %.2f,\n  \"pair\": \
@@ -163,9 +163,9 @@ let emit ~hosts pair points =
     points;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  note "wrote BENCH_shadow.json@."
+  note "wrote %s@." out
 
-let run ?(hosts = default_hosts) () =
+let run ?(hosts = default_hosts) ?(out = "BENCH_shadow.json") () =
   note "== shadow-host cutover: downtime vs spares vs wire ==@.";
   let pair = measure_pair () in
   note
@@ -188,4 +188,4 @@ let run ?(hosts = default_hosts) () =
         (float_of_int p.f_wire /. float_of_int (Hw.Units.gib 1))
         (p.f_downtime_s *. 1e3))
     points;
-  emit ~hosts pair points
+  emit ~out ~hosts pair points

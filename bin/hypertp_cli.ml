@@ -952,7 +952,7 @@ let controlplane_cmd =
   let hb_timeout =
     Arg.(value & opt float (Sim.Time.to_sec_f d.CP.heartbeat_timeout)
          & info [ "hb-timeout" ] ~docv:"SECONDS"
-             ~doc:"The root declares a sub-controller dead after this much \
+             ~doc:"The root fences a sub-controller after this much \
                    heartbeat silence and rebuilds it from its journal.")
   in
   let realloc_lag =
@@ -1061,11 +1061,12 @@ let controlplane_cmd =
   in
   Cmd.v
     (Cmd.info "controlplane"
-       ~doc:"Run the replicated hierarchical control plane: regional \
-             sub-controllers with private journals under a root supervisor \
-             with heartbeat detection; survives sub-controller crashes, \
-             supervision partitions, root crashes and crashes during resume \
-             with a byte-identical final report")
+       ~doc:"Run the replicated hierarchical control plane: one campaign \
+             controller per region, each with its own journal, under a root \
+             supervisor that rebuilds dead regions from their journals; \
+             survives sub-controller crashes, supervision partitions, root \
+             crashes and crashes during resume with a byte-identical final \
+             report")
     Term.(const run $ verbose_arg $ regions $ hosts_per_region $ vms_per_host
           $ concurrency $ straggler $ breaker_window $ breaker_threshold
           $ breaker_cooldown $ hb_every $ hb_timeout $ realloc_lag $ topology

@@ -1,9 +1,9 @@
 (* Replicated hierarchical control plane: surviving controller crashes.
 
-   The fleet is split into regions, each run by a sub-controller with
-   its own journal, breaker and admission budget, under a root
-   supervisor that detects sub-controller death by heartbeat timeout
-   and rebuilds crashed regions from their journals.  The headline
+   The fleet is split into regions, each run by its own campaign
+   controller (journal, breaker, ladder, admission budget) under a root
+   supervisor that shares out the concurrency budget and rebuilds any
+   dead region from its journal.  The headline
    property demonstrated below: no matter where the controllers crash
    or partition — including a second crash in the middle of a resume
    replay — the final report and merged journal are byte-identical to
@@ -36,9 +36,10 @@ let () =
   in
 
   (* 2. Kill a sub-controller mid-campaign and partition another.  The
-     root notices the silence, restarts the region from its journal and
-     catches it up; the run still [Finished]s, and everything derived
-     from the timeline is unchanged. *)
+     crashed region is rebuilt from its journal at once; the partitioned
+     one goes silent, so the root fences and rebuilds it the same way.
+     The run still [Finished]s, and everything derived from the timeline
+     is unchanged. *)
   Format.printf "--- sub-controller crash + supervision partition ---@.";
   let chaotic =
     Fault.make ~seed:11L
@@ -57,7 +58,7 @@ let () =
   (* 3. Kill the root itself, then kill the next leader again while it
      is replaying a region journal (the double-fault).  Each death
      surfaces a bundle; handing it to [resume] is a leader handoff that
-     re-derives the whole global view from the sub-journals.  The chaos
+     rebuilds every region from its sub-journal.  The chaos
      plan is threaded through the chain as-is, so each Nth_hit fires
      exactly once. *)
   Format.printf "--- root crash, then crash during the resume replay ---@.";

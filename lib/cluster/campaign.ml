@@ -49,6 +49,7 @@ type event =
   | Breaker_opened
   | Breaker_half_opened
   | Breaker_closed
+  | Limit_raised of { from_region : int; slots : int }
   | Campaign_finished
 
 type host_status =
@@ -167,11 +168,14 @@ type setup = {
   su_base : Upgrade.timing;
   su_rebalance : Sim.Time.t;
   su_effective : int;
+  su_max_drains : int; (* the capacity clamp on concurrency *)
 }
 
 let paper_mix =
   [ (Vmstate.Vm.Wl_streaming, 0.3); (Vmstate.Vm.Wl_spec "mcf", 0.3);
     (Vmstate.Vm.Wl_idle, 0.4) ]
+
+let effective cfg max_drains = Stdlib.max 1 (Stdlib.min cfg.concurrency max_drains)
 
 let build_setup cfg =
   let nic = Hw.Nic.create ~bandwidth_gbps:10.0 () in
@@ -267,8 +271,17 @@ let build_setup cfg =
     su_names = Array.map (fun t -> t.t_node) su_tasks;
     su_base = base;
     su_rebalance = !rebalance;
-    su_effective = Stdlib.max 1 (Stdlib.min cfg.concurrency max_drains);
+    su_effective = effective cfg max_drains;
+    su_max_drains = max_drains;
   }
+
+(* The set-up is immutable and depends on neither seed nor concurrency,
+   so a controller shaped like [like] reuses its BtrPlace plan. *)
+let setup_like ?like cfg =
+  match like with
+  | Some (su, c) when cfg = { c with seed = cfg.seed; concurrency = cfg.concurrency }
+    -> { su with su_effective = effective cfg su.su_max_drains }
+  | _ -> build_setup cfg
 
 (* --- journal --- *)
 
@@ -324,7 +337,7 @@ type entry = {
    Word 0 — the event time in ns.
    Word 1 — a bitfield:
      bits  0-3   event kind (0 adm, 1 flapleg, 2 strag, 3 fail, 4 done,
-                 5 defer, 6 bopen, 7 bhalf, 8 bclosed, 9 fin)
+                 5 defer, 6 bopen, 7 bhalf, 8 bclosed, 9 fin, 10 raise)
      bits  4-5   ladder step (inplace 0, shadow 1, drain 2, retry 3)
      bits  6-7   manifestation (crash 0, timeout 1, flap 2)
      bit   8     decision present
@@ -333,6 +346,8 @@ type entry = {
      bit  14     shadow decision present
      bits 15-19  s_spare / s_stage / s_drop / s_diverge / s_partition
      bits 20-..  host index + 1 (0 = no host)
+   A [Limit_raised] entry has no host; its bits 20-40 hold [from_region]
+   and bits 41-61 [slots] instead.
    Word 2 — the fault-plan cursor after the entry. *)
 type journal = {
   j_config : config;
@@ -343,28 +358,63 @@ type journal = {
 let journal_config j = j.j_config
 let journal_length j = Sim.Vec.length j.j_words / 3
 
+(* Names for the text form, indexed by the packed codes. *)
+let kind_names =
+  [| "adm"; "flapleg"; "strag"; "fail"; "done"; "defer"; "bopen"; "bhalf";
+     "bclosed"; "fin"; "raise" |]
+
+let step_names = [| "inplace"; "shadow"; "drain"; "retry" |]
+let man_names = [| "crash"; "timeout"; "flap" |]
 let step_to_int = function Inplace -> 0 | Shadow -> 1 | Drain -> 2 | Retry -> 3
 let step_of_int = function 0 -> Inplace | 1 -> Shadow | 2 -> Drain | _ -> Retry
 let man_to_int = function Crash -> 0 | Timeout -> 1 | Flap -> 2
 let man_of_int = function 0 -> Crash | 1 -> Timeout | _ -> Flap
+let step_to_string s = step_names.(step_to_int s)
+let man_to_string m = man_names.(man_to_int m)
+
+let kind_raise = 10
+let raise_field_max = (1 lsl 21) - 1
+
+let host_field w1 = if w1 land 0xf = kind_raise then 0 else w1 lsr 20
+
+(* Bits 0-7 of word 1: kind, step and manifestation codes (an int, not
+   a tuple: this runs on every journal append). *)
+let event_bits = function
+  | Admitted s -> 0 lor (step_to_int s lsl 4)
+  | Flap_failure -> 1
+  | Straggler_cancelled -> 2
+  | Attempt_failed { step; manifestation } ->
+    3 lor (step_to_int step lsl 4) lor (man_to_int manifestation lsl 6)
+  | Attempt_completed s -> 4 lor (step_to_int s lsl 4)
+  | Deferred -> 5
+  | Breaker_opened -> 6
+  | Breaker_half_opened -> 7
+  | Breaker_closed -> 8
+  | Campaign_finished -> 9
+  | Limit_raised _ -> kind_raise
+
+(* The event of a packed word 1 (its host field is ignored). *)
+let event_of_word w1 =
+  let step = step_of_int ((w1 lsr 4) land 3) in
+  match w1 land 0xf with
+  | 0 -> Admitted step
+  | 1 -> Flap_failure
+  | 2 -> Straggler_cancelled
+  | 3 -> Attempt_failed { step; manifestation = man_of_int ((w1 lsr 6) land 3) }
+  | 4 -> Attempt_completed step
+  | 5 -> Deferred
+  | 6 -> Breaker_opened
+  | 7 -> Breaker_half_opened
+  | 8 -> Breaker_closed
+  | 9 -> Campaign_finished
+  | _ ->
+    Limit_raised
+      { from_region = (w1 lsr 20) land raise_field_max;
+        slots = (w1 lsr 41) land raise_field_max }
 
 let pack_entry ~host_idx e =
-  let kind, step, man =
-    match e.je_event with
-    | Admitted s -> (0, step_to_int s, 0)
-    | Flap_failure -> (1, 0, 0)
-    | Straggler_cancelled -> (2, 0, 0)
-    | Attempt_failed { step; manifestation } ->
-      (3, step_to_int step, man_to_int manifestation)
-    | Attempt_completed s -> (4, step_to_int s, 0)
-    | Deferred -> (5, 0, 0)
-    | Breaker_opened -> (6, 0, 0)
-    | Breaker_half_opened -> (7, 0, 0)
-    | Breaker_closed -> (8, 0, 0)
-    | Campaign_finished -> (9, 0, 0)
-  in
   let bit b v w = if v then w lor (1 lsl b) else w in
-  let w = kind lor (step lsl 4) lor (man lsl 6) in
+  let w = event_bits e.je_event in
   let w =
     match e.je_decision with
     | None -> w
@@ -389,30 +439,26 @@ let pack_entry ~host_idx e =
               (bit 18 s.s_diverge
                  (bit 19 s.s_partition (w lor (1 lsl 14))))))
   in
-  let w = w lor ((host_idx + 1) lsl 20) in
+  let w =
+    match e.je_event with
+    | Limit_raised { from_region; slots } ->
+      (* both in [0, raise_field_max] iff their union is *)
+      let u = from_region lor slots in
+      if u < 0 || u > raise_field_max then
+        Hypertp_error.raise_errorf ~site:"Campaign"
+          "limit grant out of range (from region %d, %d slots)" from_region slots;
+      w lor (from_region lsl 20) lor (slots lsl 41)
+    | _ -> w lor ((host_idx + 1) lsl 20)
+  in
   (Sim.Time.to_ns e.je_at, w, e.je_cursor)
 
 let unpack_entry names w0 w1 w2 =
   let bit b = w1 land (1 lsl b) <> 0 in
-  let step = step_of_int ((w1 lsr 4) land 3) in
-  let event =
-    match w1 land 0xf with
-    | 0 -> Admitted step
-    | 1 -> Flap_failure
-    | 2 -> Straggler_cancelled
-    | 3 -> Attempt_failed { step; manifestation = man_of_int ((w1 lsr 6) land 3) }
-    | 4 -> Attempt_completed step
-    | 5 -> Deferred
-    | 6 -> Breaker_opened
-    | 7 -> Breaker_half_opened
-    | 8 -> Breaker_closed
-    | _ -> Campaign_finished
-  in
   {
     je_at = Sim.Time.ns w0;
     je_host =
-      (match w1 lsr 20 with 0 -> None | i -> Some names.(i - 1));
-    je_event = event;
+      (match host_field w1 with 0 -> None | i -> Some names.(i - 1));
+    je_event = event_of_word w1;
     je_decision =
       (if bit 8 then
          Some { d_flap = bit 9; d_crash = bit 10; d_timeout = bit 11 }
@@ -443,15 +489,192 @@ let journal_iter f j =
          (Sim.Vec.get words ((3 * k) + 2)))
   done
 
-let journal_last j =
-  match Sim.Vec.length j.j_words with
-  | 0 -> None
-  | n ->
-    Some
-      (unpack_entry j.j_names
-         (Sim.Vec.get j.j_words (n - 3))
-         (Sim.Vec.get j.j_words (n - 2))
-         (Sim.Vec.get j.j_words (n - 1)))
+(* --- journal text form --- *)
+
+let journal_magic = "hypertp-campaign-journal v1"
+
+(* Parse errors are [Failure]s, turned into [Error] by
+   [journal_of_string]. *)
+let line_fields line =
+  List.filter_map
+    (fun tok ->
+      match String.index_opt tok '=' with
+      | Some i ->
+        Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
+      | None -> None)
+    (String.split_on_char ' ' line)
+
+let field fs k =
+  match List.assoc_opt k fs with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "missing field %S" k)
+
+let int_field fs k =
+  match int_of_string_opt (field fs k) with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "bad integer for %S" k)
+
+let config_to_line c =
+  Printf.sprintf
+    "config nodes=%d vms_per_node=%d vm_ram=%d node_ram=%d fraction=%.17g \
+     concurrency=%d straggler=%.17g window=%d threshold=%.17g cooldown_ns=%d \
+     jitter=%.17g drain=%.17g retry=%.17g seed=%Ld%s"
+    c.nodes c.vms_per_node c.vm_ram c.node_ram c.inplace_fraction c.concurrency
+    c.straggler_factor c.breaker_window c.breaker_threshold
+    (Sim.Time.to_ns c.breaker_cooldown)
+    c.jitter_pct c.drain_flakiness c.retry_flakiness c.seed
+    (* Optional token: absent for shadow-free campaigns, so journals
+       recorded before the shadow rung existed serialise byte-identically. *)
+    (if c.shadow_spares > 0 then Printf.sprintf " shadow_spares=%d" c.shadow_spares
+     else "")
+
+let config_of_line line =
+  Scanf.sscanf line
+    "config nodes=%d vms_per_node=%d vm_ram=%d node_ram=%d fraction=%g \
+     concurrency=%d straggler=%g window=%d threshold=%g cooldown_ns=%d \
+     jitter=%g drain=%g retry=%g seed=%Ld%[^\n]"
+    (fun nodes vms_per_node vm_ram node_ram inplace_fraction concurrency
+         straggler_factor breaker_window breaker_threshold cooldown jitter_pct
+         drain_flakiness retry_flakiness seed spares ->
+      { nodes; vms_per_node; vm_ram; node_ram; inplace_fraction; concurrency;
+        straggler_factor; breaker_window; breaker_threshold;
+        breaker_cooldown = Sim.Time.ns cooldown; jitter_pct; drain_flakiness;
+        retry_flakiness; seed;
+        shadow_spares =
+          (if spares = "" then 0
+           else Scanf.sscanf spares " shadow_spares=%d%!" Fun.id) })
+
+(* Optional tokens (decision, audit, shadow) are absent when unused, so
+   journals written before a feature existed serialise byte-identically. *)
+let entry_to_line buf e =
+  let c = event_bits e.je_event in
+  let kind = c land 0xf and step = (c lsr 4) land 3 and man = (c lsr 6) land 3 in
+  let args =
+    match e.je_event with
+    | Admitted _ | Attempt_completed _ -> " step=" ^ step_names.(step)
+    | Attempt_failed _ -> " step=" ^ step_names.(step) ^ " man=" ^ man_names.(man)
+    | Limit_raised { from_region; slots } ->
+      Printf.sprintf " from=%d slots=%d" from_region slots
+    | _ -> ""
+  in
+  let bit n v = Printf.sprintf " %s=%d" n (Bool.to_int v) in
+  let bits names vs = String.concat "" (List.map2 bit names vs) in
+  Buffer.add_string buf
+    (Printf.sprintf "e at=%d host=%s %s%s%s%s%s cursor=%d\n"
+       (Sim.Time.to_ns e.je_at)
+       (Option.value e.je_host ~default:"-")
+       kind_names.(kind) args
+       (match e.je_decision with
+       | Some { d_flap; d_crash; d_timeout } ->
+         bits [ "flap"; "crash"; "timeout" ] [ d_flap; d_crash; d_timeout ]
+       | None -> "")
+       (match e.je_audit with
+       | Some v -> " audit=" ^ verdict_to_string v
+       | None -> "")
+       (match e.je_shadow with
+       | Some s ->
+         bits [ "sspare"; "sstage"; "sdrop"; "sdiverge"; "spart" ]
+           [ s.s_spare; s.s_stage; s.s_drop; s.s_diverge; s.s_partition ]
+       | None -> "")
+       e.je_cursor)
+
+let entry_of_line line =
+  let tokens = String.split_on_char ' ' line in
+  if List.hd tokens <> "e" then failwith ("bad entry line: " ^ line);
+  let fs = line_fields line in
+  let index what names v =
+    match Array.find_index (String.equal v) names with
+    | Some i -> i
+    | None -> failwith (Printf.sprintf "bad %s %S" what v)
+  in
+  let kind =
+    match List.find_opt (fun t -> t <> "e" && not (String.contains t '=')) tokens with
+    | Some k -> index "entry kind" kind_names k
+    | None -> failwith ("entry without a kind: " ^ line)
+  in
+  let step =
+    if List.mem kind [ 0; 3; 4 ] then index "ladder step" step_names (field fs "step")
+    else 0
+  in
+  let man = if kind = 3 then index "manifestation" man_names (field fs "man") else 0 in
+  let raised k =
+    let v = if kind = kind_raise then int_field fs k else 0 in
+    if v < 0 || v > raise_field_max then failwith (Printf.sprintf "%S out of range" k);
+    v
+  in
+  let flag k = int_field fs k <> 0 in
+  {
+    je_at = Sim.Time.ns (int_field fs "at");
+    je_host = (match field fs "host" with "-" -> None | h -> Some h);
+    je_event =
+      event_of_word
+        (kind lor (step lsl 4) lor (man lsl 6) lor (raised "from" lsl 20)
+        lor (raised "slots" lsl 41));
+    je_decision =
+      (if List.mem_assoc "flap" fs then
+         Some
+           { d_flap = flag "flap"; d_crash = flag "crash"; d_timeout = flag "timeout" }
+       else None);
+    je_audit =
+      (match List.assoc_opt "audit" fs with
+      | None -> None
+      | Some v -> (
+        match verdict_of_string v with
+        | Some _ as r -> r
+        | None -> failwith ("bad audit verdict " ^ v)));
+    je_shadow =
+      (if List.mem_assoc "sspare" fs then
+         Some
+           { s_spare = flag "sspare"; s_stage = flag "sstage"; s_drop = flag "sdrop";
+             s_diverge = flag "sdiverge"; s_partition = flag "spart" }
+       else None);
+    je_cursor = int_field fs "cursor";
+  }
+
+let journal_to_string j =
+  (* Entry lines run 40-80 bytes: size the buffer once. *)
+  let buf = Buffer.create (64 * (journal_length j + 4)) in
+  Buffer.add_string buf (journal_magic ^ "\n" ^ config_to_line j.j_config ^ "\n");
+  journal_iter (entry_to_line buf) j;
+  Buffer.contents buf
+
+let journal_of_string s =
+  try
+    match List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s) with
+    | magic :: config_line :: entry_lines ->
+      if String.trim magic <> journal_magic then
+        failwith "not a campaign journal (bad magic line)";
+      let config = config_of_line config_line in
+      (* Parsed entries are interned straight into the packed form;
+         hosts get side-table indices in first-appearance order. *)
+      let words = Sim.Vec.create ~capacity:(4 * List.length entry_lines) 0 in
+      let names = ref [] and n_names = ref 0 in
+      let name_idx = Hashtbl.create 64 in
+      let intern h =
+        match Hashtbl.find_opt name_idx h with
+        | Some i -> i
+        | None ->
+          let i = !n_names in
+          Hashtbl.replace name_idx h i;
+          names := h :: !names;
+          incr n_names;
+          i
+      in
+      List.iter
+        (fun line ->
+          let e = entry_of_line line in
+          let host_idx = match e.je_host with None -> -1 | Some h -> intern h in
+          let w0, w1, w2 = pack_entry ~host_idx e in
+          Sim.Vec.push words w0;
+          Sim.Vec.push words w1;
+          Sim.Vec.push words w2)
+        entry_lines;
+      let j_names = Array.of_list (List.rev !names) in
+      Ok { j_config = config; j_words = words; j_names }
+    | _ -> failwith "truncated journal (need magic + config lines)"
+  with
+  | Failure msg | Invalid_argument msg | Scanf.Scan_failure msg -> Error msg
+  | End_of_file -> Error "truncated config line"
 
 (* --- controller state (shared between live execution and replay) --- *)
 
@@ -473,6 +696,8 @@ type hstate =
 
 type breaker = B_closed | B_open_until of Sim.Time.t | B_half_open
 
+type probe = replaying:bool -> Sim.Time.t -> event -> unit
+
 type st = {
   cfg : config;
   setup : setup;
@@ -490,6 +715,7 @@ type st = {
   mutable half_failed : bool;
   mutable trips : int;
   mutable limit : int;
+  mutable granted : int; (* admission slots received via [Limit_raised] *)
   mutable running : int;
   mutable finished_at : Sim.Time.t option;
   entries : int Sim.Vec.t; (* packed, 3 words per entry, chronological *)
@@ -520,6 +746,7 @@ type st = {
   mutable spares_free : int;
   shadow_tried : bool array;
   fault : Fault.t option;
+  probe : probe option;
   obs : Obs.Tracer.t option;
   metrics : Obs.Metrics.t option;
   o_log : bool;
@@ -529,7 +756,7 @@ type st = {
   mutable root_span : Obs.Span.t option;
 }
 
-let make_st ?fault ?obs ?metrics cfg setup =
+let make_st ?fault ?probe ?obs ?metrics cfg setup =
   let n = Array.length setup.su_tasks in
   let obs = Option.map Hypertp.Otrace.attach obs in
   {
@@ -545,6 +772,7 @@ let make_st ?fault ?obs ?metrics cfg setup =
     half_failed = false;
     trips = 0;
     limit = setup.su_effective;
+    granted = 0;
     running = 0;
     finished_at = None;
     entries = Sim.Vec.create ~capacity:(Stdlib.max 16 (12 * n)) 0;
@@ -559,6 +787,7 @@ let make_st ?fault ?obs ?metrics cfg setup =
     spares_free = cfg.shadow_spares;
     shadow_tried = Array.make n false;
     fault;
+    probe;
     obs;
     metrics;
     o_log =
@@ -606,6 +835,12 @@ let window_fails st =
   in
   st.window_len - pop 0 st.window_bits
 
+(* Half-open admits half the full limit: the planned concurrency plus
+   any slots granted by the control plane. *)
+let recompute_limit st =
+  let full = st.setup.su_effective + st.granted in
+  st.limit <- (if st.breaker = B_half_open then Stdlib.max 1 (full / 2) else full)
+
 let resolve_failure st i manifestation at =
   st.running <- st.running - 1;
   st.manifests.(i) <- manifestation :: st.manifests.(i);
@@ -635,17 +870,6 @@ let resolve_failure st i manifestation at =
     Hypertp_error.raise_error ~site:"Campaign"
       "failure recorded for a host not running"
 
-let step_to_string = function
-  | Inplace -> "inplace"
-  | Shadow -> "shadow"
-  | Drain -> "drain"
-  | Retry -> "retry"
-
-let man_to_string = function
-  | Crash -> "crash"
-  | Timeout -> "timeout"
-  | Flap -> "flap"
-
 let pp_event fmt = function
   | Admitted step -> Format.fprintf fmt "admitted(%s)" (step_to_string step)
   | Flap_failure -> Format.pp_print_string fmt "flap-leg (failed, recovered)"
@@ -659,6 +883,8 @@ let pp_event fmt = function
   | Breaker_opened -> Format.pp_print_string fmt "breaker-opened"
   | Breaker_half_opened -> Format.pp_print_string fmt "breaker-half-open"
   | Breaker_closed -> Format.pp_print_string fmt "breaker-closed"
+  | Limit_raised { from_region; slots } ->
+    Format.fprintf fmt "limit-raised(+%d from r%d)" slots from_region
   | Campaign_finished -> Format.pp_print_string fmt "campaign-finished"
 
 (* Narration + span/metric bookkeeping for one applied event.  Runs at
@@ -684,6 +910,12 @@ let observe st e =
      when nothing is attached — the common case for large fleets. *)
   if obs = None && metrics = None then ()
   else begin
+  let count name labels =
+    Hypertp.Otrace.count metrics ~labels:(("engine", "campaign") :: labels) name
+  in
+  let breaker name =
+    Hypertp.Otrace.instant obs ~at ?parent:st.root_span ~track:"controller" name
+  in
   (match (e.je_event, e.je_host) with
   | Admitted step, Some h ->
     let i = idx st h in
@@ -694,57 +926,34 @@ let observe st e =
           [ ("host", h); ("step", step_to_string step);
             ("attempt", string_of_int st.attempts.(i)) ]
         ("attempt:" ^ step_to_string step);
-    Hypertp.Otrace.count metrics
-      ~labels:[ ("engine", "campaign"); ("step", step_to_string step) ]
-      "hypertp_campaign_attempts_total"
+    count "hypertp_campaign_attempts_total" [ ("step", step_to_string step) ]
   | Flap_failure, Some h ->
     Hypertp.Otrace.event st.ospans.(idx st h) ~at "flap_leg"
   | Straggler_cancelled, Some h ->
     close (idx st h) [ ("result", "straggler_cancelled") ];
-    Hypertp.Otrace.count metrics
-      ~labels:[ ("engine", "campaign"); ("manifestation", "timeout") ]
-      "hypertp_campaign_failures_total"
+    count "hypertp_campaign_failures_total" [ ("manifestation", "timeout") ]
   | Attempt_failed { step; manifestation }, Some h ->
+    let m = man_to_string manifestation in
     close (idx st h)
-      [ ("result", "failed"); ("step", step_to_string step);
-        ("manifestation", man_to_string manifestation) ];
-    Hypertp.Otrace.count metrics
-      ~labels:
-        [ ("engine", "campaign");
-          ("manifestation", man_to_string manifestation) ]
-      "hypertp_campaign_failures_total"
+      [ ("result", "failed"); ("step", step_to_string step); ("manifestation", m) ];
+    count "hypertp_campaign_failures_total" [ ("manifestation", m) ]
   | Attempt_completed step, Some h ->
-    close (idx st h)
-      (("result", "completed")
-      ::
-      (match e.je_audit with
-      | Some v -> [ ("audit", verdict_to_string v) ]
-      | None -> []));
-    Hypertp.Otrace.count metrics
-      ~labels:[ ("engine", "campaign"); ("step", step_to_string step) ]
-      "hypertp_campaign_completions_total";
-    (match e.je_audit with
-    | Some v ->
-      Hypertp.Otrace.count metrics
-        ~labels:
-          [ ("engine", "campaign"); ("verdict", verdict_to_string v) ]
-        "hypertp_campaign_audits_total"
-    | None -> ())
+    let audit =
+      match e.je_audit with Some v -> [ ("audit", verdict_to_string v) ] | None -> []
+    in
+    close (idx st h) (("result", "completed") :: audit);
+    count "hypertp_campaign_completions_total" [ ("step", step_to_string step) ];
+    List.iter
+      (fun (_, v) -> count "hypertp_campaign_audits_total" [ ("verdict", v) ])
+      audit
   | Deferred, Some h ->
     Hypertp.Otrace.instant obs ~at ~track:("host:" ^ h)
       ~attrs:[ ("host", h) ] "deferred"
   | Breaker_opened, None ->
-    Hypertp.Otrace.instant obs ~at ?parent:st.root_span ~track:"controller"
-      "breaker:opened";
-    Hypertp.Otrace.count metrics
-      ~labels:[ ("engine", "campaign") ]
-      "hypertp_breaker_trips_total"
-  | Breaker_half_opened, None ->
-    Hypertp.Otrace.instant obs ~at ?parent:st.root_span ~track:"controller"
-      "breaker:half_open"
-  | Breaker_closed, None ->
-    Hypertp.Otrace.instant obs ~at ?parent:st.root_span ~track:"controller"
-      "breaker:closed"
+    breaker "breaker:opened";
+    count "hypertp_breaker_trips_total" []
+  | Breaker_half_opened, None -> breaker "breaker:half_open"
+  | Breaker_closed, None -> breaker "breaker:closed"
   | Campaign_finished, None ->
     Hypertp.Otrace.finish obs st.root_span ~at;
     st.root_span <- None
@@ -758,10 +967,8 @@ let observe st e =
 (* Apply one journal entry to the state.  Both the live controller and
    [resume]'s replay funnel every mutation through here, which is what
    makes a resumed campaign land in exactly the state the crashed one
-   had. *)
-(* Host timelines are no longer tracked live — [make_report] rebuilds
-   them from the packed journal, so the steady-state controller keeps no
-   per-event boxed state at all. *)
+   had.  Host timelines are not tracked live — [make_report] rebuilds
+   them from the packed journal. *)
 let apply_state st e =
   match (e.je_event, e.je_host) with
   | Admitted step, Some h ->
@@ -841,10 +1048,13 @@ let apply_state st e =
     st.breaker <- B_half_open;
     st.half_successes <- 0;
     st.half_failed <- false;
-    st.limit <- Stdlib.max 1 (st.setup.su_effective / 2)
+    recompute_limit st
   | Breaker_closed, None ->
     st.breaker <- B_closed;
-    st.limit <- st.setup.su_effective
+    recompute_limit st
+  | Limit_raised { slots; _ }, None ->
+    st.granted <- st.granted + slots;
+    recompute_limit st
   | Campaign_finished, None -> st.finished_at <- Some e.je_at
   | _ -> Hypertp_error.raise_error ~site:"Campaign" "malformed journal entry"
 
@@ -860,6 +1070,7 @@ type ctx = {
   st : st;
   eng : Sim.Engine.t;
   timers : Sim.Engine.timer list ref array;
+  mutable stopped : bool; (* set by [stop]: pending settles become no-ops *)
 }
 
 let cursor st =
@@ -894,9 +1105,33 @@ let shadow_armed st =
         List.mem inj.Fault.site Fault.shadow_sites)
       (Fault.injections f)
 
+(* The fault-plan consults behind each journaled decision, in their
+   fixed order: live execution journals the outcome, replay re-fires
+   and compares.  Always all sites of a group, so probability streams
+   stay aligned across plans (the sweep_faulty nesting property). *)
+let inplace_decision st node =
+  let d_flap = fire_opt st ~vm:node Fault.Host_flap in
+  let d_crash = fire_opt st ~vm:node Fault.Host_crash in
+  let d_timeout = fire_opt st ~vm:node Fault.Host_timeout in
+  { d_flap; d_crash; d_timeout }
+
+let shadow_decision st node =
+  let s_spare = fire_opt st ~vm:node Fault.Spare_exhausted in
+  let s_stage = fire_opt st ~vm:node Fault.Shadow_stage_fail in
+  let s_drop = fire_opt st ~vm:node Fault.Shadow_stream_drop in
+  let s_diverge = fire_opt st ~vm:node Fault.Shadow_diverge in
+  let s_partition = fire_opt st ~vm:node Fault.Swap_partition in
+  { s_spare; s_stage; s_drop; s_diverge; s_partition }
+
+let audit_verdict st node =
+  let leak = fire_opt st ~vm:node Fault.Residual_leak in
+  let scrub_failed = fire_opt st ~vm:node Fault.Scrub_fail in
+  if not leak then A_clean else if scrub_failed then A_failed else A_scrubbed
+
 (* Journal-then-crash: the entry is applied and persisted first, and
-   only then may the controller die, so a resumed run never loses the
-   event that was being recorded. *)
+   only then may the controller die — by its own [Controller_crash] or
+   by whatever the caller's probe raises — so a resumed run never loses
+   the event that was being recorded. *)
 (* Re-encode and push an already-validated entry (live append and
    resume's replay both end here). *)
 let push_entry st e ~cursor =
@@ -918,7 +1153,8 @@ let append st ?host ?decision ?audit ?shadow ~at event =
     Hypertp.Otrace.instant st.obs ~at ~track:"journal"
       ~attrs:[ ("cursor", string_of_int (cursor st)) ]
       "journal:checkpoint";
-  if crashed then raise Controller_died
+  if crashed then raise Controller_died;
+  match st.probe with Some p -> p ~replaying:false at event | None -> ()
 
 let clear_timers ctx i =
   List.iter Sim.Engine.cancel !(ctx.timers.(i));
@@ -978,8 +1214,7 @@ let rec settle ctx =
     then begin
       append st ~at Breaker_opened;
       match st.breaker with
-      | B_open_until u ->
-        Sim.Engine.schedule_at ctx.eng u (fun () -> reopen ctx)
+      | B_open_until u -> schedule_reopen ctx u
       | B_closed | B_half_open -> ()
     end
     else if st.breaker = B_half_open
@@ -1025,6 +1260,9 @@ let rec settle ctx =
       append st ~at Campaign_finished
   end
 
+and schedule_reopen ctx u =
+  Sim.Engine.schedule_at ctx.eng u (fun () -> if not ctx.stopped then reopen ctx)
+
 and reopen ctx =
   let st = ctx.st in
   (match st.breaker with
@@ -1039,27 +1277,12 @@ and admit ctx i step =
   let t = st.setup.su_tasks.(i) in
   let decision =
     match step with
-    | Inplace ->
-      (* Always consult all three sites, in a fixed order, so the
-         probability stream stays aligned across fault plans (the
-         sweep_faulty nesting property). *)
-      let d_flap = fire_opt st ~vm:t.t_node Fault.Host_flap in
-      let d_crash = fire_opt st ~vm:t.t_node Fault.Host_crash in
-      let d_timeout = fire_opt st ~vm:t.t_node Fault.Host_timeout in
-      Some { d_flap; d_crash; d_timeout }
+    | Inplace -> Some (inplace_decision st t.t_node)
     | Shadow | Drain | Retry -> None
   in
   let shadow =
     match step with
-    | Shadow when shadow_armed st ->
-      (* All five shadow sites, in a fixed order, for the same
-         stream-alignment reason as the in-place decision. *)
-      let s_spare = fire_opt st ~vm:t.t_node Fault.Spare_exhausted in
-      let s_stage = fire_opt st ~vm:t.t_node Fault.Shadow_stage_fail in
-      let s_drop = fire_opt st ~vm:t.t_node Fault.Shadow_stream_drop in
-      let s_diverge = fire_opt st ~vm:t.t_node Fault.Shadow_diverge in
-      let s_partition = fire_opt st ~vm:t.t_node Fault.Swap_partition in
-      Some { s_spare; s_stage; s_drop; s_diverge; s_partition }
+    | Shadow when shadow_armed st -> Some (shadow_decision st t.t_node)
     | _ -> None
   in
   append st ~host:t.t_node ?decision ?shadow ~at (Admitted step);
@@ -1168,18 +1391,10 @@ and on_complete ctx i step =
   (* Post-commit audit verdict for steps that end on the new hypervisor
      via InPlaceTP.  Only consulted when the plan arms the audit sites,
      so journals recorded under audit-free plans keep their fault
-     cursors bit-for-bit (and the probability stream stays aligned for
-     everyone else).  Both sites are consulted in a fixed order even
-     when the first misses, for the same stream-alignment reason. *)
+     cursors bit-for-bit. *)
   let audit =
     match step with
-    | (Inplace | Retry) when audit_armed st ->
-      let leak = fire_opt st ~vm:node Fault.Residual_leak in
-      let scrub_failed = fire_opt st ~vm:node Fault.Scrub_fail in
-      Some
-        (if not leak then A_clean
-         else if scrub_failed then A_failed
-         else A_scrubbed)
+    | (Inplace | Retry) when audit_armed st -> Some (audit_verdict st node)
     | _ -> None
   in
   append st ~host:node ?audit ~at:(Sim.Engine.now ctx.eng)
@@ -1200,15 +1415,21 @@ and on_flap_leg ctx i =
 let make_journal st =
   { j_config = st.cfg; j_words = st.entries; j_names = st.setup.su_names }
 
+(* Wall clock (finish plus the rebalance tail) and exposure, accumulated
+   incrementally as hosts finished: deferred-exposed hosts stay exposed
+   until the wall clock.  The test suite pins this equal to the per-host
+   fold over a report's [hosts]. *)
+let wall_and_exposure st =
+  match st.finished_at with
+  | Some t ->
+    let wall = Sim.Time.add t st.setup.su_rebalance in
+    (wall, st.exposure_acc +. (float_of_int st.n_deferred_exposed *. hours wall))
+  | None ->
+    Hypertp_error.raise_error ~site:"Campaign"
+      "report requested before the finish event"
+
 let make_report st =
-  let finished =
-    match st.finished_at with
-    | Some t -> t
-    | None ->
-      Hypertp_error.raise_error ~site:"Campaign"
-        "report requested before the finish event"
-  in
-  let wall = Sim.Time.add finished st.setup.su_rebalance in
+  let wall, exposed = wall_and_exposure st in
   (* Rebuild per-host timelines from the packed journal (newest first,
      reversed below) — the controller stopped tracking them live. *)
   let n = Array.length st.setup.su_tasks in
@@ -1216,11 +1437,12 @@ let make_report st =
   let words = st.entries in
   for k = 0 to (Sim.Vec.length words / 3) - 1 do
     let w1 = Sim.Vec.get words ((3 * k) + 1) in
-    match w1 lsr 20 with
+    match host_field w1 with
     | 0 -> ()
     | i ->
-      let e = unpack_entry st.setup.su_names (Sim.Vec.get words (3 * k)) w1 0 in
-      timelines.(i - 1) <- (e.je_at, e.je_event) :: timelines.(i - 1)
+      timelines.(i - 1) <-
+        (Sim.Time.ns (Sim.Vec.get words (3 * k)), event_of_word w1)
+        :: timelines.(i - 1)
   done;
   let hosts =
     Array.to_list
@@ -1274,11 +1496,7 @@ let make_report st =
     hosts;
     wall_clock = wall;
     rebalance_time = st.setup.su_rebalance;
-    (* Accumulated incrementally as hosts finished; deferred-exposed
-       hosts stay exposed until the campaign's wall clock.  The test
-       suite pins this equal to the per-host fold over [hosts]. *)
-    exposed_host_hours =
-      st.exposure_acc +. (float_of_int st.n_deferred_exposed *. hours wall);
+    exposed_host_hours = exposed;
     baseline_exposed_host_hours = float_of_int st.cfg.nodes *. hours wall;
     deferred = List.map (fun h -> h.hr_node) deferred_hosts;
     deferred_exposure_hours =
@@ -1312,23 +1530,35 @@ let make_report st =
 
 type run_result = Finished of report * journal | Crashed of journal
 
-let make_ctx st =
-  let eng = Sim.Engine.create () in
-  (* Timer lifecycle on its own track: every straggler deadline and
-     attempt completion timer shows up as fired or cancelled. *)
-  (match st.obs with
-  | Some tr ->
-    Sim.Engine.set_timer_hook eng (fun at notice ->
-        Obs.Tracer.instant tr ~at ~track:"engine"
-          (match notice with
-          | `Fired -> "timer:fired"
-          | `Cancelled -> "timer:cancelled"))
-  | None -> ());
+(* A caller's engine ([?eng]) is shared with other controllers; its
+   timer hook is the caller's business. *)
+let make_ctx ?eng st =
+  let eng =
+    match eng with
+    | Some eng -> eng
+    | None ->
+      let eng = Sim.Engine.create () in
+      (* Timer lifecycle on its own track: every straggler deadline and
+         attempt completion timer shows up as fired or cancelled. *)
+      Option.iter
+        (fun tr ->
+          Sim.Engine.set_timer_hook eng (fun at notice ->
+              Obs.Tracer.instant tr ~at ~track:"engine"
+                (match notice with
+                | `Fired -> "timer:fired"
+                | `Cancelled -> "timer:cancelled")))
+        st.obs;
+      eng
+  in
   {
     st;
     eng;
     timers = Array.init (Array.length st.setup.su_tasks) (fun _ -> ref []);
+    stopped = false;
   }
+
+let settle_at ctx at =
+  Sim.Engine.schedule_at ctx.eng at (fun () -> if not ctx.stopped then settle ctx)
 
 let drive ctx =
   try
@@ -1337,11 +1567,11 @@ let drive ctx =
   with Controller_died -> Crashed (make_journal ctx.st)
 
 (* Fresh controller, first settle scheduled, nothing driven yet. *)
-let start_st ?fault ?obs ?metrics cfg =
+let start_st ?eng ?like ?fault ?probe ?obs ?metrics cfg =
   validate_config cfg;
-  let setup = build_setup cfg in
-  let ctx = make_ctx (make_st ?fault ?obs ?metrics cfg setup) in
-  Sim.Engine.schedule_at ctx.eng Sim.Time.zero (fun () -> settle ctx);
+  let setup = setup_like ?like cfg in
+  let ctx = make_ctx ?eng (make_st ?fault ?probe ?obs ?metrics cfg setup) in
+  settle_at ctx (Sim.Engine.now ctx.eng);
   ctx
 
 let run ?ctx:run_ctx ?fault ?obs ?metrics cfg =
@@ -1353,159 +1583,80 @@ let run ?ctx:run_ctx ?fault ?obs ?metrics cfg =
 (* Replayed controller: journal re-applied and validated, in-flight
    attempts re-armed, nothing driven yet.  [fault] is the crashed run's
    plan, restarted here. *)
-let resume_st ?fault ?obs ?metrics journal =
+let resume_st ?eng ?like ?fault ?probe ?obs ?metrics journal =
   let cfg = journal.j_config in
   validate_config cfg;
   let fault = Option.map Fault.restart fault in
-  let setup = build_setup cfg in
-  let st = make_st ?fault ?obs ?metrics cfg setup in
+  let setup = setup_like ?like cfg in
+  let st = make_st ?fault ?probe ?obs ?metrics cfg setup in
   (* Replay: every entry is re-applied and re-validated against the
      restarted fault plan — the same sites fire in the same order, so
      the plan's counters, probability stream and trace end up exactly
      where the crashed run left them.  Validation failures name the
      exact entry and which recorded cursor diverged, so a journal file
      resumed under the wrong --fault specs (or seed) is diagnosable. *)
-  let plan_seed () =
-    match st.fault with Some f -> Fault.seed f | None -> 0L
+  let hint =
+    Printf.sprintf
+      "the journal was recorded under a different fault plan: pass the \
+       exact --fault specs (and seed) of the crashed run; the restarted \
+       plan (seed %Ld) decides differently here"
+      (match st.fault with Some f -> Fault.seed f | None -> 0L)
   in
   let entry_no = ref 0 in
   journal_iter
     (fun e ->
       incr entry_no;
-      (match (e.je_event, e.je_host, e.je_decision) with
-      | Admitted Inplace, Some h, Some d ->
-        let f_flap = fire_opt st ~vm:h Fault.Host_flap in
-        let f_crash = fire_opt st ~vm:h Fault.Host_crash in
-        let f_timeout = fire_opt st ~vm:h Fault.Host_timeout in
-        if
-          st.fault <> None
-          && (f_flap <> d.d_flap || f_crash <> d.d_crash
-            || f_timeout <> d.d_timeout)
-        then
-          let diverged =
-            String.concat ", "
-              (List.filter_map
-                 (fun (name, journalled, replayed) ->
-                   if journalled <> replayed then
-                     Some
-                       (Printf.sprintf "%s (journal %b, plan %b)" name
-                          journalled replayed)
-                   else None)
-                 [ ("flap", d.d_flap, f_flap); ("crash", d.d_crash, f_crash);
-                   ("timeout", d.d_timeout, f_timeout) ])
-          in
-          Hypertp_error.raise_errorf ~site:"Campaign.resume"
-            ~hint:
-              (Printf.sprintf
-                 "the journal was recorded under a different fault plan: \
-                  pass the exact --fault specs (and seed) of the crashed \
-                  run; the restarted plan (seed %Ld) decides differently \
-                  here" (plan_seed ()))
-            "journal entry %d (host %s admission at %s) disagrees with the \
-             fault plan on the %s decision"
-            !entry_no h (Sim.Time.to_string e.je_at) diverged
-      | Admitted Inplace, _, None ->
-        Hypertp_error.raise_errorf ~site:"Campaign.resume"
-          "journal entry %d: in-place admission without decision" !entry_no
-      | _ -> ());
-      (* Shadow admissions are re-fired and validated like the in-place
-         decisions: the entry carries [je_shadow] iff the recording run
-         consulted the shadow sites at this admission. *)
-      (match (e.je_event, e.je_host, e.je_shadow) with
-      | Admitted Shadow, Some h, Some s ->
-        let f_spare = fire_opt st ~vm:h Fault.Spare_exhausted in
-        let f_stage = fire_opt st ~vm:h Fault.Shadow_stage_fail in
-        let f_drop = fire_opt st ~vm:h Fault.Shadow_stream_drop in
-        let f_diverge = fire_opt st ~vm:h Fault.Shadow_diverge in
-        let f_partition = fire_opt st ~vm:h Fault.Swap_partition in
-        let replayed =
-          { s_spare = f_spare; s_stage = f_stage; s_drop = f_drop;
-            s_diverge = f_diverge; s_partition = f_partition }
-        in
-        if st.fault <> None && replayed <> s then
-          let diverged =
-            String.concat ", "
-              (List.filter_map
-                 (fun (name, journalled, rep) ->
-                   if journalled <> rep then
-                     Some
-                       (Printf.sprintf "%s (journal %b, plan %b)" name
-                          journalled rep)
-                   else None)
-                 [ ("spare", s.s_spare, f_spare);
-                   ("stage", s.s_stage, f_stage);
-                   ("drop", s.s_drop, f_drop);
-                   ("diverge", s.s_diverge, f_diverge);
-                   ("partition", s.s_partition, f_partition) ])
-          in
-          Hypertp_error.raise_errorf ~site:"Campaign.resume"
-            ~hint:
-              (Printf.sprintf
-                 "the journal was recorded under a different fault plan: \
-                  pass the exact --fault specs (and seed) of the crashed \
-                  run; the restarted plan (seed %Ld) decides differently \
-                  here" (plan_seed ()))
-            "journal entry %d (host %s shadow admission at %s) disagrees \
-             with the fault plan on the %s decision"
-            !entry_no h (Sim.Time.to_string e.je_at) diverged
-      | _ -> ());
-      (* Audit verdicts are re-fired and validated the same way as the
-         admission decisions: the entry carries [je_audit] iff the
-         recording run consulted the audit sites at this completion. *)
-      (match (e.je_event, e.je_host, e.je_audit) with
-      | Attempt_completed (Inplace | Retry), Some h, Some v ->
-        let leak = fire_opt st ~vm:h Fault.Residual_leak in
-        let scrub_failed = fire_opt st ~vm:h Fault.Scrub_fail in
-        let replayed =
-          if not leak then A_clean
-          else if scrub_failed then A_failed
-          else A_scrubbed
-        in
-        if st.fault <> None && replayed <> v then
-          Hypertp_error.raise_errorf ~site:"Campaign.resume"
-            ~hint:
-              (Printf.sprintf
-                 "the journal was recorded under a different fault plan: \
-                  pass the exact --fault specs (and seed) of the crashed \
-                  run; the restarted plan (seed %Ld) decides differently \
-                  here" (plan_seed ()))
-            "journal entry %d (host %s completion at %s) disagrees with \
-             the fault plan on the audit verdict (journal %s, plan %s)"
-            !entry_no h (Sim.Time.to_string e.je_at) (verdict_to_string v)
-            (verdict_to_string replayed)
-      | _ -> ());
+      (match probe with
+      | Some p -> p ~replaying:true e.je_at e.je_event
+      | None -> ());
+      (* Re-fire every decision the entry journals and compare. *)
+      let replayed =
+        match (e.je_event, e.je_host) with
+        | Admitted Inplace, Some h ->
+          { e with je_decision = Some (inplace_decision st h) }
+        | Admitted Shadow, Some h when e.je_shadow <> None ->
+          { e with je_shadow = Some (shadow_decision st h) }
+        | Attempt_completed (Inplace | Retry), Some h when e.je_audit <> None ->
+          { e with je_audit = Some (audit_verdict st h) }
+        | _ -> e
+      in
+      if st.fault <> None && replayed <> e then begin
+        let b = Buffer.create 192 in
+        List.iter (entry_to_line b) [ e; replayed ];
+        Hypertp_error.raise_errorf ~site:"Campaign.resume" ~hint
+          "journal entry %d disagrees with the fault plan (journal, then \
+           plan):\n%s" !entry_no (Buffer.contents b)
+      end;
       apply st e;
       ignore (fire_opt st Fault.Controller_crash);
       if st.fault <> None && cursor st <> e.je_cursor then
-        Hypertp_error.raise_errorf ~site:"Campaign.resume"
-          ~hint:
-            (Printf.sprintf
-               "every earlier entry matched, so the --fault specs differ \
-                from the crashed run's (or its seed was not %Ld): a \
-                different injection list consumes a different number of \
-                fire decisions per event" (plan_seed ()))
+        Hypertp_error.raise_errorf ~site:"Campaign.resume" ~hint
           "journal entry %d (%s at %s): fault-plan cursor diverged — the \
            journal records %d fire decisions taken by this point, the \
-           replayed plan took %d"
+           replayed plan took %d (every earlier decision matched, so the \
+           injection list differs)"
           !entry_no
           (match e.je_host with Some h -> "host " ^ h | None -> "campaign")
           (Sim.Time.to_string e.je_at) e.je_cursor (cursor st);
       push_entry st e ~cursor:e.je_cursor)
     journal;
-  let ctx = make_ctx st in
+  let ctx = make_ctx ?eng st in
+  let n = Sim.Vec.length st.entries in
   let t_last =
-    match journal_last journal with None -> Sim.Time.zero | Some e -> e.je_at
+    if n = 0 then Sim.Time.zero else Sim.Time.ns (Sim.Vec.get st.entries (n - 3))
   in
   (* The crashed run died mid-settle at [t_last]; continue it first,
      then let the in-flight attempts race again from their recorded
-     start times. *)
-  Sim.Engine.schedule_at ctx.eng t_last (fun () -> settle ctx);
+     start times.  On a shared engine whose clock has moved past
+     [t_last], the controller was idle since then and the settle is a
+     no-op whenever it runs. *)
+  settle_at ctx (Sim.Time.max t_last (Sim.Engine.now ctx.eng));
   Array.iteri
     (fun i h ->
       match h with H_running _ -> schedule_attempt ctx i | _ -> ())
     st.hstates;
   (match st.breaker with
-  | B_open_until u -> Sim.Engine.schedule_at ctx.eng u (fun () -> reopen ctx)
+  | B_open_until u -> schedule_reopen ctx u
   | B_closed | B_half_open -> ());
   ctx
 
@@ -1515,16 +1666,45 @@ let resume ?ctx:run_ctx ?fault ?obs ?metrics journal =
     (resume_st ?fault:c.Hypertp.Ctx.fault ?obs:c.Hypertp.Ctx.obs
        ?metrics:c.Hypertp.Ctx.metrics journal)
 
+(* Run to the end, resuming across controller crashes; returns the
+   finished controller and the number of resumes. *)
+let complete_st ?fault ?obs ?metrics cfg =
+  let rec go resumes ctx =
+    match Sim.Engine.run ctx.eng with
+    | () -> (ctx.st, resumes)
+    | exception Controller_died ->
+      go (resumes + 1) (resume_st ?fault ?obs ?metrics (make_journal ctx.st))
+  in
+  go 0 (start_st ?fault ?obs ?metrics cfg)
+
 let run_to_completion ?ctx ?fault ?obs ?metrics cfg =
   let c = Hypertp.Ctx.resolve ?ctx ?fault ?obs ?metrics () in
-  let fault = c.Hypertp.Ctx.fault
-  and obs = c.Hypertp.Ctx.obs
-  and metrics = c.Hypertp.Ctx.metrics in
-  let rec go = function
-    | Finished (report, _) -> report
-    | Crashed j -> go (resume ?fault ?obs ?metrics j)
-  in
-  go (run ?fault ?obs ?metrics cfg)
+  make_report
+    (fst
+       (complete_st ?fault:c.Hypertp.Ctx.fault ?obs:c.Hypertp.Ctx.obs
+          ?metrics:c.Hypertp.Ctx.metrics cfg))
+
+(* --- region controllers on a caller's engine --- *)
+
+type controller = ctx
+
+let shape ctx = (ctx.st.setup, ctx.st.cfg)
+let start_controller ~eng ?like = start_st ~eng ?like:(Option.map shape like)
+let resume_controller ~eng ?like = resume_st ~eng ?like:(Option.map shape like)
+
+let stop_controller ctx =
+  ctx.stopped <- true;
+  Array.iteri (fun i _ -> clear_timers ctx i) ctx.timers
+
+let grant ctx ~from_region ~slots =
+  append ctx.st ~at:(Sim.Engine.now ctx.eng) (Limit_raised { from_region; slots });
+  settle ctx
+
+let controller_journal ctx = make_journal ctx.st
+let controller_finished_at ctx = ctx.st.finished_at
+let controller_report ctx = make_report ctx.st
+
+let journal_events f j = journal_iter (fun e -> f e.je_at e.je_host e.je_event) j
 
 let sweep ?(config = default_config) ?(seed = 0xC1A5L) ~probabilities () =
   List.map
@@ -1537,273 +1717,6 @@ let sweep ?(config = default_config) ?(seed = 0xC1A5L) ~probabilities () =
     probabilities
 
 (* --- journal serialisation --- *)
-
-let step_of_string = function
-  | "inplace" -> Some Inplace
-  | "shadow" -> Some Shadow
-  | "drain" -> Some Drain
-  | "retry" -> Some Retry
-  | _ -> None
-
-let man_of_string = function
-  | "crash" -> Some Crash
-  | "timeout" -> Some Timeout
-  | "flap" -> Some Flap
-  | _ -> None
-
-let journal_magic = "hypertp-campaign-journal v1"
-
-let journal_to_string j =
-  let buf = Buffer.create 4096 in
-  let c = j.j_config in
-  Buffer.add_string buf (journal_magic ^ "\n");
-  Buffer.add_string buf
-    (Printf.sprintf
-       "config nodes=%d vms_per_node=%d vm_ram=%d node_ram=%d fraction=%.17g \
-        concurrency=%d straggler=%.17g window=%d threshold=%.17g \
-        cooldown_ns=%d jitter=%.17g drain=%.17g retry=%.17g seed=%Ld%s\n"
-       c.nodes c.vms_per_node c.vm_ram c.node_ram c.inplace_fraction
-       c.concurrency c.straggler_factor c.breaker_window c.breaker_threshold
-       (Sim.Time.to_ns c.breaker_cooldown)
-       c.jitter_pct c.drain_flakiness c.retry_flakiness c.seed
-       (* Optional token: absent for shadow-free campaigns, so journals
-          recorded before the shadow rung existed serialise
-          byte-identically. *)
-       (if c.shadow_spares > 0 then
-          Printf.sprintf " shadow_spares=%d" c.shadow_spares
-        else ""));
-  journal_iter
-    (fun e ->
-      let host = match e.je_host with Some h -> h | None -> "-" in
-      let kind =
-        match e.je_event with
-        | Admitted step -> Printf.sprintf "adm step=%s" (step_to_string step)
-        | Flap_failure -> "flapleg"
-        | Straggler_cancelled -> "strag"
-        | Attempt_failed { step; manifestation } ->
-          Printf.sprintf "fail step=%s man=%s" (step_to_string step)
-            (man_to_string manifestation)
-        | Attempt_completed step ->
-          Printf.sprintf "done step=%s" (step_to_string step)
-        | Deferred -> "defer"
-        | Breaker_opened -> "bopen"
-        | Breaker_half_opened -> "bhalf"
-        | Breaker_closed -> "bclosed"
-        | Campaign_finished -> "fin"
-      in
-      let decision =
-        match e.je_decision with
-        | Some d ->
-          Printf.sprintf " flap=%d crash=%d timeout=%d"
-            (Bool.to_int d.d_flap) (Bool.to_int d.d_crash)
-            (Bool.to_int d.d_timeout)
-        | None -> ""
-      in
-      (* Optional token: absent on audit-free entries, so journals
-         written before the audit existed serialise byte-identically. *)
-      let audit =
-        match e.je_audit with
-        | Some v -> Printf.sprintf " audit=%s" (verdict_to_string v)
-        | None -> ""
-      in
-      let shadow =
-        match e.je_shadow with
-        | Some s ->
-          Printf.sprintf " sspare=%d sstage=%d sdrop=%d sdiverge=%d spart=%d"
-            (Bool.to_int s.s_spare) (Bool.to_int s.s_stage)
-            (Bool.to_int s.s_drop) (Bool.to_int s.s_diverge)
-            (Bool.to_int s.s_partition)
-        | None -> ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "e at=%d host=%s %s%s%s%s cursor=%d\n"
-           (Sim.Time.to_ns e.je_at) host kind decision audit shadow
-           e.je_cursor))
-    j;
-  Buffer.contents buf
-
-exception Parse of string
-
-let journal_of_string s =
-  let kv tok =
-    match String.index_opt tok '=' with
-    | Some i ->
-      Some
-        ( String.sub tok 0 i,
-          String.sub tok (i + 1) (String.length tok - i - 1) )
-    | None -> None
-  in
-  let fields line = List.filter_map kv (String.split_on_char ' ' line) in
-  let get fs k =
-    match List.assoc_opt k fs with
-    | Some v -> v
-    | None -> raise (Parse (Printf.sprintf "missing field %S" k))
-  in
-  let int_f fs k =
-    match int_of_string_opt (get fs k) with
-    | Some v -> v
-    | None -> raise (Parse (Printf.sprintf "bad integer for %S" k))
-  in
-  let float_f fs k =
-    match float_of_string_opt (get fs k) with
-    | Some v -> v
-    | None -> raise (Parse (Printf.sprintf "bad float for %S" k))
-  in
-  try
-    let lines =
-      List.filter
-        (fun l -> String.trim l <> "")
-        (String.split_on_char '\n' s)
-    in
-    match lines with
-    | magic :: config_line :: entry_lines ->
-      if String.trim magic <> journal_magic then
-        raise (Parse "not a campaign journal (bad magic line)");
-      let fs = fields config_line in
-      let config =
-        {
-          nodes = int_f fs "nodes";
-          vms_per_node = int_f fs "vms_per_node";
-          vm_ram = int_f fs "vm_ram";
-          node_ram = int_f fs "node_ram";
-          inplace_fraction = float_f fs "fraction";
-          concurrency = int_f fs "concurrency";
-          straggler_factor = float_f fs "straggler";
-          breaker_window = int_f fs "window";
-          breaker_threshold = float_f fs "threshold";
-          breaker_cooldown = Sim.Time.ns (int_f fs "cooldown_ns");
-          jitter_pct = float_f fs "jitter";
-          drain_flakiness = float_f fs "drain";
-          retry_flakiness = float_f fs "retry";
-          seed =
-            (match Int64.of_string_opt (get fs "seed") with
-            | Some v -> v
-            | None -> raise (Parse "bad seed"));
-          shadow_spares =
-            (match List.assoc_opt "shadow_spares" fs with
-            | None -> 0
-            | Some _ -> int_f fs "shadow_spares");
-        }
-      in
-      let parse_step fs =
-        match step_of_string (get fs "step") with
-        | Some s -> s
-        | None -> raise (Parse "bad ladder step")
-      in
-      (* Parsed entries are interned straight into the packed form;
-         hosts get side-table indices in first-appearance order. *)
-      let words = Sim.Vec.create ~capacity:(4 * List.length entry_lines) 0 in
-      let names = ref [] in
-      let name_idx = Hashtbl.create 64 in
-      let n_names = ref 0 in
-      let intern h =
-        match Hashtbl.find_opt name_idx h with
-        | Some i -> i
-        | None ->
-          let i = !n_names in
-          Hashtbl.replace name_idx h i;
-          names := h :: !names;
-          incr n_names;
-          i
-      in
-      List.iter
-        (fun line ->
-            let tokens = String.split_on_char ' ' line in
-            (match tokens with
-            | "e" :: _ -> ()
-            | _ -> raise (Parse ("bad entry line: " ^ line)));
-            let kind =
-              match
-                List.find_opt (fun t -> t <> "e" && kv t = None) tokens
-              with
-              | Some k -> k
-              | None -> raise (Parse ("entry without a kind: " ^ line))
-            in
-            let fs = fields line in
-            let event =
-              match kind with
-              | "adm" -> Admitted (parse_step fs)
-              | "flapleg" -> Flap_failure
-              | "strag" -> Straggler_cancelled
-              | "fail" ->
-                Attempt_failed
-                  {
-                    step = parse_step fs;
-                    manifestation =
-                      (match man_of_string (get fs "man") with
-                      | Some m -> m
-                      | None -> raise (Parse "bad manifestation"));
-                  }
-              | "done" -> Attempt_completed (parse_step fs)
-              | "defer" -> Deferred
-              | "bopen" -> Breaker_opened
-              | "bhalf" -> Breaker_half_opened
-              | "bclosed" -> Breaker_closed
-              | "fin" -> Campaign_finished
-              | k -> raise (Parse ("unknown entry kind " ^ k))
-            in
-            let decision =
-              match List.assoc_opt "flap" fs with
-              | None -> None
-              | Some _ ->
-                Some
-                  {
-                    d_flap = int_f fs "flap" <> 0;
-                    d_crash = int_f fs "crash" <> 0;
-                    d_timeout = int_f fs "timeout" <> 0;
-                  }
-            in
-            let audit =
-              match List.assoc_opt "audit" fs with
-              | None -> None
-              | Some v -> (
-                match verdict_of_string v with
-                | Some _ as r -> r
-                | None -> raise (Parse ("bad audit verdict " ^ v)))
-            in
-            let shadow =
-              match List.assoc_opt "sspare" fs with
-              | None -> None
-              | Some _ ->
-                Some
-                  {
-                    s_spare = int_f fs "sspare" <> 0;
-                    s_stage = int_f fs "sstage" <> 0;
-                    s_drop = int_f fs "sdrop" <> 0;
-                    s_diverge = int_f fs "sdiverge" <> 0;
-                    s_partition = int_f fs "spart" <> 0;
-                  }
-            in
-            let e =
-              {
-                je_at = Sim.Time.ns (int_f fs "at");
-                je_host =
-                  (match get fs "host" with "-" -> None | h -> Some h);
-                je_event = event;
-                je_decision = decision;
-                je_audit = audit;
-                je_shadow = shadow;
-                je_cursor = int_f fs "cursor";
-              }
-            in
-            let host_idx =
-              match e.je_host with None -> -1 | Some h -> intern h
-            in
-            let w0, w1, w2 = pack_entry ~host_idx e in
-            Sim.Vec.push words w0;
-            Sim.Vec.push words w1;
-            Sim.Vec.push words w2)
-        entry_lines;
-      Ok
-        {
-          j_config = config;
-          j_words = words;
-          j_names = Array.of_list (List.rev !names);
-        }
-    | _ -> raise (Parse "truncated journal (need magic + config lines)")
-  with
-  | Parse msg -> Error msg
-  | Invalid_argument msg -> Error msg
 
 (* --- pretty printing --- *)
 
@@ -1888,14 +1801,7 @@ type fleet_report = {
    per region instead of a [report], whose per-host records would put a
    million boxed timelines back on the heap. *)
 let make_summary ~region ~resumes st =
-  let finished =
-    match st.finished_at with
-    | Some t -> t
-    | None ->
-      Hypertp_error.raise_error ~site:"Campaign"
-        "summary requested before the finish event"
-  in
-  let wall = Sim.Time.add finished st.setup.su_rebalance in
+  let wall, exposure = wall_and_exposure st in
   let inplace = ref 0 and shadow = ref 0 and drained = ref 0 in
   let retried = ref 0 and exposed = ref 0 in
   Array.iter
@@ -1913,8 +1819,7 @@ let make_summary ~region ~resumes st =
     s_hosts = Array.length st.setup.su_tasks;
     s_vms = st.cfg.nodes * st.cfg.vms_per_node;
     s_wall_clock = wall;
-    s_exposed_host_hours =
-      st.exposure_acc +. (float_of_int st.n_deferred_exposed *. hours wall);
+    s_exposed_host_hours = exposure;
     s_baseline_exposed_host_hours = float_of_int st.cfg.nodes *. hours wall;
     s_breaker_trips = st.trips;
     s_inplace = !inplace;
@@ -1956,24 +1861,6 @@ let region_fault fault (r : Topology.region) =
         (Fault.injections f))
     fault
 
-(* Run one region's campaign to completion, surviving controller
-   crashes the way [run_to_completion] does, without ever building the
-   per-host report. *)
-let complete_st ?fault cfg =
-  let rec go resumes ctx =
-    match
-      try
-        Sim.Engine.run ctx.eng;
-        None
-      with Controller_died -> Some (make_journal ctx.st)
-    with
-    | None -> (ctx.st, resumes)
-    | Some j -> go (resumes + 1) (resume_st ?fault j)
-  in
-  go 0 (start_st ?fault cfg)
-
-let tmax a b = if Sim.Time.to_ns a >= Sim.Time.to_ns b then a else b
-
 let run_fleet ?ctx:run_ctx ?fault ?sharding ~topology cfg =
   let c = Hypertp.Ctx.resolve ?ctx:run_ctx ?fault ?sharding () in
   let topology = Topology.validate_exn topology in
@@ -2011,7 +1898,7 @@ let run_fleet ?ctx:run_ctx ?fault ?sharding ~topology cfg =
     f_summaries = summaries;
     f_journals = journals;
     f_wall_clock =
-      Array.fold_left (fun acc s -> tmax acc s.s_wall_clock) Sim.Time.zero
+      Array.fold_left (fun acc s -> Sim.Time.max acc s.s_wall_clock) Sim.Time.zero
         summaries;
     f_exposed_host_hours =
       Array.fold_left (fun acc s -> acc +. s.s_exposed_host_hours) 0.0

@@ -87,6 +87,9 @@ type event =
   | Breaker_opened
   | Breaker_half_opened
   | Breaker_closed
+  | Limit_raised of { from_region : int; slots : int }
+      (** [slots] admission slots granted by the finished region
+          [from_region]; only the control plane's root appends it *)
   | Campaign_finished
 
 val pp_event : Format.formatter -> event -> unit
@@ -173,6 +176,10 @@ val journal_to_string : journal -> string
 
 val journal_of_string : string -> (journal, string) result
 
+val journal_events :
+  (Sim.Time.t -> string option -> event -> unit) -> journal -> unit
+(** Iterate the journal's entries in order: stamp, host, event. *)
+
 (** {1 Running} *)
 
 type run_result =
@@ -218,6 +225,47 @@ val run_to_completion :
     [obs], each crash-and-resume cycle replays the journal into the
     same tracer, so the trace accumulates one timeline per life of the
     controller — pass a fresh tracer per call if that is not wanted. *)
+
+(** {1 Region controllers on a shared engine}
+
+    What the control plane ({!Controlplane}) needs to run one controller
+    per region on a single engine it owns; {!run} and {!resume} are the
+    same controller on a private engine. *)
+
+type controller
+
+type probe = replaying:bool -> Sim.Time.t -> event -> unit
+(** Called with [~replaying:false] after every live journal append (the
+    journal-then-crash point: the entry is already persisted) and with
+    [~replaying:true] before every replayed entry.  Whatever it raises
+    propagates out of {!Sim.Engine.run} or {!resume_controller}. *)
+
+val start_controller :
+  eng:Sim.Engine.t -> ?like:controller -> ?fault:Fault.t -> ?probe:probe ->
+  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> config -> controller
+
+val resume_controller :
+  eng:Sim.Engine.t -> ?like:controller -> ?fault:Fault.t -> ?probe:probe ->
+  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> journal -> controller
+(** {!run} and {!resume} up to driving: the first settle (or the replay,
+    continuation settle and in-flight attempts) scheduled on [eng].  A
+    [like] controller whose config differs at most in seed and
+    concurrency lends its BtrPlace plan instead of a fresh one. *)
+
+val stop_controller : controller -> unit
+(** Cancel every timer the controller armed; call it on a dead
+    incarnation before resuming its journal. *)
+
+val grant : controller -> from_region:int -> slots:int -> unit
+(** Append [Limit_raised] now, raising the admission limit by [slots],
+    and settle into the new slots. *)
+
+val controller_journal : controller -> journal
+val controller_finished_at : controller -> Sim.Time.t option
+val controller_report : controller -> report
+
+val validate_config : config -> unit
+(** {!run}'s config checks (site ["Campaign"]). *)
 
 val sweep :
   ?config:config -> ?seed:int64 -> probabilities:float list -> unit ->
@@ -301,6 +349,12 @@ val run_fleet :
     re-derived per region (same injections, region-derived seed);
     {!Fault.Controller_crash} crashes are resumed transparently and
     counted in [s_resumes]. *)
+
+val region_config : config -> Topology.region -> config
+val region_fault : Fault.t option -> Topology.region -> Fault.t option
+(** The config and plan [run_fleet] gives [region]: its shape and spare
+    pool, the same injections, and seeds derived from the fleet's and
+    the region name. *)
 
 val fleet_digest : fleet_report -> int
 (** Order-insensitive digest of topology, config and every region's

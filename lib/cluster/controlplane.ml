@@ -1,3 +1,5 @@
+module C = Campaign
+
 type config = {
   regions : int;
   hosts_per_region : int;
@@ -62,28 +64,18 @@ let config_of_topology topology base =
     vms_per_host = r0.Topology.rg_vms_per_host;
   }
 
-type step = Inplace | Drain
-type manifestation = Crash | Timeout | Flap
-
-type host_status = Upgraded_inplace | Drained | Deferred_exposed
-
-type event =
-  | Admitted of step
-  | Flap_failure
-  | Straggler_cancelled
-  | Attempt_failed of { step : step; manifestation : manifestation }
-  | Attempt_completed of step
-  | Breaker_opened
-  | Breaker_half_opened
-  | Breaker_closed
-  | Limit_raised of { from_region : int; slots : int }
-  | Region_finished
+type host_status = C.host_status =
+  | Upgraded_inplace
+  | Shadow_cutover
+  | Drained
+  | Deferred_resolved
+  | Deferred_exposed
 
 type host_record = {
   h_name : string;
   h_status : host_status;
   h_attempts : int;
-  h_manifestations : manifestation list;
+  h_manifestations : C.manifestation list;
   h_done_at : Sim.Time.t;
   h_exposure_hours : float;
 }
@@ -93,7 +85,6 @@ type region_report = {
   rr_hosts : host_record list;
   rr_finished_at : Sim.Time.t;
   rr_breaker_trips : int;
-  rr_deferred : string list;
 }
 
 type report = {
@@ -107,861 +98,299 @@ type report = {
   cp_hosts_exposed : int;
 }
 
-(* Manifestation timing fractions, shared with [Campaign]: the cost
-   order timeout > flap > crash keeps the straggler deadline (>= 1.2 x
-   expected) strictly above the final flap leg (1.10x) and any jittered
-   success (<= 1.10x), so only a [d_timeout] decision ever reaches the
-   deadline. *)
-let crash_frac = 0.5
-let flap_leg1_frac = 0.55
-let flap_final_frac = 1.10
-let drain_fail_frac = 0.6
-
-let min_straggler_factor = 1.2
-let max_jitter_pct = 0.1
-
-let validate_config (cfg : config) =
-  let bad msg = Hypertp_error.raise_error ~site:"Controlplane" msg in
-  if cfg.regions < 1 then bad "need at least 1 region";
-  if cfg.hosts_per_region < 1 then bad "hosts_per_region must be at least 1";
-  if cfg.vms_per_host < 1 then bad "vms_per_host must be at least 1";
-  if cfg.global_concurrency < cfg.regions then
-    bad "global_concurrency below the region count (each region needs a slot)";
-  if cfg.straggler_factor < min_straggler_factor then
-    bad "straggler_factor below 1.2 (deadline must dominate a flap)";
-  if cfg.breaker_window < 1 then bad "breaker_window must be at least 1";
-  if cfg.breaker_threshold < 0.0 || cfg.breaker_threshold > 1.0 then
-    bad "breaker_threshold outside [0, 1]";
-  if cfg.jitter_pct < 0.0 || cfg.jitter_pct > max_jitter_pct then
-    bad "jitter_pct outside [0, 0.1] (success must beat the deadline)";
-  if cfg.drain_flakiness < 0.0 || cfg.drain_flakiness > 1.0 then
-    bad "drain_flakiness outside [0, 1]";
-  if Sim.Time.(cfg.heartbeat_every <= zero) then
-    bad "heartbeat_every must be positive";
-  if Sim.Time.(cfg.heartbeat_timeout <= cfg.heartbeat_every) then
-    bad "heartbeat_timeout must exceed heartbeat_every";
-  if
-    Sim.Time.(
-      cfg.realloc_lag
-      < add cfg.heartbeat_timeout
-          (add cfg.heartbeat_every cfg.heartbeat_every))
-  then
-    bad
-      "realloc_lag below heartbeat_timeout + 2 x heartbeat_every (a \
-       reallocation could land inside the grantor's detection window)"
-
-(* --- derived per-host randomness, independent of the fault plan --- *)
-
-let region_name r = Printf.sprintf "r%d" r
-let host_name r i = Printf.sprintf "r%d-h%d" r i
-
-let derived seed salt key =
-  Sim.Rng.create (Int64.logxor seed (Int64.of_int (Hashtbl.hash (salt, key))))
-
-let coin cfg salt host p = Sim.Rng.float (derived cfg.seed salt host) 1.0 < p
-
-let host_jitter cfg host =
-  Sim.Rng.jitter (derived cfg.seed "jitter" host) cfg.jitter_pct
-
-(* Per-region host fault plans: the caller plan's host-site injections,
-   re-seeded per region, so one region's fault stream never shifts when
-   another region's interleaving changes.  Region journal cursors track
-   these derived plans only. *)
-let host_sites = [ Fault.Host_flap; Fault.Host_crash; Fault.Host_timeout ]
-
-let derive_hplan fault r =
-  Option.map
-    (fun f ->
-      let inj =
-        List.filter (fun i -> List.mem i.Fault.site host_sites)
-          (Fault.injections f)
-      in
-      Fault.make
-        ~seed:
-          (Int64.logxor (Fault.seed f)
-             (Int64.of_int (Hashtbl.hash ("region", r))))
-        inj)
-    fault
-
-(* --- journal --- *)
-
-type decision = { d_flap : bool; d_crash : bool; d_timeout : bool }
-
-type entry = {
-  ce_at : Sim.Time.t; (* derived logical time, never the engine clock *)
-  ce_host : string option;
-  ce_event : event;
-  ce_decision : decision option; (* Some iff Admitted Inplace *)
-  ce_cursor : int; (* region host-plan trace length after this entry *)
-}
-
-let dummy_entry =
-  { ce_at = Sim.Time.zero; ce_host = None; ce_event = Region_finished;
-    ce_decision = None; ce_cursor = 0 }
-
-type bundle = { b_config : config; b_journals : entry Sim.Vec.t array }
-
-let bundle_config b = b.b_config
-
-let bundle_length b =
-  Array.fold_left (fun acc j -> acc + Sim.Vec.length j) 0 b.b_journals
-
-(* --- controller state --- *)
-
-type running_att = {
-  ra_step : step;
-  ra_started : Sim.Time.t;
-  ra_decision : decision option;
-  mutable ra_flapped : bool;
-}
-
-type hstate =
-  | H_pending
-  | H_running of running_att
-  | H_failed_needs_drain
-  | H_done of host_status * Sim.Time.t
-
-type breaker = B_closed | B_open_until of Sim.Time.t | B_half_open
-
-type rstate = {
-  r_index : int;
-  base_limit : int;
-  hstates : hstate array;
-  attempts : int array;
-  manifests : manifestation list array; (* newest first *)
-  mutable breaker : breaker;
-  mutable window : bool list; (* newest first, <= breaker_window long *)
-  mutable half_successes : int;
-  mutable half_failed : bool;
-  mutable trips : int;
-  mutable granted : int; (* slots received via Limit_raised *)
-  mutable limit : int;
-  mutable running : int;
-  mutable next_pending : int;
-  mutable needs_drain : int list;
-  mutable n_done : int;
-  mutable finished_at : Sim.Time.t option;
-  mutable hplan : Fault.t option; (* derived; rebuilt on every replay *)
-  mutable entries : entry Sim.Vec.t; (* the durable journal *)
-  (* supervision (root-side, volatile — never load-bearing) *)
-  mutable alive : bool;
-  mutable incarnation : int;
-  mutable last_seen : Sim.Time.t;
-  mutable partitioned_until : Sim.Time.t;
-  mutable span : Obs.Span.t option;
-}
-
-type st = {
-  cfg : config;
-  expected : Sim.Time.t;
-  deadline : Sim.Time.t;
-  drain_span : Sim.Time.t;
-  regions : rstate array;
-  chaos : Fault.t option; (* caller plan: control-plane sites only *)
-  partition_rng : Sim.Rng.t array; (* per-region heal-delay stream *)
-  realloc_done : bool array; (* volatile ledger, re-derived on handoff *)
-  obs : Obs.Tracer.t option;
-  metrics : Obs.Metrics.t option;
-  mutable root_span : Obs.Span.t option;
-  mutable dispatch_gen : int;
-}
-
-exception Root_died
-exception Subctl_died
+(* --- region derivation: the same one [Campaign.run_fleet] uses --- *)
 
 let base_limit_of (cfg : config) r =
   (cfg.global_concurrency / cfg.regions)
   + (if r < cfg.global_concurrency mod cfg.regions then 1 else 0)
 
-let make_st ?fault ?obs ?metrics (cfg : config) =
-  let obs = Option.map Hypertp.Otrace.attach obs in
-  let chaos_seed =
-    match fault with Some f -> Fault.seed f | None -> 0xC7A05L
+let topology_of (cfg : config) =
+  Topology.uniform ~regions:cfg.regions
+    ~hosts:(cfg.regions * cfg.hosts_per_region)
+    ~vms_per_host:cfg.vms_per_host ()
+
+let region_configs (cfg : config) =
+  let fleet =
+    {
+      C.default_config with
+      C.nodes = cfg.hosts_per_region;
+      vms_per_node = cfg.vms_per_host;
+      concurrency = cfg.global_concurrency;
+      straggler_factor = cfg.straggler_factor;
+      breaker_window = cfg.breaker_window;
+      breaker_threshold = cfg.breaker_threshold;
+      breaker_cooldown = cfg.breaker_cooldown;
+      jitter_pct = cfg.jitter_pct;
+      drain_flakiness = cfg.drain_flakiness;
+      seed = cfg.seed;
+    }
   in
-  let root_span =
-    Hypertp.Otrace.start obs ~at:Sim.Time.zero ~track:"root"
-      ~attrs:
-        [ ("engine", "controlplane");
-          ("regions", string_of_int cfg.regions);
-          ("hosts", string_of_int (cfg.regions * cfg.hosts_per_region));
-          ("concurrency", string_of_int cfg.global_concurrency) ]
-      "controlplane"
-  in
-  let regions =
-    Array.init cfg.regions (fun r ->
-        let base = base_limit_of cfg r in
-        {
-          r_index = r;
-          base_limit = base;
-          hstates = Array.make cfg.hosts_per_region H_pending;
-          attempts = Array.make cfg.hosts_per_region 0;
-          manifests = Array.make cfg.hosts_per_region [];
-          breaker = B_closed;
-          window = [];
-          half_successes = 0;
-          half_failed = false;
-          trips = 0;
-          granted = 0;
-          limit = base;
-          running = 0;
-          next_pending = 0;
-          needs_drain = [];
-          n_done = 0;
-          finished_at = None;
-          hplan = derive_hplan fault r;
-          entries =
-            Sim.Vec.create
-              ~capacity:(Stdlib.max 16 (4 * cfg.hosts_per_region))
-              dummy_entry;
-          alive = true;
-          incarnation = 0;
-          last_seen = Sim.Time.zero;
-          partitioned_until = Sim.Time.zero;
-          span =
-            Hypertp.Otrace.start obs ~at:Sim.Time.zero ?parent:root_span
-              ~track:("region:" ^ region_name r)
-              ~attrs:
-                [ ("region", region_name r); ("base_limit", string_of_int base) ]
-              ("subctl:" ^ region_name r);
-        })
-  in
-  let expected = Upgrade.inplace_host_time ~vms:cfg.vms_per_host in
+  Array.mapi
+    (fun r rg ->
+      { (C.region_config fleet rg) with C.concurrency = base_limit_of cfg r })
+    (Topology.regions (topology_of cfg))
+
+let validate_config (cfg : config) =
+  let bad msg = Hypertp_error.raise_error ~site:"Controlplane" msg in
+  if cfg.regions < 1 then bad "need at least 1 region";
+  if cfg.hosts_per_region < 2 then
+    bad "hosts_per_region must be at least 2 (campaigns drain into peers)";
+  if cfg.global_concurrency < cfg.regions then
+    bad "global_concurrency below the region count (each region needs a slot)";
+  if Sim.Time.(cfg.heartbeat_every <= zero) then
+    bad "heartbeat_every must be positive";
+  if Sim.Time.(cfg.heartbeat_timeout <= cfg.heartbeat_every) then
+    bad "heartbeat_timeout must exceed heartbeat_every";
+  let every, timeout = (cfg.heartbeat_every, cfg.heartbeat_timeout) in
+  if Sim.Time.(cfg.realloc_lag < add timeout (add every every)) then
+    bad
+      "realloc_lag below heartbeat_timeout + 2 x heartbeat_every (a \
+       reallocation could land inside the grantor's detection window)";
+  (* Every per-region setting is a campaign setting: let the campaign
+     judge it, under this entry point's name. *)
+  try C.validate_config (region_configs cfg).(0)
+  with Hypertp_error.Error e -> bad e.Hypertp_error.reason
+
+(* --- root state --- *)
+
+type bundle = { b_config : config; b_journals : C.journal array }
+
+let bundle_config b = b.b_config
+let bundle_journals b = Array.copy b.b_journals
+let bundle_length b =
+  Array.fold_left (fun acc j -> acc + C.journal_length j) 0 b.b_journals
+
+type region = {
+  r_index : int;
+  r_topo : Topology.region;
+  mutable ctl : C.controller;  (* the current incarnation *)
+  mutable last_seen : Sim.Time.t;
+  mutable partitioned_until : Sim.Time.t;
+}
+
+type st = {
+  cfg : config;
+  eng : Sim.Engine.t;
+  mutable regions : region array;
+  hplan : Fault.t option;  (* host sites of the caller plan *)
+  chaos : Fault.t option;  (* the caller plan, for control-plane sites *)
+  partition_rng : Sim.Rng.t array;  (* per-region heal-delay stream *)
+  (* The reallocation ledger, kept from the journals' [Limit_raised]
+     entries as they are appended or replayed. *)
+  granted : int array;  (* slots received, per region *)
+  realloc_done : bool array;  (* per grantor *)
+  obs : Obs.Tracer.t option;
+  metrics : Obs.Metrics.t option;
+  mutable root_span : Obs.Span.t option;
+}
+
+exception Root_died
+exception Subctl_died of int
+
+let region_name r = Printf.sprintf "r%d" r
+let labels r = [ ("engine", "controlplane"); ("region", region_name r) ]
+
+let make_st ?ctx ?fault ?obs ?metrics (cfg : config) =
+  let c = Hypertp.Ctx.resolve ?ctx ?fault ?obs ?metrics () in
+  validate_config cfg;
+  let fault = c.Hypertp.Ctx.fault and metrics = c.Hypertp.Ctx.metrics in
+  let obs = Option.map Hypertp.Otrace.attach c.Hypertp.Ctx.obs in
+  let chaos_seed = match fault with Some f -> Fault.seed f | None -> 0xC7A05L in
   {
     cfg;
-    expected;
-    deadline =
-      Sim.Time.of_sec_f
-        (Hypertp.Costs.straggler_deadline_seconds ~factor:cfg.straggler_factor
-           ~expected:(Sim.Time.to_sec_f expected));
-    drain_span =
-      Sim.Time.add (Sim.Time.scale 2.0 expected) Upgrade.reboot_host_time;
-    regions;
+    eng = Sim.Engine.create ();
+    regions = [||];
+    (* Region plans carry the host sites only, so adding control-plane
+       sites to a plan never changes a region journal. *)
+    hplan =
+      Option.map
+        (fun f ->
+          Fault.make ~seed:(Fault.seed f)
+            (List.filter
+               (fun i ->
+                 List.mem i.Fault.site
+                   [ Fault.Host_flap; Fault.Host_crash; Fault.Host_timeout ])
+               (Fault.injections f)))
+        fault;
     chaos = fault;
     partition_rng =
       Array.init cfg.regions (fun r ->
-          derived chaos_seed "partition" (region_name r));
+          Sim.Rng.create
+            (Int64.logxor chaos_seed
+               (Int64.of_int (Hashtbl.hash ("partition", region_name r)))));
+    granted = Array.make cfg.regions 0;
     realloc_done = Array.make cfg.regions false;
     obs;
     metrics;
-    root_span;
-    dispatch_gen = 0;
+    root_span =
+      Hypertp.Otrace.start obs ~at:Sim.Time.zero ~track:"root"
+        ~attrs:
+          [ ("engine", "controlplane");
+            ("regions", string_of_int cfg.regions);
+            ("hosts", string_of_int (cfg.regions * cfg.hosts_per_region));
+            ("concurrency", string_of_int cfg.global_concurrency) ]
+        "controlplane";
   }
 
-let all_finished st =
-  Array.for_all (fun r -> r.finished_at <> None) st.regions
+let root_instant st ?attrs name =
+  Hypertp.Otrace.instant st.obs ~at:(Sim.Engine.now st.eng) ?parent:st.root_span
+    ~track:"root" ?attrs name
 
-let fire_chaos st ?vm site =
-  match st.chaos with None -> false | Some f -> Fault.fire f ?vm site
+(* Consult a control-plane site on the caller's plan; a hit is a root
+   instant and a [hypertp_ctl_<counter>_total] count. *)
+let chaos st site ~vm ~labels counter =
+  let hit = match st.chaos with None -> false | Some f -> Fault.fire f ~vm site in
+  if hit then begin
+    root_instant st (Fault.site_to_string site) ~attrs:[ ("region", vm) ];
+    Hypertp.Otrace.count st.metrics ~labels ("hypertp_ctl_" ^ counter ^ "_total")
+  end;
+  hit
 
-let cursor r =
-  match r.hplan with None -> 0 | Some f -> Fault.trace_length f
+let finished r = C.controller_finished_at r.ctl <> None
 
-let fire_hplan r ?vm site =
-  match r.hplan with None -> false | Some f -> Fault.fire f ?vm site
+(* A finished region's slots go [realloc_lag] after its finish to the
+   lowest-index region still running, as a durable [Limit_raised] entry
+   in the recipient's journal. *)
+let rec schedule_realloc st j ~finished_at =
+  Sim.Engine.schedule_at st.eng (Sim.Time.add finished_at st.cfg.realloc_lag)
+    (fun () ->
+      st.realloc_done.(j) <- true;
+      match Array.find_opt (fun r -> not (finished r)) st.regions with
+      | None -> ()
+      | Some k ->
+        let slots = base_limit_of st.cfg j + st.granted.(j) in
+        root_instant st "realloc"
+          ~attrs:
+            [ ("to", region_name k.r_index); ("from", region_name j);
+              ("slots", string_of_int slots) ];
+        Hypertp.Otrace.count st.metrics ~labels:(labels k.r_index)
+          "hypertp_ctl_reallocs_total";
+        C.grant k.ctl ~from_region:j ~slots)
 
-let hours t = Sim.Time.to_sec_f t /. 3600.0
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-(* --- event naming (logs, obs attrs, serialisation) --- *)
-
-let step_to_string = function Inplace -> "inplace" | Drain -> "drain"
-
-let man_to_string = function
-  | Crash -> "crash"
-  | Timeout -> "timeout"
-  | Flap -> "flap"
-
-let event_label = function
-  | Admitted step -> "admitted(" ^ step_to_string step ^ ")"
-  | Flap_failure -> "flap-leg"
-  | Straggler_cancelled -> "straggler-cancelled"
-  | Attempt_failed { step; manifestation } ->
-    Printf.sprintf "failed(%s, %s)" (step_to_string step)
-      (man_to_string manifestation)
-  | Attempt_completed step -> "completed(" ^ step_to_string step ^ ")"
-  | Breaker_opened -> "breaker-opened"
-  | Breaker_half_opened -> "breaker-half-open"
-  | Breaker_closed -> "breaker-closed"
-  | Limit_raised { from_region; slots } ->
-    Printf.sprintf "limit-raised(+%d from r%d)" slots from_region
-  | Region_finished -> "region-finished"
-
-(* --- apply: the single funnel every mutation goes through --- *)
-
-let push_window st r ok =
-  (match r.breaker with
-  | B_half_open ->
-    if ok then r.half_successes <- r.half_successes + 1
-    else begin
-      r.half_successes <- 0;
-      r.half_failed <- true
-    end
-  | B_closed | B_open_until _ -> ());
-  r.window <- take st.cfg.breaker_window (ok :: r.window)
-
-let full_limit r = r.base_limit + r.granted
-
-let recompute_limit r =
-  r.limit <-
-    (match r.breaker with
-    | B_half_open -> Stdlib.max 1 (full_limit r / 2)
-    | B_closed | B_open_until _ -> full_limit r)
-
-let host_idx st r h =
-  let rec scan i =
-    if i >= Array.length r.hstates then
-      Hypertp_error.raise_errorf ~site:"Controlplane"
-        ~hint:"the journal must come from a campaign with the same config"
-        "unknown host in journal: %s" h
-    else if String.equal (host_name r.r_index i) h then i
-    else scan (i + 1)
+(* At the campaign's journal-then-crash point: [Subctl_crash] after each
+   live append, [Crash_during_resume] before each replayed entry.  Grants
+   feed the ledger either way; a live finish starts the region's lease. *)
+and probe st r ~replaying at ev =
+  let chaos site counter =
+    chaos st site ~vm:(region_name r) ~labels:(labels r) counter
   in
-  ignore st;
-  scan 0
+  if replaying && chaos Fault.Crash_during_resume "resume_crashes" then
+    raise Root_died;
+  (match ev with
+  | C.Limit_raised { from_region; slots } ->
+    st.granted.(r) <- st.granted.(r) + slots;
+    st.realloc_done.(from_region) <- true
+  | C.Campaign_finished when not replaying ->
+    schedule_realloc st r ~finished_at:at
+  | _ -> ());
+  if (not replaying) && chaos Fault.Subctl_crash "subctl_crashes" then
+    raise (Subctl_died r)
 
-let resolve_failure st r i manifestation at =
-  r.running <- r.running - 1;
-  r.manifests.(i) <- manifestation :: r.manifests.(i);
-  match r.hstates.(i) with
-  | H_running ra -> (
-    match ra.ra_step with
-    | Inplace ->
-      r.hstates.(i) <- H_failed_needs_drain;
-      r.needs_drain <- i :: r.needs_drain;
-      push_window st r false
-    | Drain ->
-      r.hstates.(i) <- H_done (Deferred_exposed, at);
-      r.n_done <- r.n_done + 1;
-      push_window st r false)
-  | _ ->
-    Hypertp_error.raise_error ~site:"Controlplane"
-      "failure recorded for a host not running"
+let resume_region st ?like r rg journal =
+  try
+    C.resume_controller ~eng:st.eng ?like ?fault:(C.region_fault st.hplan rg)
+      ~probe:(probe st r) ?obs:st.obs ?metrics:st.metrics journal
+  with Hypertp_error.Error e ->
+    Hypertp_error.raise_errorf ~site:"Controlplane.resume" ?hint:e.hint
+      "region %s: %s" (region_name r) e.reason
 
-let apply st r e =
-  let at = e.ce_at in
-  match (e.ce_event, e.ce_host) with
-  | Admitted step, Some h ->
-    let i = host_idx st r h in
-    (match (step, r.hstates.(i)) with
-    | Inplace, H_pending | Drain, H_failed_needs_drain -> ()
-    | _ ->
-      Hypertp_error.raise_error ~site:"Controlplane"
-        "admission out of ladder order");
-    if step = Inplace && e.ce_decision = None then
-      Hypertp_error.raise_error ~site:"Controlplane"
-        "in-place admission without a fault decision";
-    r.hstates.(i) <-
-      H_running
-        { ra_step = step; ra_started = at; ra_decision = e.ce_decision;
-          ra_flapped = false };
-    r.running <- r.running + 1;
-    r.attempts.(i) <- r.attempts.(i) + 1
-  | Flap_failure, Some h -> (
-    match r.hstates.(host_idx st r h) with
-    | H_running ra -> ra.ra_flapped <- true
-    | _ ->
-      Hypertp_error.raise_error ~site:"Controlplane"
-        "flap leg for a host not running")
-  | Straggler_cancelled, Some h ->
-    resolve_failure st r (host_idx st r h) Timeout at
-  | Attempt_failed { manifestation; _ }, Some h ->
-    resolve_failure st r (host_idx st r h) manifestation at
-  | Attempt_completed step, Some h ->
-    let i = host_idx st r h in
-    r.running <- r.running - 1;
-    (match step with
-    | Inplace -> r.hstates.(i) <- H_done (Upgraded_inplace, at)
-    | Drain -> r.hstates.(i) <- H_done (Drained, at));
-    r.n_done <- r.n_done + 1;
-    push_window st r true
-  | Breaker_opened, None ->
-    r.trips <- r.trips + 1;
-    r.breaker <- B_open_until (Sim.Time.add at st.cfg.breaker_cooldown);
-    r.window <- [];
-    r.half_failed <- false
-  | Breaker_half_opened, None ->
-    r.breaker <- B_half_open;
-    r.half_successes <- 0;
-    r.half_failed <- false;
-    recompute_limit r
-  | Breaker_closed, None ->
-    r.breaker <- B_closed;
-    recompute_limit r
-  | Limit_raised { slots; _ }, None ->
-    r.granted <- r.granted + slots;
-    recompute_limit r
-  | Region_finished, None -> r.finished_at <- Some at
-  | _ ->
-    Hypertp_error.raise_error ~site:"Controlplane" "malformed journal entry"
+(* Rebuild a region from its journal at once.  The dead incarnation's
+   timers are cancelled first, so the timeline cannot tell. *)
+let restart st r ~kind =
+  C.stop_controller r.ctl;
+  root_instant st "subctl:restart"
+    ~attrs:[ ("region", region_name r.r_index); ("kind", kind) ];
+  Hypertp.Otrace.count st.metrics
+    ~labels:(("kind", kind) :: labels r.r_index)
+    "hypertp_ctl_restarts_total";
+  st.granted.(r.r_index) <- 0;
+  r.ctl <-
+    resume_region st ~like:r.ctl r.r_index r.r_topo (C.controller_journal r.ctl);
+  r.last_seen <- Sim.Engine.now st.eng
 
-(* Narration + span/metric bookkeeping for one applied entry.  Live
-   appends and [resume]'s replay both funnel through here, so a leader
-   handoff re-emits the merged timeline the crashed incarnations
-   emitted. *)
-let observe st r e =
-  let at = e.ce_at in
-  let rname = region_name r.r_index in
-  let track = "region:" ^ rname in
-  let labels = [ ("engine", "controlplane"); ("region", rname) ] in
-  Hypertp.Log.info (fun m ->
-      m "controlplane %s%s: %s at %a" rname
-        (match e.ce_host with Some h -> " " ^ h | None -> "")
-        (event_label e.ce_event) Sim.Time.pp at);
-  let host_attrs =
-    match e.ce_host with Some h -> [ ("host", h) ] | None -> []
-  in
-  (match e.ce_event with
-  | Admitted step ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track
-      ~attrs:(("step", step_to_string step) :: host_attrs)
-      "admitted";
-    Hypertp.Otrace.count st.metrics
-      ~labels:(("step", step_to_string step) :: labels)
-      "hypertp_ctl_attempts_total"
-  | Flap_failure ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track ~attrs:host_attrs
-      "flap_leg"
-  | Straggler_cancelled ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track ~attrs:host_attrs
-      "straggler_cancelled";
-    Hypertp.Otrace.count st.metrics
-      ~labels:(("manifestation", "timeout") :: labels)
-      "hypertp_ctl_failures_total"
-  | Attempt_failed { manifestation; step } ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track
-      ~attrs:
-        (("step", step_to_string step)
-        :: ("manifestation", man_to_string manifestation)
-        :: host_attrs)
-      "attempt_failed";
-    Hypertp.Otrace.count st.metrics
-      ~labels:(("manifestation", man_to_string manifestation) :: labels)
-      "hypertp_ctl_failures_total"
-  | Attempt_completed step ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track
-      ~attrs:(("step", step_to_string step) :: host_attrs)
-      "attempt_completed";
-    Hypertp.Otrace.count st.metrics
-      ~labels:(("step", step_to_string step) :: labels)
-      "hypertp_ctl_completions_total"
-  | Breaker_opened ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track "breaker:opened";
-    Hypertp.Otrace.count st.metrics ~labels "hypertp_ctl_breaker_trips_total"
-  | Breaker_half_opened ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track
-      "breaker:half_open"
-  | Breaker_closed ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:r.span ~track "breaker:closed"
-  | Limit_raised { from_region; slots } ->
-    Hypertp.Otrace.instant st.obs ~at ?parent:st.root_span ~track:"root"
-      ~attrs:
-        [ ("to", rname); ("from", region_name from_region);
-          ("slots", string_of_int slots) ]
-      "realloc";
-    Hypertp.Otrace.count st.metrics ~labels "hypertp_ctl_reallocs_total"
-  | Region_finished ->
-    (match r.span with
-    | Some s -> Obs.Span.set_attr s "trips" (string_of_int r.trips)
-    | None -> ());
-    Hypertp.Otrace.finish st.obs r.span ~at;
-    r.span <- None);
-  Hypertp.Otrace.gauge_set st.metrics ~labels "hypertp_ctl_running"
-    (float_of_int r.running)
-
-(* Journal-then-crash: the entry is applied, observed and persisted
-   before [Subctl_crash] is consulted, so every recovery makes at least
-   one entry of progress and a crashed sub-controller never loses the
-   event it was recording.  The chaos consult happens on the caller
-   plan, not the cursor-tracked region plan, so crashing runs journal
-   byte-identically to calm ones. *)
-let append st r ?host ?decision ~at ev =
-  let e =
-    { ce_at = at; ce_host = host; ce_event = ev; ce_decision = decision;
-      ce_cursor = 0 }
-  in
-  apply st r e;
-  observe st r e;
-  let crashed =
-    r.alive && fire_chaos st ~vm:(region_name r.r_index) Fault.Subctl_crash
-  in
-  Sim.Vec.push r.entries { e with ce_cursor = cursor r };
-  if crashed then begin
-    r.alive <- false;
-    Hypertp.Otrace.instant st.obs ~at ?parent:st.root_span ~track:"root"
-      ~attrs:
-        [ ("region", region_name r.r_index);
-          ("incarnation", string_of_int r.incarnation) ]
-      "subctl:crashed";
-    Hypertp.Otrace.count st.metrics
-      ~labels:[ ("engine", "controlplane"); ("region", region_name r.r_index) ]
-      "hypertp_ctl_subctl_crashes_total";
-    raise Subctl_died
-  end
-
-(* --- derived logical events ---
-
-   A region's future is a pure function of its journal-applied state:
-   each running host carries exactly one next event at a derived
-   absolute time, and an open breaker carries its reopen instant.  The
-   dispatcher and crash catch-up both consume the same derivation in
-   the same total order (time, kind, region, host), which is what makes
-   recovery timeline-neutral. *)
-
-type host_ev = Hv_flapleg | Hv_fail of manifestation | Hv_complete | Hv_straggler
-
-type raction = R_reopen | R_host of int * host_ev
-
-let kind_reopen = 1
-let kind_host = 2
-
-let next_of_running st r i ra =
-  let name = host_name r.r_index i in
-  let from span = Sim.Time.add ra.ra_started span in
-  match ra.ra_step with
-  | Inplace -> (
-    let d =
-      match ra.ra_decision with
-      | Some d -> d
-      | None ->
-        Hypertp_error.raise_error ~site:"Controlplane"
-          "in-place attempt without decision"
-    in
-    if d.d_timeout then (from st.deadline, Hv_straggler)
-    else if d.d_flap then
-      if ra.ra_flapped then
-        (from (Sim.Time.scale flap_final_frac st.expected), Hv_fail Flap)
-      else (from (Sim.Time.scale flap_leg1_frac st.expected), Hv_flapleg)
-    else if d.d_crash then
-      (from (Sim.Time.scale crash_frac st.expected), Hv_fail Crash)
-    else
-      (from (Sim.Time.scale (host_jitter st.cfg name) st.expected), Hv_complete))
-  | Drain ->
-    if coin st.cfg "drain" name st.cfg.drain_flakiness then
-      (from (Sim.Time.scale drain_fail_frac st.drain_span), Hv_fail Crash)
-    else (from st.drain_span, Hv_complete)
-
-(* Minimum pending logical event of one region, keyed for the global
-   comparator. *)
-let region_candidate st r =
-  if r.finished_at <> None then None
+(* One root heartbeat tick: consult [Root_crash], collect heartbeats
+   (dropping them through active partitions, arming new partitions via
+   [Ctl_partition]), then fence and rebuild any sub-controller silent
+   past the timeout.  Only a partition silences a live region, so every
+   such restart is spurious: supervision accounting, never progress. *)
+let tick st () =
+  if Array.for_all finished st.regions then `Stop
   else begin
-    let best = ref None in
-    let consider t kind host act =
-      match !best with
-      | Some (t', kind', host', _)
-        when Sim.Time.(t' < t)
-             || (Sim.Time.equal t' t
-                && (kind' < kind || (kind' = kind && host' <= host))) ->
-        ()
-      | _ -> best := Some (t, kind, host, act)
-    in
-    (match r.breaker with
-    | B_open_until u -> consider u kind_reopen (-1) R_reopen
-    | B_closed | B_half_open -> ());
-    Array.iteri
-      (fun i h ->
-        match h with
-        | H_running ra ->
-          let t, ev = next_of_running st r i ra in
-          consider t kind_host i (R_host (i, ev))
-        | _ -> ())
-      r.hstates;
-    !best
-  end
-
-(* --- live execution: settle + admission --- *)
-
-let rec settle st r ~at =
-  (* 1. Ladder escalations: a failed in-place attempt drains next.
-     Escalation keeps the host's admission slot and ignores the breaker.
-     The work-list is drained sorted; the state guard skips entries a
-     replay re-pushed for hosts already escalated. *)
-  let drainable = List.sort compare r.needs_drain in
-  r.needs_drain <- [];
-  List.iter
-    (fun i -> if r.hstates.(i) = H_failed_needs_drain then admit st r i Drain ~at)
-    drainable;
-  (* 2. Breaker transitions. *)
-  (match r.breaker with
-  | B_closed | B_half_open ->
-    let fails = List.length (List.filter not r.window) in
-    let rate = float_of_int fails /. float_of_int st.cfg.breaker_window in
-    if
-      (r.breaker = B_half_open && r.half_failed)
-      || (fails > 0 && rate >= st.cfg.breaker_threshold)
-    then append st r ~at Breaker_opened
-    else if
-      r.breaker = B_half_open && r.half_successes >= st.cfg.breaker_window
-    then append st r ~at Breaker_closed
-  | B_open_until _ -> ());
-  (* 3. Admission: fill free slots lowest-index first unless the breaker
-     is open.  [next_pending] is a monotone cursor — a host never
-     returns to [H_pending]. *)
-  let n = Array.length r.hstates in
-  let skip () =
-    while r.next_pending < n && r.hstates.(r.next_pending) <> H_pending do
-      r.next_pending <- r.next_pending + 1
-    done
-  in
-  (match r.breaker with
-  | B_open_until _ -> ()
-  | B_closed | B_half_open ->
-    skip ();
-    while r.next_pending < n && r.running < r.limit do
-      admit st r r.next_pending Inplace ~at;
-      skip ()
-    done);
-  skip ();
-  (* 4. Region end: every host terminal. *)
-  if r.running = 0 && r.next_pending >= n && r.n_done = n && r.finished_at = None
-  then append st r ~at Region_finished
-
-and admit st r i step ~at =
-  let name = host_name r.r_index i in
-  let decision =
-    match step with
-    | Inplace ->
-      (* Always consult all three sites in a fixed order so the derived
-         plan's probability stream stays aligned across fault plans. *)
-      let d_flap = fire_hplan r ~vm:name Fault.Host_flap in
-      let d_crash = fire_hplan r ~vm:name Fault.Host_crash in
-      let d_timeout = fire_hplan r ~vm:name Fault.Host_timeout in
-      Some { d_flap; d_crash; d_timeout }
-    | Drain -> None
-  in
-  append st r ~host:name ?decision ~at (Admitted step)
-
-(* Process one derived logical event of one region, stamping its derived
-   time — the dispatcher calls this at [at] on the engine clock, crash
-   catch-up calls it later with the same stamp, and the journal cannot
-   tell the difference. *)
-let process_raction st r ~at act =
-  match act with
-  | R_reopen -> (
-    match r.breaker with
-    | B_open_until _ ->
-      append st r ~at Breaker_half_opened;
-      settle st r ~at
-    | B_closed | B_half_open -> ())
-  | R_host (i, hv) -> (
-    let name = host_name r.r_index i in
-    match r.hstates.(i) with
-    | H_running ra -> (
-      match hv with
-      | Hv_flapleg ->
-        (* First leg: the host fails, then recovers.  Not an attempt
-           outcome — it must not count toward the breaker. *)
-        append st r ~host:name ~at Flap_failure
-      | Hv_straggler ->
-        append st r ~host:name ~at Straggler_cancelled;
-        settle st r ~at
-      | Hv_fail m ->
-        append st r ~host:name ~at
-          (Attempt_failed { step = ra.ra_step; manifestation = m });
-        settle st r ~at
-      | Hv_complete ->
-        append st r ~host:name ~at (Attempt_completed ra.ra_step);
-        settle st r ~at)
-    | _ ->
-      Hypertp_error.raise_error ~site:"Controlplane"
-        "derived event for a host not running")
-
-(* --- journal replay (recovery and leader handoff) --- *)
-
-let reset_region st r =
-  Array.fill r.hstates 0 (Array.length r.hstates) H_pending;
-  Array.fill r.attempts 0 (Array.length r.attempts) 0;
-  Array.fill r.manifests 0 (Array.length r.manifests) [];
-  r.breaker <- B_closed;
-  r.window <- [];
-  r.half_successes <- 0;
-  r.half_failed <- false;
-  r.trips <- 0;
-  r.granted <- 0;
-  r.limit <- r.base_limit;
-  r.running <- 0;
-  r.next_pending <- 0;
-  r.needs_drain <- [];
-  r.n_done <- 0;
-  r.finished_at <- None;
-  r.hplan <- derive_hplan st.chaos r.r_index
-
-(* Replay a region journal from scratch: rebuild the volatile state and
-   re-validate every entry against a freshly derived region fault plan.
-   [Crash_during_resume] is consulted once per replayed entry — it kills
-   the recovering controller (the root), aborting the incarnation. *)
-let replay st r ~emit =
-  reset_region st r;
-  let rname = region_name r.r_index in
-  let plan_seed () =
-    match r.hplan with Some f -> Fault.seed f | None -> 0L
-  in
-  let entry_no = ref 0 in
-  Sim.Vec.iter
-    (fun e ->
-      incr entry_no;
-      if fire_chaos st ~vm:rname Fault.Crash_during_resume then begin
-        Hypertp.Otrace.instant st.obs ~at:e.ce_at ?parent:st.root_span
-          ~track:"root"
-          ~attrs:[ ("region", rname); ("entry", string_of_int !entry_no) ]
-          "crash_during_resume";
-        Hypertp.Otrace.count st.metrics
-          ~labels:[ ("engine", "controlplane"); ("region", rname) ]
-          "hypertp_ctl_resume_crashes_total";
-        raise Root_died
-      end;
-      (match (e.ce_event, e.ce_host, e.ce_decision) with
-      | Admitted Inplace, Some h, Some d ->
-        let f_flap = fire_hplan r ~vm:h Fault.Host_flap in
-        let f_crash = fire_hplan r ~vm:h Fault.Host_crash in
-        let f_timeout = fire_hplan r ~vm:h Fault.Host_timeout in
+    let now = Sim.Engine.now st.eng in
+    if chaos st Fault.Root_crash ~vm:"root" ~labels:[ ("engine", "controlplane") ]
+         "root_crashes"
+    then raise Root_died;
+    Array.iter
+      (fun r ->
+        if not (finished r) then begin
+          if
+            chaos st Fault.Ctl_partition ~vm:(region_name r.r_index)
+              ~labels:(labels r.r_index) "partitions"
+          then begin
+            let u = Sim.Rng.float st.partition_rng.(r.r_index) 1.0 in
+            r.partitioned_until <-
+              Sim.Time.add now
+                (Sim.Time.scale (1.0 +. (2.0 *. u)) st.cfg.heartbeat_timeout)
+          end;
+          if Sim.Time.(r.partitioned_until <= now) then r.last_seen <- now
+        end)
+      st.regions;
+    Array.iter
+      (fun r ->
         if
-          r.hplan <> None
-          && (f_flap <> d.d_flap || f_crash <> d.d_crash
-            || f_timeout <> d.d_timeout)
-        then
-          Hypertp_error.raise_errorf ~site:"Controlplane.resume"
-            ~hint:
-              "resume with the fault plan the crashed run used: region \
-               plans derive from its seed, so a different seed or \
-               injection list decides host faults differently"
-            "region %s journal entry %d (host %s admission at %s) disagrees \
-             with the derived fault plan (seed %Ld)"
-            rname !entry_no h (Sim.Time.to_string e.ce_at) (plan_seed ())
-      | Admitted Inplace, _, None ->
-        Hypertp_error.raise_errorf ~site:"Controlplane.resume"
-          "region %s journal entry %d: in-place admission without decision"
-          rname !entry_no
-      | _ -> ());
-      apply st r e;
-      if emit then observe st r e;
-      if r.hplan <> None && cursor r <> e.ce_cursor then
-        Hypertp_error.raise_errorf ~site:"Controlplane.resume"
-          ~hint:
-            "every earlier entry matched, so the fault specs (or seed) \
-             differ from the crashed run's"
-          "region %s journal entry %d (%s at %s): fault-plan cursor \
-           diverged — the journal records %d fire decisions, the replayed \
-           plan took %d"
-          rname !entry_no
-          (match e.ce_host with Some h -> "host " ^ h | None -> "region")
-          (Sim.Time.to_string e.ce_at) e.ce_cursor (cursor r))
-    r.entries
-
-(* Recover a sub-controller at engine time [upto]: replay the journal,
-   finish whatever settle the crash interrupted (stamped at the last
-   entry), then catch up — process the backlog of derived events with
-   stamps strictly below [upto], each at its original stamp.  If the
-   fresh incarnation crashes again mid-recovery the root restarts it
-   immediately (journal-then-crash guarantees an entry of progress per
-   attempt, so this terminates); only [Crash_during_resume] escapes, by
-   killing the root itself. *)
-let recover st r ~upto ~spurious =
-  let first = ref true in
-  let again = ref true in
-  while !again do
-    r.incarnation <- r.incarnation + 1;
-    r.alive <- false;
-    let kind = if !first && spurious then "spurious" else "crash" in
-    first := false;
-    Hypertp.Otrace.instant st.obs ~at:upto ?parent:st.root_span ~track:"root"
-      ~attrs:
-        [ ("region", region_name r.r_index);
-          ("incarnation", string_of_int r.incarnation); ("kind", kind) ]
-      "subctl:restart";
-    Hypertp.Otrace.count st.metrics
-      ~labels:
-        [ ("engine", "controlplane"); ("region", region_name r.r_index);
-          ("kind", kind) ]
-      "hypertp_ctl_restarts_total";
-    try
-      replay st r ~emit:false;
-      r.alive <- true;
-      let t_last =
-        match Sim.Vec.last r.entries with
-        | Some e -> e.ce_at
-        | None -> Sim.Time.zero
-      in
-      settle st r ~at:t_last;
-      let rec catch_up () =
-        if r.finished_at = None then
-          match region_candidate st r with
-          | Some (t, _, _, act) when Sim.Time.(t < upto) ->
-            process_raction st r ~at:t act;
-            catch_up ()
-          | _ -> ()
-      in
-      catch_up ();
-      again := false
-    with Subctl_died -> ()
-  done;
-  r.last_seen <- upto
+          (not (finished r))
+          && Sim.Time.(st.cfg.heartbeat_timeout < diff now r.last_seen)
+        then restart st r ~kind:"spurious")
+      st.regions;
+    `Continue
+  end
 
 (* --- results --- *)
 
 let make_bundle st =
-  { b_config = st.cfg; b_journals = Array.map (fun r -> r.entries) st.regions }
+  { b_config = st.cfg;
+    b_journals = Array.map (fun r -> C.controller_journal r.ctl) st.regions }
+
+let hours t = Sim.Time.to_sec_f t /. 3600.0
+
+(* (in place, drained, exposed).  A retry is an in-place attempt; shadow
+   is off, so every other upgraded host left by a drain. *)
+let tally hosts =
+  List.fold_left
+    (fun (i, d, e) h ->
+      match h.h_status with
+      | Upgraded_inplace | Deferred_resolved -> (i + 1, d, e)
+      | Drained | Shadow_cutover -> (i, d + 1, e)
+      | Deferred_exposed -> (i, d, e + 1))
+    (0, 0, 0) hosts
 
 let make_report st =
+  let reports = Array.map (fun r -> C.controller_report r.ctl) st.regions in
   let wall =
     Array.fold_left
-      (fun acc r ->
-        match r.finished_at with
-        | Some t -> Sim.Time.max acc t
-        | None ->
-          Hypertp_error.raise_error ~site:"Controlplane"
-            "report requested before all regions finished")
-      Sim.Time.zero st.regions
+      (fun acc (cr : C.report) -> Sim.Time.max acc cr.C.wall_clock)
+      Sim.Time.zero reports
+  in
+  (* A deferred-exposed host stays exposed until the whole fleet is done. *)
+  let host (h : C.host_record) =
+    let done_at =
+      if h.C.hr_status = Deferred_exposed then wall else h.C.hr_done_at
+    in
+    { h_name = h.C.hr_node; h_status = h.C.hr_status;
+      h_attempts = h.C.hr_attempts; h_manifestations = h.C.hr_manifestations;
+      h_done_at = done_at; h_exposure_hours = hours done_at }
   in
   let region_reports =
     Array.to_list
-      (Array.map
-         (fun r ->
-           let hosts =
-             Array.to_list
-               (Array.mapi
-                  (fun i h ->
-                    let status, done_at =
-                      match h with
-                      | H_done (Deferred_exposed, _) -> (Deferred_exposed, wall)
-                      | H_done (s, at) -> (s, at)
-                      | _ ->
-                        Hypertp_error.raise_error ~site:"Controlplane"
-                          "unfinished host in report"
-                    in
-                    {
-                      h_name = host_name r.r_index i;
-                      h_status = status;
-                      h_attempts = r.attempts.(i);
-                      h_manifestations = List.rev r.manifests.(i);
-                      h_done_at = done_at;
-                      h_exposure_hours = hours done_at;
-                    })
-                  r.hstates)
-           in
-           {
-             rr_region = r.r_index;
-             rr_hosts = hosts;
-             rr_finished_at =
-               (match r.finished_at with Some t -> t | None -> assert false);
-             rr_breaker_trips = r.trips;
-             rr_deferred =
-               List.filter_map
-                 (fun h ->
-                   if h.h_status = Deferred_exposed then Some h.h_name
-                   else None)
-                 hosts;
-           })
-         st.regions)
+      (Array.mapi
+         (fun i (cr : C.report) ->
+           { rr_region = i; rr_hosts = List.map host cr.C.hosts;
+             rr_finished_at = cr.C.wall_clock;
+             rr_breaker_trips = cr.C.breaker_trips })
+         reports)
   in
   let all_hosts = List.concat_map (fun rr -> rr.rr_hosts) region_reports in
-  let count p =
-    List.length (List.filter (fun h -> p h.h_status) all_hosts)
-  in
+  let inplace, drained, exposed = tally all_hosts in
   let r =
     {
       cp_cfg = st.cfg;
@@ -970,17 +399,16 @@ let make_report st =
       cp_exposed_host_hours =
         List.fold_left (fun a h -> a +. h.h_exposure_hours) 0.0 all_hosts;
       cp_baseline_exposed_host_hours =
-        float_of_int (st.cfg.regions * st.cfg.hosts_per_region) *. hours wall;
-      cp_hosts_inplace = count (( = ) Upgraded_inplace);
-      cp_hosts_drained = count (( = ) Drained);
-      cp_hosts_exposed = count (( = ) Deferred_exposed);
+        float_of_int (List.length all_hosts) *. hours wall;
+      cp_hosts_inplace = inplace;
+      cp_hosts_drained = drained;
+      cp_hosts_exposed = exposed;
     }
   in
   let labels = [ ("engine", "controlplane") ] in
   Hypertp.Otrace.gauge_set st.metrics ~labels "hypertp_ctl_exposed_host_hours"
     r.cp_exposed_host_hours;
-  Hypertp.Otrace.gauge_set st.metrics ~labels
-    "hypertp_ctl_wall_clock_seconds"
+  Hypertp.Otrace.gauge_set st.metrics ~labels "hypertp_ctl_wall_clock_seconds"
     (Sim.Time.to_sec_f r.cp_wall_clock);
   Hypertp.Otrace.finish st.obs st.root_span ~at:wall;
   st.root_span <- None;
@@ -988,225 +416,68 @@ let make_report st =
 
 type run_result = Finished of report * bundle | Crashed of bundle
 
-(* --- the root supervisor: dispatcher + heartbeats --- *)
+(* Drive the shared engine.  A sub-controller death escapes the engine
+   mid-event with its entry already journaled; rebuild it and carry on.
+   A root death ends the incarnation with the bundle. *)
+let rec drive st =
+  match Sim.Engine.run st.eng with
+  | () -> Finished (make_report st, make_bundle st)
+  | exception Subctl_died r -> (
+    match restart st st.regions.(r) ~kind:"crash" with
+    | () -> drive st
+    | exception Root_died -> Crashed (make_bundle st))
+  | exception Root_died -> Crashed (make_bundle st)
 
-type ctx = { st : st; eng : Sim.Engine.t }
-
-let make_ctx st = { st; eng = Sim.Engine.create () }
-
-type gaction = G_realloc of int | G_region of int * raction
-
-(* Minimum pending derived event across the whole fleet, in the total
-   order (time, kind, region, host) with reallocation first. *)
-let global_next st =
-  if all_finished st then None
-  else begin
-    let best = ref None in
-    let consider t kind region host act =
-      match !best with
-      | Some (t', k', r', h', _)
-        when Sim.Time.(t' < t)
-             || (Sim.Time.equal t' t
-                && (k' < kind
-                   || (k' = kind && (r' < region || (r' = region && h' <= host)))))
-        ->
-        ()
-      | _ -> best := Some (t, kind, region, host, act)
-    in
-    Array.iteri
-      (fun j r ->
-        (match r.finished_at with
-        | Some tf when not st.realloc_done.(j) ->
-          consider (Sim.Time.add tf st.cfg.realloc_lag) 0 j (-1) (G_realloc j)
-        | _ -> ());
-        if r.alive then
-          match region_candidate st r with
-          | Some (t, kind, host, act) ->
-            consider t kind j host (G_region (j, act))
-          | None -> ())
-      st.regions;
-    !best
-  end
-
-(* A finished region's slots arrive [realloc_lag] after its finish
-   stamp.  Reconcile-on-read: a dead region's journal may be missing
-   derived events (including its own finish) that logically precede
-   this reallocation, so recover every dead region before reading who
-   is still unfinished.  The grant is durable — a [Limit_raised] entry
-   in the recipient's journal — so a leader handoff re-derives the
-   ledger with no root-private state. *)
-let process_realloc st ~at j =
-  st.realloc_done.(j) <- true;
+(* Build every region's controller with [make] (planned like the
+   previous one: regions are uniform), give a finished region whose grant
+   is not journaled yet its lease back (after a handoff), and drive. *)
+let launch st make =
+  let like = ref None in
+  st.regions <-
+    Array.mapi
+      (fun r rg ->
+        let ctl = make ?like:!like r rg in
+        like := Some ctl;
+        { r_index = r; r_topo = rg; ctl; last_seen = Sim.Time.zero;
+          partitioned_until = Sim.Time.zero })
+      (Topology.regions (topology_of st.cfg));
   Array.iter
     (fun r ->
-      if (not r.alive) && r.finished_at = None then
-        recover st r ~upto:at ~spurious:false)
+      match C.controller_finished_at r.ctl with
+      | Some finished_at when not st.realloc_done.(r.r_index) ->
+        schedule_realloc st r.r_index ~finished_at
+      | _ -> ())
     st.regions;
-  match Array.find_opt (fun r -> r.finished_at = None) st.regions with
-  | None -> ()
-  | Some recipient -> (
-    let slots = full_limit st.regions.(j) in
-    try
-      append st recipient ~at (Limit_raised { from_region = j; slots });
-      settle st recipient ~at
-    with Subctl_died -> ())
+  Sim.Engine.schedule_every st.eng st.cfg.heartbeat_every (tick st);
+  drive st
 
-let rec arm_dispatch ctx =
-  let st = ctx.st in
-  st.dispatch_gen <- st.dispatch_gen + 1;
-  let gen = st.dispatch_gen in
-  match global_next st with
-  | None -> ()
-  | Some (at, _, _, _, act) ->
-    Sim.Engine.schedule_at ctx.eng at (fun () ->
-        if st.dispatch_gen = gen then begin
-          (match act with
-          | G_realloc j -> process_realloc st ~at j
-          | G_region (ridx, ract) -> (
-            let r = st.regions.(ridx) in
-            if r.alive then
-              try process_raction st r ~at ract with Subctl_died -> ()));
-          arm_dispatch ctx
-        end)
+let run ?ctx ?fault ?obs ?metrics cfg =
+  let st = make_st ?ctx ?fault ?obs ?metrics cfg in
+  let cfgs = region_configs cfg in
+  launch st (fun ?like r rg ->
+      C.start_controller ~eng:st.eng ?like ?fault:(C.region_fault st.hplan rg)
+        ~probe:(probe st r) ?obs:st.obs ?metrics:st.metrics cfgs.(r))
 
-(* One root heartbeat tick: consult [Root_crash], collect heartbeats
-   (dropping them through active partitions, arming new partitions via
-   [Ctl_partition]), then detect and recover any sub-controller silent
-   past the timeout. *)
-let tick ctx () =
-  let st = ctx.st in
-  if all_finished st then `Stop
-  else begin
-    let now = Sim.Engine.now ctx.eng in
-    if fire_chaos st ~vm:"root" Fault.Root_crash then begin
-      Hypertp.Otrace.instant st.obs ~at:now ?parent:st.root_span ~track:"root"
-        "root:crashed";
-      Hypertp.Otrace.count st.metrics
-        ~labels:[ ("engine", "controlplane") ]
-        "hypertp_ctl_root_crashes_total";
-      raise Root_died
-    end;
-    Array.iter
-      (fun r ->
-        if r.finished_at = None && r.alive then begin
-          if fire_chaos st ~vm:(region_name r.r_index) Fault.Ctl_partition
-          then begin
-            let u = Sim.Rng.float st.partition_rng.(r.r_index) 1.0 in
-            r.partitioned_until <-
-              Sim.Time.add now
-                (Sim.Time.scale (1.0 +. (2.0 *. u)) st.cfg.heartbeat_timeout);
-            Hypertp.Otrace.instant st.obs ~at:now ?parent:st.root_span
-              ~track:"root"
-              ~attrs:
-                [ ("region", region_name r.r_index);
-                  ("heals_at", Sim.Time.to_string r.partitioned_until) ]
-              "ctl:partitioned";
-            Hypertp.Otrace.count st.metrics
-              ~labels:
-                [ ("engine", "controlplane");
-                  ("region", region_name r.r_index) ]
-              "hypertp_ctl_partitions_total"
-          end;
-          if Sim.Time.(r.partitioned_until <= now) then r.last_seen <- now
-        end)
-      st.regions;
-    let recovered = ref false in
-    Array.iter
-      (fun r ->
-        if
-          r.finished_at = None
-          && Sim.Time.(st.cfg.heartbeat_timeout < diff now r.last_seen)
-        then begin
-          recover st r ~upto:now ~spurious:r.alive;
-          recovered := true
-        end)
-      st.regions;
-    if !recovered then arm_dispatch ctx;
-    `Continue
-  end
-
-let drive ctx =
-  Sim.Engine.schedule_every ctx.eng ctx.st.cfg.heartbeat_every (tick ctx);
-  try
-    arm_dispatch ctx;
-    Sim.Engine.run ctx.eng;
-    Finished (make_report ctx.st, make_bundle ctx.st)
-  with Root_died -> Crashed (make_bundle ctx.st)
-
-let run ?ctx:run_ctx ?fault ?obs ?metrics cfg =
-  let c = Hypertp.Ctx.resolve ?ctx:run_ctx ?fault ?obs ?metrics () in
-  validate_config cfg;
-  let st =
-    make_st ?fault:c.Hypertp.Ctx.fault ?obs:c.Hypertp.Ctx.obs
-      ?metrics:c.Hypertp.Ctx.metrics cfg
-  in
-  let ctx = make_ctx st in
-  Array.iter
-    (fun r -> try settle st r ~at:Sim.Time.zero with Subctl_died -> ())
-    st.regions;
-  drive ctx
-
-let resume ?ctx:run_ctx ?fault ?obs ?metrics bundle =
-  let c = Hypertp.Ctx.resolve ?ctx:run_ctx ?fault ?obs ?metrics () in
-  validate_config bundle.b_config;
-  let st =
-    make_st ?fault:c.Hypertp.Ctx.fault ?obs:c.Hypertp.Ctx.obs
-      ?metrics:c.Hypertp.Ctx.metrics bundle.b_config
-  in
-  Array.iteri
-    (fun i r ->
-      r.entries <-
-        Sim.Vec.of_list dummy_entry (Sim.Vec.to_list bundle.b_journals.(i)))
-    st.regions;
-  let ctx = make_ctx st in
-  Hypertp.Otrace.instant st.obs ~at:Sim.Time.zero ?parent:st.root_span
-    ~track:"root" "leader:handoff";
+(* Leader handoff: every region is rebuilt from its journal; the replays
+   re-emit the timeline and re-derive the reallocation ledger. *)
+let resume ?ctx ?fault ?obs ?metrics bundle =
+  let st = make_st ?ctx ?fault ?obs ?metrics bundle.b_config in
+  root_instant st "leader:handoff";
   Hypertp.Otrace.count st.metrics
     ~labels:[ ("engine", "controlplane") ]
     "hypertp_ctl_handoffs_total";
-  try
-    (* Leader handoff: the new root's entire view is re-derived from the
-       sub-journals — replay them all (re-emitting the merged timeline),
-       rebuild the reallocation ledger from the durable [Limit_raised]
-       grants, and finish whatever settle each crash interrupted. *)
-    Array.iter (fun r -> replay st r ~emit:true) st.regions;
-    Array.iter
-      (fun r ->
-        Sim.Vec.iter
-          (fun e ->
-            match e.ce_event with
-            | Limit_raised { from_region; _ } ->
-              st.realloc_done.(from_region) <- true
-            | _ -> ())
-          r.entries)
-      st.regions;
-    Array.iter
-      (fun r ->
-        if r.finished_at = None then begin
-          let t_last =
-            match Sim.Vec.last r.entries with
-            | Some e -> e.ce_at
-            | None -> Sim.Time.zero
-          in
-          try settle st r ~at:t_last with Subctl_died -> ()
-        end)
-      st.regions;
-    drive ctx
-  with Root_died -> Crashed (make_bundle st)
+  let journal r = bundle.b_journals.(r) in
+  try launch st (fun ?like r rg -> resume_region st ?like r rg (journal r))
+  with Root_died -> Crashed bundle
 
+(* The chaos plan is passed through as-is (not restarted), so an Nth_hit
+   on a control-plane site fires once across the whole run/resume chain. *)
 let run_to_completion ?ctx ?fault ?obs ?metrics cfg =
-  let c = Hypertp.Ctx.resolve ?ctx ?fault ?obs ?metrics () in
-  let fault = c.Hypertp.Ctx.fault
-  and obs = c.Hypertp.Ctx.obs
-  and metrics = c.Hypertp.Ctx.metrics in
-  (* The chaos plan is passed through as-is (not restarted), so an
-     Nth_hit on a control-plane site fires once across the whole
-     run/resume chain. *)
   let rec go = function
     | Finished (report, _) -> report
-    | Crashed b -> go (resume ?fault ?obs ?metrics b)
+    | Crashed b -> go (resume ?ctx ?fault ?obs ?metrics b)
   in
-  go (run ?fault ?obs ?metrics cfg)
+  go (run ?ctx ?fault ?obs ?metrics cfg)
 
 (* --- rendering + serialisation --- *)
 
@@ -1219,15 +490,14 @@ let summary r =
        (Sim.Time.to_string r.cp_wall_clock));
   List.iter
     (fun rr ->
-      let c s = List.length (List.filter (fun h -> h.h_status = s) rr.rr_hosts) in
+      let inplace, drained, exposed = tally rr.rr_hosts in
       Buffer.add_string buf
         (Printf.sprintf
            "region %d: finished %s | inplace %d drained %d exposed %d | \
             breaker trips %d\n"
            rr.rr_region
            (Sim.Time.to_string rr.rr_finished_at)
-           (c Upgraded_inplace) (c Drained) (c Deferred_exposed)
-           rr.rr_breaker_trips))
+           inplace drained exposed rr.rr_breaker_trips))
     r.cp_regions;
   Buffer.add_string buf
     (Printf.sprintf
@@ -1238,230 +508,133 @@ let summary r =
   Buffer.contents buf
 
 let merged_to_string b =
-  let items = ref [] in
+  let items = Array.make (bundle_length b) (Sim.Time.zero, 0, None, C.Deferred) in
+  let k = ref 0 in
   Array.iteri
-    (fun ridx j ->
-      let seq = ref 0 in
-      Sim.Vec.iter
-        (fun e ->
-          items := (e.ce_at, ridx, !seq, e) :: !items;
-          incr seq)
+    (fun r j ->
+      C.journal_events
+        (fun at host ev ->
+          items.(!k) <- (at, r, host, ev);
+          incr k)
         j)
     b.b_journals;
-  let sorted =
-    List.sort
-      (fun (t1, r1, s1, _) (t2, r2, s2, _) ->
-        match Sim.Time.compare t1 t2 with
-        | 0 -> ( match compare r1 r2 with 0 -> compare s1 s2 | c -> c)
-        | c -> c)
-      (List.rev !items)
-  in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (t, ridx, _, e) ->
-      Buffer.add_string buf
-        (Printf.sprintf "t=%d r%d %s %s\n" (Sim.Time.to_ns t) ridx
-           (match e.ce_host with Some h -> h | None -> "-")
-           (event_label e.ce_event)))
-    sorted;
+  (* Stable by time over region-major, in-region order. *)
+  Array.stable_sort (fun (a, _, _, _) (b, _, _, _) -> Sim.Time.compare a b) items;
+  let buf = Buffer.create (64 * Array.length items) in
+  let fmt = Format.formatter_of_buffer buf in
+  Array.iter
+    (fun (t, r, host, ev) ->
+      Format.fprintf fmt "t=%d r%d %s %a\n" (Sim.Time.to_ns t) r
+        (Option.value host ~default:"-")
+        (fun fmt -> function
+          | C.Campaign_finished -> Format.pp_print_string fmt "region-finished"
+          | ev -> C.pp_event fmt ev)
+        ev)
+    items;
+  Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-let bundle_magic = "hypertp-controlplane-bundle v1"
+let bundle_magic = "hypertp-controlplane-bundle v2"
 
-let entry_line buf e =
-  let kind =
-    match e.ce_event with
-    | Admitted step -> "adm step=" ^ step_to_string step
-    | Flap_failure -> "flapleg"
-    | Straggler_cancelled -> "strag"
-    | Attempt_failed { step; manifestation } ->
-      Printf.sprintf "fail step=%s man=%s" (step_to_string step)
-        (man_to_string manifestation)
-    | Attempt_completed step -> "done step=" ^ step_to_string step
-    | Breaker_opened -> "bopen"
-    | Breaker_half_opened -> "bhalf"
-    | Breaker_closed -> "bclosed"
-    | Limit_raised { from_region; slots } ->
-      Printf.sprintf "raise from=%d slots=%d" from_region slots
-    | Region_finished -> "rfin"
-  in
-  let decision =
-    match e.ce_decision with
-    | Some d ->
-      Printf.sprintf " flap=%d crash=%d timeout=%d" (Bool.to_int d.d_flap)
-        (Bool.to_int d.d_crash) (Bool.to_int d.d_timeout)
-    | None -> ""
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "e at=%d host=%s %s%s cursor=%d\n" (Sim.Time.to_ns e.ce_at)
-       (match e.ce_host with Some h -> h | None -> "-")
-       kind decision e.ce_cursor)
-
-let config_line (c : config) =
-  Printf.sprintf
-    "config regions=%d hosts=%d vms=%d conc=%d straggler=%.17g window=%d \
-     threshold=%.17g cooldown_ns=%d jitter=%.17g drain=%.17g hb_every_ns=%d \
-     hb_timeout_ns=%d lag_ns=%d seed=%Ld"
-    c.regions c.hosts_per_region c.vms_per_host c.global_concurrency
-    c.straggler_factor c.breaker_window c.breaker_threshold
-    (Sim.Time.to_ns c.breaker_cooldown)
-    c.jitter_pct c.drain_flakiness
-    (Sim.Time.to_ns c.heartbeat_every)
-    (Sim.Time.to_ns c.heartbeat_timeout)
-    (Sim.Time.to_ns c.realloc_lag)
-    c.seed
-
+(* The control-plane config, then each region's campaign journal text
+   under a header that counts its entries. *)
 let bundle_to_string b =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (bundle_magic ^ "\n");
-  Buffer.add_string buf (config_line b.b_config ^ "\n");
-  Array.iteri
-    (fun i j ->
-      Buffer.add_string buf
-        (Printf.sprintf "region idx=%d entries=%d\n" i (Sim.Vec.length j));
-      Sim.Vec.iter (entry_line buf) j)
-    b.b_journals;
-  Buffer.contents buf
+  let c = b.b_config and ns = Sim.Time.to_ns in
+  String.concat ""
+    (Printf.sprintf
+       "%s\nconfig regions=%d hosts=%d vms=%d conc=%d straggler=%.17g \
+        window=%d threshold=%.17g cooldown_ns=%d jitter=%.17g drain=%.17g \
+        hb_every_ns=%d hb_timeout_ns=%d lag_ns=%d seed=%Ld\n"
+       bundle_magic c.regions c.hosts_per_region c.vms_per_host
+       c.global_concurrency c.straggler_factor c.breaker_window
+       c.breaker_threshold (ns c.breaker_cooldown) c.jitter_pct
+       c.drain_flakiness (ns c.heartbeat_every) (ns c.heartbeat_timeout)
+       (ns c.realloc_lag) c.seed
+    :: List.concat
+         (List.mapi
+            (fun i j ->
+              [ Printf.sprintf "region idx=%d entries=%d\n" i
+                  (C.journal_length j); C.journal_to_string j ])
+            (Array.to_list b.b_journals)))
 
 exception Parse of string
 
 let bundle_of_string s =
-  let fail msg = raise (Parse msg) in
-  let kv tok =
-    match String.index_opt tok '=' with
-    | Some i ->
-      Some
-        ( String.sub tok 0 i,
-          String.sub tok (i + 1) (String.length tok - i - 1) )
-    | None -> None
+  let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
+  let len = String.length s in
+  let eol pos = Option.value (String.index_from_opt s pos '\n') ~default:len in
+  let line pos = String.sub s pos (eol pos - pos) in
+  let next pos = Stdlib.min len (eol pos + 1) in
+  (* A region's journal runs from the line after its header to the next
+     header: no journal line starts with "region ". *)
+  let rec section_end pos =
+    if pos >= len || (pos + 7 <= len && String.sub s pos 7 = "region ") then pos
+    else section_end (next pos)
   in
-  let fields line = List.filter_map kv (String.split_on_char ' ' line) in
-  let get fs k =
-    match List.assoc_opt k fs with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "missing field %S" k)
+  let config_of_line line =
+    Scanf.sscanf line
+      "config regions=%d hosts=%d vms=%d conc=%d straggler=%g window=%d \
+       threshold=%g cooldown_ns=%d jitter=%g drain=%g hb_every_ns=%d \
+       hb_timeout_ns=%d lag_ns=%d seed=%Ld%!"
+      (fun regions hosts_per_region vms_per_host global_concurrency
+           straggler_factor breaker_window breaker_threshold cooldown
+           jitter_pct drain_flakiness every timeout lag seed ->
+        { regions; hosts_per_region; vms_per_host; global_concurrency;
+          straggler_factor; breaker_window; breaker_threshold;
+          breaker_cooldown = Sim.Time.ns cooldown; jitter_pct;
+          drain_flakiness; heartbeat_every = Sim.Time.ns every;
+          heartbeat_timeout = Sim.Time.ns timeout;
+          realloc_lag = Sim.Time.ns lag; seed })
   in
-  let int_f fs k =
-    match int_of_string_opt (get fs k) with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "bad integer in field %S" k)
-  in
-  let float_f fs k =
-    match float_of_string_opt (get fs k) with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "bad float in field %S" k)
-  in
-  let step_of fs =
-    match get fs "step" with
-    | "inplace" -> Inplace
-    | "drain" -> Drain
-    | other -> fail (Printf.sprintf "unknown step %S" other)
-  in
-  let man_of fs =
-    match get fs "man" with
-    | "crash" -> Crash
-    | "timeout" -> Timeout
-    | "flap" -> Flap
-    | other -> fail (Printf.sprintf "unknown manifestation %S" other)
-  in
-  let kinds =
-    [ "adm"; "flapleg"; "strag"; "fail"; "done"; "bopen"; "bhalf"; "bclosed";
-      "raise"; "rfin" ]
+  let rec regions (config : config) cfgs i acc pos =
+    if pos >= len then
+      if i = config.regions then Array.of_list (List.rev acc)
+      else fail "%d region journals, config says %d" i config.regions
+    else if i = config.regions then
+      fail "more regions than the config's %d" config.regions
+    else
+      let header = line pos in
+      let n =
+        try Scanf.sscanf header "region idx=%d entries=%d%!" (fun idx n ->
+            if idx <> i || n < 0 then raise Exit;
+            n)
+        with _ -> fail "want the header of region %d, got %S" i header
+      in
+      let body = next pos in
+      let stop = section_end body in
+      let j =
+        match C.journal_of_string (String.sub s body (stop - body)) with
+        | Ok j -> j
+        | Error e -> fail "region %d journal: %s" i e
+      in
+      if C.journal_length j <> n then
+        fail "region %d: %d entries, header says %d" i (C.journal_length j) n;
+      if C.journal_config j <> cfgs.(i) then
+        fail "region %d journal carries a different config" i;
+      let last = ref Sim.Time.zero in
+      C.journal_events
+        (fun at _ ev ->
+          if Sim.Time.(at < !last) then
+            fail "region %d: entry stamps negative or out of order" i;
+          last := at;
+          match ev with
+          | C.Limit_raised { from_region; _ }
+            when from_region < 0 || from_region >= config.regions ->
+            fail "region %d: grant from unknown region %d" i from_region
+          | _ -> ())
+        j;
+      regions config cfgs (i + 1) (j :: acc) stop
   in
   try
-    let lines =
-      List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+    if line 0 <> bundle_magic then
+      fail "bad magic %S (want %S)" (line 0) bundle_magic;
+    let config =
+      try config_of_line (line (next 0))
+      with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+        fail "bad config line %S" (line (next 0))
     in
-    match lines with
-    | magic :: cfg_line :: rest ->
-      if magic <> bundle_magic then
-        fail (Printf.sprintf "bad magic %S (want %S)" magic bundle_magic);
-      let fs = fields cfg_line in
-      let config =
-        {
-          regions = int_f fs "regions";
-          hosts_per_region = int_f fs "hosts";
-          vms_per_host = int_f fs "vms";
-          global_concurrency = int_f fs "conc";
-          straggler_factor = float_f fs "straggler";
-          breaker_window = int_f fs "window";
-          breaker_threshold = float_f fs "threshold";
-          breaker_cooldown = Sim.Time.ns (int_f fs "cooldown_ns");
-          jitter_pct = float_f fs "jitter";
-          drain_flakiness = float_f fs "drain";
-          heartbeat_every = Sim.Time.ns (int_f fs "hb_every_ns");
-          heartbeat_timeout = Sim.Time.ns (int_f fs "hb_timeout_ns");
-          realloc_lag = Sim.Time.ns (int_f fs "lag_ns");
-          seed =
-            (match Int64.of_string_opt (get fs "seed") with
-            | Some v -> v
-            | None -> fail "bad seed");
-        }
-      in
-      if config.regions < 1 then fail "config has no regions";
-      let journals =
-        Array.init config.regions (fun _ -> Sim.Vec.create dummy_entry)
-      in
-      let current = ref (-1) in
-      List.iter
-        (fun line ->
-          if String.length line > 7 && String.sub line 0 7 = "region " then begin
-            let fs = fields line in
-            let idx = int_f fs "idx" in
-            if idx < 0 || idx >= config.regions then
-              fail (Printf.sprintf "region index %d out of range" idx);
-            current := idx
-          end
-          else if String.length line > 2 && String.sub line 0 2 = "e " then begin
-            if !current < 0 then fail "journal entry before any region header";
-            let toks = String.split_on_char ' ' line in
-            let fs = fields line in
-            let kind =
-              match List.find_opt (fun t -> List.mem t kinds) toks with
-              | Some k -> k
-              | None -> fail (Printf.sprintf "no event kind in line %S" line)
-            in
-            let event =
-              match kind with
-              | "adm" -> Admitted (step_of fs)
-              | "flapleg" -> Flap_failure
-              | "strag" -> Straggler_cancelled
-              | "fail" ->
-                Attempt_failed { step = step_of fs; manifestation = man_of fs }
-              | "done" -> Attempt_completed (step_of fs)
-              | "bopen" -> Breaker_opened
-              | "bhalf" -> Breaker_half_opened
-              | "bclosed" -> Breaker_closed
-              | "raise" ->
-                Limit_raised
-                  { from_region = int_f fs "from"; slots = int_f fs "slots" }
-              | "rfin" -> Region_finished
-              | _ -> assert false
-            in
-            let decision =
-              match List.assoc_opt "flap" fs with
-              | Some _ ->
-                Some
-                  {
-                    d_flap = int_f fs "flap" <> 0;
-                    d_crash = int_f fs "crash" <> 0;
-                    d_timeout = int_f fs "timeout" <> 0;
-                  }
-              | None -> None
-            in
-            Sim.Vec.push
-              journals.(!current)
-              {
-                ce_at = Sim.Time.ns (int_f fs "at");
-                ce_host =
-                  (match get fs "host" with "-" -> None | h -> Some h);
-                ce_event = event;
-                ce_decision = decision;
-                ce_cursor = int_f fs "cursor";
-              }
-          end
-          else fail (Printf.sprintf "unparseable line %S" line))
-        rest;
-      Ok { b_config = config; b_journals = journals }
-    | _ -> fail "truncated bundle (want magic + config lines)"
+    (try validate_config config
+     with Hypertp_error.Error e -> fail "%s" (Hypertp_error.to_string e));
+    let b_journals = regions config (region_configs config) 0 [] (next (next 0)) in
+    Ok { b_config = config; b_journals }
   with Parse msg -> Error msg

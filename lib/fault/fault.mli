@@ -63,11 +63,11 @@ type site =
   | Controller_crash  (** the campaign controller itself dies mid-run *)
   | Subctl_crash
       (** a regional sub-controller of the hierarchical control plane
-          dies; its journal survives and the root supervisor restarts it
-          after heartbeat-timeout detection *)
+          dies right after a journal append; its journal survives and the
+          root supervisor rebuilds it from the journal at once *)
   | Root_crash
-      (** the root supervisor dies; a new leader reconciles the global
-          campaign state from the surviving sub-journals *)
+      (** the root supervisor dies; a new leader rebuilds every region
+          from the surviving sub-journals *)
   | Ctl_partition
       (** the root<->sub-controller supervision channel partitions for a
           seeded heal delay: heartbeats are dropped, so the root fences
@@ -110,10 +110,12 @@ val cluster_sites : site list
 
 val controlplane_sites : site list
 (** Sites consulted by the replicated hierarchical control plane
-    ([Cluster.Controlplane]): [Subctl_crash] per sub-controller journal
-    append, [Root_crash] per root supervisor heartbeat tick,
-    [Ctl_partition] per heartbeat receipt, and [Crash_during_resume]
-    per entry replayed during any journal recovery. *)
+    ([Cluster.Controlplane]) on the caller's plan, never on a region's
+    cursor-tracked campaign plan: [Subctl_crash] after each live
+    sub-controller journal append, [Crash_during_resume] before each
+    entry replayed by any rebuild or leader handoff, [Root_crash] per
+    root heartbeat tick, and [Ctl_partition] per heartbeat receipt.
+    Region campaigns see only the host sites. *)
 
 val stream_sites : site list
 (** Sites consulted by the CVE-stream campaign service

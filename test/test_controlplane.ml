@@ -304,7 +304,7 @@ let test_bundle_parse_errors () =
   reject "not a bundle";
   reject "hypertp-controlplane-bundle v99\nconfig regions=1";
   (* valid magic, broken config *)
-  reject "hypertp-controlplane-bundle v1\nconfig regions=banana";
+  reject "hypertp-controlplane-bundle v2\nconfig regions=banana";
   (* entry outside any region *)
   let _, b = finished (CP.run small_cfg) in
   let text = CP.bundle_to_string b in
@@ -316,7 +316,89 @@ let test_bundle_parse_errors () =
            String.length l < 7 || String.sub l 0 7 <> "region ")
          lines)
   in
-  reject no_headers
+  reject no_headers;
+  let lines = List.filter (( <> ) "") lines in
+  let unlines ls = String.concat "\n" ls ^ "\n" in
+  let replace_first ~sub ~by s =
+    let n = String.length sub in
+    let rec find i =
+      if i + n > String.length s then Alcotest.failf "no %S in bundle" sub
+      else if String.sub s i n = sub then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  (* region count disagrees with the config: a region missing, or one
+     region too many for the config *)
+  let rec before_region k = function
+    | l :: _ when String.starts_with ~prefix:(Printf.sprintf "region idx=%d " k) l
+      -> []
+    | l :: tl -> l :: before_region k tl
+    | [] -> []
+  in
+  let rec from_region k = function
+    | l :: _ as ls
+      when String.starts_with ~prefix:(Printf.sprintf "region idx=%d " k) l ->
+      ls
+    | _ :: tl -> from_region k tl
+    | [] -> []
+  in
+  reject (unlines (before_region 2 lines));
+  reject
+    (text
+    ^ replace_first ~sub:"region idx=2 " ~by:"region idx=3 "
+        (unlines (from_region 2 lines)));
+  (* an embedded region journal carrying a different config *)
+  reject (replace_first ~sub:" concurrency=2 " ~by:" concurrency=3 " text);
+  (* cut after a complete line of the last region: only its header's
+     entry count can tell *)
+  reject (unlines (List.rev (List.tl (List.rev lines))));
+  (* a grant from a region that does not exist *)
+  let fault = Fault.make ~seed:3L (host_injections 0.6) in
+  let _, granted = finished (CP.run ~fault small_cfg) in
+  let gtext = CP.bundle_to_string granted in
+  reject (replace_first ~sub:"raise from=" ~by:"raise from=9" gtext);
+  (* a bundle that parses but was tampered with inside an entry: resume
+     rejects it with a structured error *)
+  match
+    CP.bundle_of_string
+      (replace_first ~sub:" host=node01 " ~by:" host=node99 " text)
+  with
+  | Error e -> Alcotest.failf "tampered host should still parse: %s" e
+  | Ok b -> (
+    match CP.resume b with
+    | _ -> Alcotest.fail "resumed a bundle naming an unknown host"
+    | exception Hypertp.Error.Error e ->
+      checks "structured resume error" "Controlplane.resume" e.Hypertp.Error.site)
+
+(* --- the sub-controller is the campaign engine --- *)
+
+(* A one-region control plane runs exactly [Campaign.run_fleet]'s
+   region campaign: same derived config, seed and fault plan, so the
+   same journal, byte for byte. *)
+let test_region_is_campaign () =
+  let cfg =
+    { CP.default_config with CP.regions = 1; hosts_per_region = 12;
+      global_concurrency = 3 }
+  in
+  let topology =
+    Cluster.Topology.uniform ~regions:1 ~hosts:12
+      ~vms_per_host:cfg.CP.vms_per_host ()
+  in
+  List.iter
+    (fun plan ->
+      let _, b = finished (CP.run ?fault:(plan ()) cfg) in
+      let fr =
+        Cluster.Campaign.run_fleet ?fault:(plan ()) ~topology
+          { Cluster.Campaign.default_config with
+            Cluster.Campaign.concurrency = cfg.CP.global_concurrency }
+      in
+      checks "region journal is the run_fleet journal"
+        (Cluster.Campaign.journal_to_string fr.Cluster.Campaign.f_journals.(0))
+        (Cluster.Campaign.journal_to_string (CP.bundle_journals b).(0)))
+    [ (fun () -> None);
+      (fun () -> Some (Fault.make ~seed:41L (host_injections 0.35))) ]
 
 let suites =
   [
@@ -329,6 +411,8 @@ let suites =
           test_reallocation_observable;
         Alcotest.test_case "host faults manifest" `Quick
           test_host_faults_manifest;
+        Alcotest.test_case "one region = run_fleet journal" `Quick
+          test_region_is_campaign;
       ] );
     ( "controlplane.crash",
       [
