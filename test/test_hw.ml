@@ -231,6 +231,124 @@ let prop_pmem_alloc_free_idempotent =
         all;
       Hw.Pmem.free_frames p = before)
 
+(* --- Golden pin: what a reboot reclaims and the allocation order after it --- *)
+
+let read_golden name =
+  let path =
+    List.find Sys.file_exists [ "golden/" ^ name; "test/golden/" ^ name ]
+  in
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* One seeded host shaped like a transplant: 2 MiB-backed guest chunks,
+   a 4 KiB-backed guest run, a per-frame tagged heap, reserved metadata
+   pages and a reserved image, one preserved half-chunk (the straddling
+   case) and a freed heap extent.  The preserved set is given as
+   (start, length) extents. *)
+let pmem_reboot_scenario seed =
+  let rng = Sim.Rng.create (Int64.of_int (1000 + seed)) in
+  let p = Hw.Pmem.create ~seed:(Int64.of_int seed) ~frames:(512 * 64) () in
+  let keep = ref [] in
+  let guest = Hw.Pmem.alloc_extents p ~align:512 (512 * (2 + Sim.Rng.int rng 4)) in
+  List.iter
+    (fun (s, l) ->
+      keep := (s, l) :: !keep;
+      for i = 0 to (l / 512) - 1 do
+        Hw.Pmem.write p (Hw.Frame.Mfn.add s (i * 512)) (Sim.Rng.int64 rng)
+      done)
+    guest;
+  let heap = Hw.Pmem.alloc_extents p (1000 + Sim.Rng.int rng 2000) in
+  List.iter
+    (fun (s, l) ->
+      for i = 0 to l - 1 do
+        Hw.Pmem.write p (Hw.Frame.Mfn.add s i) 0x4845415048454150L
+      done)
+    heap;
+  let small = Hw.Pmem.alloc_extents p (100 + Sim.Rng.int rng 300) in
+  List.iter
+    (fun (s, l) ->
+      keep := (s, l) :: !keep;
+      Hw.Pmem.write p s (Sim.Rng.int64 rng))
+    small;
+  let meta = List.init 6 (fun _ -> fst (List.hd (Hw.Pmem.alloc_extents p 1))) in
+  List.iter
+    (fun m ->
+      Hw.Pmem.write p m 0x5052414D5F4D4554L;
+      Hw.Pmem.reserve_extent p m 1)
+    meta;
+  let image = Hw.Pmem.alloc_extents p (600 + Sim.Rng.int rng 400) in
+  List.iter
+    (fun (s, l) ->
+      for i = 0 to l - 1 do
+        Hw.Pmem.write p (Hw.Frame.Mfn.add s i) 0x4B45584543000001L
+      done;
+      Hw.Pmem.reserve_extent p s l)
+    image;
+  (* Straddle: keep the first half of the first heap chunk and one
+     frame of the last heap extent. *)
+  (match heap with
+  | (s, _) :: _ -> keep := (s, 256) :: !keep
+  | [] -> ());
+  (match List.rev heap with
+  | (s, l) :: _ -> keep := (Hw.Frame.Mfn.add s (l / 2), 1) :: !keep
+  | [] -> ());
+  (match heap with
+  | _ :: (s, l) :: _ :: _ -> Hw.Pmem.free_extent p s l
+  | _ -> ());
+  (* One metadata page lost its reservation and is not preserved. *)
+  Hw.Pmem.unreserve_extent p (List.nth meta 2) 1;
+  keep := List.map (fun m -> (m, 1)) (List.filteri (fun i _ -> i <> 2) meta) @ !keep;
+  (p, !keep, rng)
+
+let render_pmem_reboot ~reboot seed =
+  let p, keep, rng = pmem_reboot_scenario seed in
+  let reclaimed = reboot p keep in
+  let digest = ref 0L and count = ref 0 in
+  Hw.Pmem.iter_allocated p (fun mfn tag ->
+      incr count;
+      let v = Option.value ~default:(-1L) tag in
+      let mix acc x =
+        Int64.mul (Int64.add (Int64.logxor acc x) 0x9E3779B97F4A7C15L)
+          0xBF58476D1CE4E5B9L
+      in
+      digest := mix (mix !digest (Int64.of_int (Hw.Frame.Mfn.to_int mfn))) v);
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "seed %d: reclaimed %d, %d allocated, digest %016Lx\n" seed
+    reclaimed !count !digest;
+  Printf.bprintf b "%s\n" (Format.asprintf "%a" Hw.Pmem.pp_usage p);
+  for k = 1 to 32 do
+    let align = List.nth [ 1; 1; 2; 8; 512 ] (Sim.Rng.int rng 5) in
+    let n = 1 + Sim.Rng.int rng 700 in
+    let extents = Hw.Pmem.alloc_extents p ~align n in
+    Printf.bprintf b "alloc %2d (%d, align %d):%s\n" k n align
+      (String.concat ""
+         (List.map
+            (fun (s, l) -> Printf.sprintf " %d+%d" (Hw.Frame.Mfn.to_int s) l)
+            extents))
+  done;
+  Buffer.contents b
+
+let reboot_with_predicate p keep =
+  let frames = Hashtbl.create 4096 in
+  List.iter
+    (fun (s, l) ->
+      for i = 0 to l - 1 do
+        Hashtbl.replace frames (Hw.Frame.Mfn.to_int s + i) ()
+      done)
+    keep;
+  Hw.Pmem.reboot_reset p ~preserve:(fun m ->
+      Hashtbl.mem frames (Hw.Frame.Mfn.to_int m))
+
+let test_pmem_reboot_golden () =
+  let got =
+    String.concat ""
+      (List.map (render_pmem_reboot ~reboot:reboot_with_predicate) [ 1; 2; 3; 4 ])
+  in
+  Alcotest.check Alcotest.string "reclaim, survivors and next allocations"
+    (read_golden "pmem_reboot.txt") got
+
 (* --- Cpu / Nic / Machine --- *)
 
 let test_cpu () =
@@ -291,6 +409,7 @@ let suites =
         Alcotest.test_case "reboot reset reclaims" `Quick test_pmem_reboot_reset;
         qtest prop_pmem_alloc_free_idempotent;
         qtest prop_pmem_random_ops;
+        Alcotest.test_case "reboot golden pin" `Quick test_pmem_reboot_golden;
       ] );
     ( "hw.machine",
       [

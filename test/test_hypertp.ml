@@ -545,6 +545,42 @@ let test_tcb_accounting () =
   checkb "~90% userspace (wording: nearly 90%)" true
     (Hypertp.Tcb.tcb_userspace_fraction () > 0.70)
 
+(* --- Golden pin: the benchmark's host shape, end to end --- *)
+
+let read_golden name =
+  let path =
+    List.find Sys.file_exists [ "golden/" ^ name; "test/golden/" ^ name ]
+  in
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* M1, Xen to KVM, 4 VMs x 2 vCPU x 1 GiB: once calm, once with the
+   staged image clobbered before the jump.  Pins the reclaimed frame
+   count, the PRAM layout and the host's frame accounting afterwards. *)
+let render_m1_transplant ?fault () =
+  let vms =
+    List.init 4 (fun i ->
+        Vmstate.Vm.config ~name:(Printf.sprintf "vm%d" i) ~vcpus:2
+          ~ram:(Hw.Units.gib 1) ())
+  in
+  let host =
+    Hypertp.Api.provision ~seed:7L ~name:"pin" ~machine:(Hw.Machine.m1 ())
+      ~hv:Hv.Kind.Xen vms
+  in
+  let r = Hypertp.Api.transplant_inplace ?fault ~host ~target:Hv.Kind.Kvm () in
+  Format.asprintf "%a@.%a@." Hypertp.Inplace.pp_report r Hw.Pmem.pp_usage
+    host.Hv.Host.pmem
+
+let test_m1_report_golden () =
+  let clobber =
+    Fault.make [ { Fault.site = Fault.Kexec_jump; trigger = Fault.Nth_hit 1 } ]
+  in
+  Alcotest.check Alcotest.string "M1 Xen->KVM 4 x 1 GiB report"
+    (read_golden "inplace_m1_report.txt")
+    (render_m1_transplant () ^ render_m1_transplant ~fault:clobber ())
+
 let suites =
   [
     ( "hypertp.inplace",
@@ -569,6 +605,7 @@ let suites =
         Alcotest.test_case "roundtrip back to xen" `Quick test_inplace_roundtrip_back;
         Alcotest.test_case "scaling with vms" `Quick test_inplace_scales_with_vms;
         QCheck_alcotest.to_alcotest prop_inplace_always_correct;
+        Alcotest.test_case "M1 report golden pin" `Quick test_m1_report_golden;
       ] );
     ( "hypertp.options",
       [
