@@ -34,10 +34,7 @@ let heap_frames = Hw.Units.frames_of_bytes (Hw.Units.mib 40)
 let boot ~machine ~pmem ~rng:_ =
   let kernel_heap = Hw.Pmem.alloc_extents pmem heap_frames in
   List.iter
-    (fun (start, len) ->
-      for i = 0 to len - 1 do
-        Hw.Pmem.write pmem (Hw.Frame.Mfn.add start i) 0x46524545425344L
-      done)
+    (fun (start, len) -> Hw.Pmem.fill pmem start len 0x46524545425344L)
     kernel_heap;
   { machine; pmem; doms = []; rq = Ule.create (); next_handle = 3;
     kernel_heap; alive = true }

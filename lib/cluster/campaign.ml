@@ -1937,7 +1937,10 @@ let fleet_digest fr =
       mix s.s_attempts;
       mix s.s_events;
       mix s.s_resumes;
-      mix (Hashtbl.hash j.j_config);
+      (* The canonical journal line, not the record: [Hashtbl.hash]
+         stops after ten meaningful values and the config has more
+         fields, while a string is hashed in full. *)
+      mix (Hashtbl.hash (config_to_line j.j_config));
       Array.iter (fun nm -> mix (Hashtbl.hash nm)) j.j_names;
       Sim.Vec.iter mix j.j_words)
     fr.f_summaries fr.f_journals;

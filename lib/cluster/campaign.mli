@@ -171,6 +171,10 @@ type journal
 val journal_config : journal -> config
 val journal_length : journal -> int
 
+val config_to_line : config -> string
+(** The config's canonical journal line: every field, floats in
+    round-trip precision.  {!fleet_digest} hashes this line. *)
+
 val journal_to_string : journal -> string
 (** Line-oriented text serialisation (for [--resume-from] files). *)
 
@@ -357,8 +361,9 @@ val region_fault : Fault.t option -> Topology.region -> Fault.t option
     the region name. *)
 
 val fleet_digest : fleet_report -> int
-(** Order-insensitive digest of topology, config and every region's
-    summary and packed journal words.  Equal across sharding modes for
+(** Order-insensitive digest of topology, config (its full
+    {!config_to_line}) and every region's summary and packed journal
+    words.  Equal across sharding modes for
     the same fleet inputs; schedule metadata ([f_mode], [f_shards],
     [f_domains], [f_minor_words], wall-clock seconds) is excluded. *)
 

@@ -384,9 +384,9 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
        command line. *)
     let image = Kexec.with_pram_pointer image (Pram.Build.pointer_mfn pram_image) in
     staged_image := Some image;
-    let preserve = Pram.Build.preserve_predicate pram_image in
+    let preserved = Pram.Build.preserved pram_image in
     if fire Fault.Kexec_jump then Kexec.clobber ~pmem image;
-    let jump = Kexec.execute ~pmem image ~preserve in
+    let jump = Kexec.execute ~pmem image ~preserved in
     Log.debug (fun m ->
         m "kexec jump: %d frames reclaimed, image %s" jump.Kexec.frames_wiped
           (if jump.Kexec.image_intact then "intact" else "CLOBBERED"));
@@ -524,7 +524,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
           if List.mem n !pram_damaged then
             quarantine "PRAM file-info page failed its CRC; frames not re-reserved"
           else
-            let report = Uisr.Codec.decode_verified ~frame_ok:preserve blob in
+            let report = Uisr.Codec.decode_verified ~preserved blob in
             match report.Uisr.Integrity.verdict with
             | Uisr.Integrity.Intact -> (
               match report.Uisr.Integrity.state with

@@ -27,10 +27,7 @@ let build ~pmem ~guest_frames ~page_kind ~metadata_factor =
   let nframes = Stdlib.max 1 nframes in
   let extents = Hw.Pmem.alloc_extents pmem nframes in
   List.iter
-    (fun (start, len) ->
-      for i = 0 to len - 1 do
-        Hw.Pmem.write pmem (Hw.Frame.Mfn.add start i) 0x4E50540000000000L
-      done)
+    (fun (start, len) -> Hw.Pmem.fill pmem start len 0x4E50540000000000L)
     extents;
   { extents; nframes; freed = false }
 

@@ -5,7 +5,16 @@ let chunk_frames = 512 (* one 2 MiB chunk *)
    [partial_free] listing its free offsets; its allocated frames are in
    [palloc]).  Tracking full chunks as single entries keeps multi-GiB
    guest allocations and the kexec reboot reclaim O(chunks), not
-   O(frames). *)
+   O(frames).
+
+   Reservations are an extent set, and content tags are runs: a map
+   from a run's first frame to (end frame, tag), runs disjoint.  A fill
+   stamps one run over a whole extent; writing one frame splits out a
+   one-frame run that overrides whatever run covered it.  Scrubbing or
+   freeing an extent drops the runs inside it, so the reboot's cost
+   follows the number of extents and runs, not the number of frames. *)
+module Runs = Map.Make (Int)
+
 type t = {
   total_frames : int;
   mutable free_chunks : int list;
@@ -13,8 +22,8 @@ type t = {
   partial_free : (int, int list) Hashtbl.t; (* chunk -> free offsets, sorted *)
   palloc : (int, unit) Hashtbl.t; (* frame -> (), partial chunks only *)
   mutable free_count : int;
-  reserved : (int, unit) Hashtbl.t;
-  contents : (int, int64) Hashtbl.t;
+  mutable reserved : Extent_set.t;
+  mutable tags : (int * int64) Runs.t; (* first frame -> (end frame, tag) *)
 }
 
 exception Out_of_memory
@@ -33,8 +42,8 @@ let create ?(seed = 0x5EEDL) ~frames () =
     partial_free = Hashtbl.create 64;
     palloc = Hashtbl.create 4096;
     free_count = frames;
-    reserved = Hashtbl.create 64;
-    contents = Hashtbl.create 4096;
+    reserved = Extent_set.empty;
+    tags = Runs.empty;
   }
 
 let total_frames t = t.total_frames
@@ -44,6 +53,70 @@ let used_frames t = t.total_frames - t.free_count
 let is_allocated t mfn =
   let frame = Frame.Mfn.to_int mfn in
   Hashtbl.mem t.full (frame / chunk_frames) || Hashtbl.mem t.palloc frame
+
+(* The first frame of [lo, hi) that is not allocated, checked a chunk
+   at a time: a full chunk is allocated throughout, so only frames of
+   other chunks are looked at one by one. *)
+let first_unallocated t lo hi =
+  let rec chunk c =
+    let base = c * chunk_frames in
+    if base >= hi then None
+    else if Hashtbl.mem t.full c then chunk (c + 1)
+    else
+      let stop = Stdlib.min hi (base + chunk_frames) in
+      let rec frame f =
+        if f >= stop then chunk (c + 1)
+        else if Hashtbl.mem t.palloc f then frame (f + 1)
+        else Some f
+      in
+      frame (Stdlib.max lo base)
+  in
+  if lo >= hi then None else chunk (lo / chunk_frames)
+
+(* {2 Content-tag runs} *)
+
+(* Drop every tag in [lo, hi), trimming runs that stick out of it. *)
+let clear_tags t lo hi =
+  let tags =
+    match Runs.find_last_opt (fun s -> s < lo) t.tags with
+    | Some (s, (e, v)) when e > lo ->
+      let tags = Runs.add s (lo, v) t.tags in
+      if e > hi then Runs.add hi (e, v) tags else tags
+    | Some _ | None -> t.tags
+  in
+  let rec drop tags seq =
+    match seq () with
+    | Seq.Cons ((s, (e, v)), rest) when s < hi ->
+      let tags = Runs.remove s tags in
+      let tags = if e > hi then Runs.add hi (e, v) tags else tags in
+      drop tags rest
+    | Seq.Cons _ | Seq.Nil -> tags
+  in
+  t.tags <- drop tags (Runs.to_seq_from lo tags)
+
+let set_tags t lo hi v =
+  clear_tags t lo hi;
+  t.tags <- Runs.add lo (hi, v) t.tags
+
+let tag_of t frame =
+  match Runs.find_last_opt (fun s -> s <= frame) t.tags with
+  | Some (_, (e, v)) when frame < e -> Some v
+  | Some _ | None -> None
+
+(* The runs overlapping [lo, hi), clipped to it, ascending. *)
+let runs_within t lo hi =
+  let first =
+    match Runs.find_last_opt (fun s -> s < lo) t.tags with
+    | Some (_, (e, v)) when e > lo -> [ (lo, Stdlib.min e hi, v) ]
+    | Some _ | None -> []
+  in
+  let rec collect acc seq =
+    match seq () with
+    | Seq.Cons ((s, (e, v)), rest) when s < hi ->
+      collect ((s, Stdlib.min e hi, v) :: acc) rest
+    | Seq.Cons _ | Seq.Nil -> List.rev acc
+  in
+  first @ collect [] (Runs.to_seq_from lo t.tags)
 
 (* Take a whole fresh chunk as one fully-allocated extent. *)
 let take_full_chunk t =
@@ -146,12 +219,6 @@ let alloc_frames t ?align n =
     (fun (start, len) -> List.init len (fun i -> Frame.Mfn.add start i))
     extents
 
-let iter_extent f start len =
-  let base = Frame.Mfn.to_int start in
-  for i = 0 to len - 1 do
-    f (base + i)
-  done
-
 (* Demote a full chunk to partial with every frame allocated. *)
 let demote_full t chunk =
   Hashtbl.remove t.full chunk;
@@ -163,15 +230,13 @@ let demote_full t chunk =
 let release_full_chunk t chunk =
   Hashtbl.remove t.full chunk;
   let base = chunk * chunk_frames in
-  for off = 0 to chunk_frames - 1 do
-    Hashtbl.remove t.contents (base + off)
-  done;
+  clear_tags t base (base + chunk_frames);
   t.free_chunks <- chunk :: t.free_chunks;
   t.free_count <- t.free_count + chunk_frames
 
 let free_partial_frame t frame =
   Hashtbl.remove t.palloc frame;
-  Hashtbl.remove t.contents frame;
+  clear_tags t frame (frame + 1);
   t.free_count <- t.free_count + 1;
   let chunk = frame / chunk_frames and off = frame mod chunk_frames in
   let offsets = Option.value ~default:[] (Hashtbl.find_opt t.partial_free chunk) in
@@ -182,16 +247,24 @@ let free_partial_frame t frame =
   end
   else Hashtbl.replace t.partial_free chunk offsets
 
+let check_allocated t ~what start len =
+  let lo = Frame.Mfn.to_int start in
+  if first_unallocated t lo (lo + len) <> None then
+    invalid_arg (what ^ ": frame not allocated")
+
 let free_extent t start len =
   if len <= 0 then invalid_arg "Pmem.free_extent: non-positive length";
-  iter_extent
-    (fun frame ->
-      if not (is_allocated t (Frame.Mfn.of_int frame)) then
-        invalid_arg "Pmem.free_extent: frame not allocated";
-      if Hashtbl.mem t.reserved frame then
-        invalid_arg "Pmem.free_extent: frame is reserved")
-    start len;
   let base = Frame.Mfn.to_int start in
+  (* Report whichever problem comes first in address order. *)
+  (match
+     ( first_unallocated t base (base + len),
+       Extent_set.first_mem t.reserved start len )
+   with
+  | Some u, Some r when Frame.Mfn.to_int r < u ->
+    invalid_arg "Pmem.free_extent: frame is reserved"
+  | Some _, _ -> invalid_arg "Pmem.free_extent: frame not allocated"
+  | None, Some _ -> invalid_arg "Pmem.free_extent: frame is reserved"
+  | None, None -> ());
   (* Fast path: whole aligned chunks. *)
   let i = ref 0 in
   while !i < len do
@@ -211,84 +284,91 @@ let free_extent t start len =
   done
 
 let reserve_extent t start len =
-  iter_extent
-    (fun frame ->
-      if not (is_allocated t (Frame.Mfn.of_int frame)) then
-        invalid_arg "Pmem.reserve_extent: frame not allocated")
-    start len;
-  iter_extent (fun frame -> Hashtbl.replace t.reserved frame ()) start len
+  check_allocated t ~what:"Pmem.reserve_extent" start len;
+  t.reserved <- Extent_set.add t.reserved start len
 
 let unreserve_extent t start len =
-  iter_extent (fun frame -> Hashtbl.remove t.reserved frame) start len
+  t.reserved <- Extent_set.remove t.reserved start len
 
-let is_reserved t mfn = Hashtbl.mem t.reserved (Frame.Mfn.to_int mfn)
+let is_reserved t mfn = Extent_set.mem t.reserved mfn
 
 let write t mfn v =
   let frame = Frame.Mfn.to_int mfn in
   if not (is_allocated t mfn) then
     invalid_arg "Pmem.write: frame not allocated";
-  Hashtbl.replace t.contents frame v
+  set_tags t frame (frame + 1) v
 
-let read t mfn = Hashtbl.find_opt t.contents (Frame.Mfn.to_int mfn)
+let fill t start len v =
+  check_allocated t ~what:"Pmem.fill" start len;
+  let lo = Frame.Mfn.to_int start in
+  if len > 0 then set_tags t lo (lo + len) v
+
+let read t mfn = tag_of t (Frame.Mfn.to_int mfn)
+
+let uniform t start len =
+  let lo = Frame.Mfn.to_int start in
+  let hi = lo + len in
+  let rec go next v = function
+    | [] -> if next = hi then Some v else None
+    | (s, e, v') :: rest ->
+      if s = next && Int64.equal v v' then go e v rest else None
+  in
+  match runs_within t lo hi with
+  | (s, e, v) :: rest when s = lo -> go e v rest
+  | _ -> None
 
 let wipe_unpreserved t ~preserve =
-  let victims = ref [] in
-  Hashtbl.iter
-    (fun frame _ ->
-      let mfn = Frame.Mfn.of_int frame in
-      if (not (Hashtbl.mem t.reserved frame)) && not (preserve mfn) then
-        victims := frame :: !victims)
-    t.contents;
-  List.iter (Hashtbl.remove t.contents) !victims;
-  List.length !victims
+  (* Victims as [lo, hi) ranges, so a scrubbed run is dropped in one go. *)
+  let victims = ref [] and wiped = ref 0 in
+  Runs.iter
+    (fun s (e, _) ->
+      for frame = s to e - 1 do
+        let mfn = Frame.Mfn.of_int frame in
+        if (not (Extent_set.mem t.reserved mfn)) && not (preserve mfn) then begin
+          incr wiped;
+          match !victims with
+          | (lo, hi) :: rest when hi = frame -> victims := (lo, hi + 1) :: rest
+          | l -> victims := (frame, frame + 1) :: l
+        end
+      done)
+    t.tags;
+  List.iter (fun (lo, hi) -> clear_tags t lo hi) !victims;
+  !wiped
 
-let reboot_reset t ~preserve =
+let reboot_reset t ~preserved =
+  let keep = Extent_set.union t.reserved preserved in
+  let kept frame = Extent_set.mem keep (Frame.Mfn.of_int frame) in
   let reclaimed = ref 0 in
-  (* Full chunks: release wholesale when every frame is expendable. *)
+  (* Full chunks, one range query each: release wholesale when nothing
+     in the chunk is kept, leave it alone when everything is, and go
+     frame by frame only through a chunk the kept set straddles. *)
   let full_chunks = Hashtbl.fold (fun c () acc -> c :: acc) t.full [] in
   List.iter
     (fun chunk ->
       let base = chunk * chunk_frames in
-      let keep = ref false in
-      let off = ref 0 in
-      while (not !keep) && !off < chunk_frames do
-        let frame = base + !off in
-        if Hashtbl.mem t.reserved frame || preserve (Frame.Mfn.of_int frame)
-        then keep := true;
-        incr off
-      done;
-      if not !keep then begin
+      let start = Frame.Mfn.of_int base in
+      if Extent_set.disjoint keep start chunk_frames then begin
         release_full_chunk t chunk;
         reclaimed := !reclaimed + chunk_frames
       end
-      else begin
-        (* Mixed chunk: reclaim frame by frame. *)
+      else if not (Extent_set.covers keep start chunk_frames) then begin
         let victims = ref [] in
         for o = 0 to chunk_frames - 1 do
-          let frame = base + o in
-          if
-            (not (Hashtbl.mem t.reserved frame))
-            && not (preserve (Frame.Mfn.of_int frame))
-          then victims := frame :: !victims
+          if not (kept (base + o)) then victims := (base + o) :: !victims
         done;
-        if !victims <> [] then begin
-          demote_full t chunk;
-          List.iter
-            (fun frame ->
-              free_partial_frame t frame;
-              incr reclaimed)
-            !victims
-        end
+        demote_full t chunk;
+        List.iter
+          (fun frame ->
+            free_partial_frame t frame;
+            incr reclaimed)
+          !victims
       end)
     full_chunks;
   (* Frames in partial chunks. *)
   let part = Hashtbl.fold (fun frame () acc -> frame :: acc) t.palloc [] in
   List.iter
     (fun frame ->
-      if
-        (not (Hashtbl.mem t.reserved frame))
-        && not (preserve (Frame.Mfn.of_int frame))
-      then begin
+      if not (kept frame) then begin
         free_partial_frame t frame;
         incr reclaimed
       end)
@@ -306,18 +386,27 @@ let iter_allocated t f =
   List.iter
     (fun chunk ->
       let base = chunk * chunk_frames in
-      for off = 0 to chunk_frames - 1 do
-        let frame = base + off in
-        f (Frame.Mfn.of_int frame) (Hashtbl.find_opt t.contents frame)
-      done)
+      let next = ref base in
+      let untagged_until stop =
+        for frame = !next to stop - 1 do
+          f (Frame.Mfn.of_int frame) None
+        done
+      in
+      List.iter
+        (fun (s, e, v) ->
+          untagged_until s;
+          for frame = s to e - 1 do
+            f (Frame.Mfn.of_int frame) (Some v)
+          done;
+          next := e)
+        (runs_within t base (base + chunk_frames));
+      untagged_until (base + chunk_frames))
     full_chunks;
   let part =
     List.sort Int.compare (Hashtbl.fold (fun fr () acc -> fr :: acc) t.palloc [])
   in
-  List.iter
-    (fun frame -> f (Frame.Mfn.of_int frame) (Hashtbl.find_opt t.contents frame))
-    part
+  List.iter (fun frame -> f (Frame.Mfn.of_int frame) (tag_of t frame)) part
 
 let pp_usage fmt t =
   Format.fprintf fmt "frames: %d total, %d used, %d free, %d reserved"
-    t.total_frames (used_frames t) t.free_count (Hashtbl.length t.reserved)
+    t.total_frames (used_frames t) t.free_count (Extent_set.cardinal t.reserved)

@@ -18,9 +18,7 @@ let load ~pmem ~kernel ~size ~cmdline =
   let stamp = stamp_of kernel in
   List.iter
     (fun (start, len) ->
-      for i = 0 to len - 1 do
-        Hw.Pmem.write pmem (Hw.Frame.Mfn.add start i) stamp
-      done;
+      Hw.Pmem.fill pmem start len stamp;
       Hw.Pmem.reserve_extent pmem start len)
     extents;
   { kernel; cmdline; extents; nframes; stamp }
@@ -55,18 +53,14 @@ let clobber ~pmem t =
 
 type jump_report = { frames_wiped : int; image_intact : bool }
 
-let execute ~pmem t ~preserve =
-  let frames_wiped = Hw.Pmem.reboot_reset pmem ~preserve in
+let execute ~pmem t ~preserved =
+  let frames_wiped = Hw.Pmem.reboot_reset pmem ~preserved in
   let image_intact =
     List.for_all
       (fun (start, len) ->
-        let ok = ref true in
-        for i = 0 to len - 1 do
-          match Hw.Pmem.read pmem (Hw.Frame.Mfn.add start i) with
-          | Some tag when Int64.equal tag t.stamp -> ()
-          | Some _ | None -> ok := false
-        done;
-        !ok)
+        match Hw.Pmem.uniform pmem start len with
+        | Some tag -> Int64.equal tag t.stamp
+        | None -> false)
       t.extents
   in
   { frames_wiped; image_intact }

@@ -3,9 +3,9 @@
     The target hypervisor's binaries are staged into reserved RAM ahead
     of time (workflow step 1); the jump hands control to the new kernel
     without firmware re-initialisation, scrubbing all memory except the
-    staged image and the regions a preserve predicate (built from PRAM)
-    protects.  The PRAM pointer travels on the new kernel's command
-    line. *)
+    staged image and the preserved frame set PRAM describes.  The PRAM
+    pointer travels on the new kernel's command line.  The image is
+    stamped, reserved, checked and freed an extent at a time. *)
 
 type image
 
@@ -36,12 +36,14 @@ type jump_report = {
 }
 
 val execute :
-  pmem:Hw.Pmem.t -> image -> preserve:(Hw.Frame.Mfn.t -> bool) -> jump_report
-(** Perform the jump: scrub every allocated, unpreserved, unreserved
-    frame {e and} return it to the allocator.  After this, the old
-    hypervisor's HV State, NPTs and management structures are gone —
-    only reserved regions (staged image, PRAM metadata) and preserved
-    regions (guest memory) survive. *)
+  pmem:Hw.Pmem.t -> image -> preserved:Hw.Extent_set.t -> jump_report
+(** Perform the jump: scrub every allocated frame that is neither
+    reserved nor in [preserved] (typically [Pram.Build.preserved])
+    {e and} return it to the allocator ({!Hw.Pmem.reboot_reset}).  After
+    this, the old hypervisor's HV State, NPTs and management structures
+    are gone — only reserved regions (staged image, PRAM metadata) and
+    preserved regions (guest memory) survive.  The image check reads one
+    tag run per image extent. *)
 
 val unload : pmem:Hw.Pmem.t -> image -> unit
 (** Free the staged image (after the new kernel has relocated itself). *)

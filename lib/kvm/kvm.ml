@@ -33,10 +33,7 @@ let host_heap_frames = Hw.Units.frames_of_bytes (Hw.Units.mib 32)
 let boot ~machine ~pmem ~rng:_ =
   let host_heap = Hw.Pmem.alloc_extents pmem host_heap_frames in
   List.iter
-    (fun (start, len) ->
-      for i = 0 to len - 1 do
-        Hw.Pmem.write pmem (Hw.Frame.Mfn.add start i) 0x4C494E55585F4850L
-      done)
+    (fun (start, len) -> Hw.Pmem.fill pmem start len 0x4C494E55585F4850L)
     host_heap;
   {
     machine;

@@ -12,6 +12,7 @@ type image = {
   built_files : file list;
   file_mfns : Hw.Frame.Mfn.t list; (* file-info page per VM, build order *)
   acct : Layout.accounting;
+  preserved : Hw.Extent_set.t Lazy.t; (* guest entries and metadata pages *)
 }
 
 let sentinel = 0x5052414D5F4D4554L (* "PRAM_MET" *)
@@ -149,6 +150,7 @@ let build ~pmem ~granularity vms =
       built_files;
       file_mfns = [];
       acct;
+      preserved = lazy Hw.Extent_set.empty;
     }
   in
   let file_mfns = List.map (write_file_info image pmem) built_files in
@@ -163,7 +165,18 @@ let build ~pmem ~granularity vms =
       (fun frame _ acc -> (Hw.Frame.Mfn.of_int frame, 1) :: acc)
       image.pages []
   in
-  { image with pointer; extents; file_mfns }
+  (* Sorted on first use, at the micro-reboot, not while VMs wait. *)
+  let preserved =
+    lazy
+      (Hw.Extent_set.of_extents
+         (List.fold_left
+            (fun acc f ->
+              List.fold_left
+                (fun acc e -> (e.Entry.mfn, Entry.frames e) :: acc)
+                acc f.entries)
+            extents built_files))
+  in
+  { image with pointer; extents; file_mfns; preserved }
 
 let pointer_mfn image = image.pointer
 let files image = image.built_files
@@ -187,37 +200,11 @@ let metadata_extents image = image.extents
 let page_content image mfn =
   Hashtbl.find_opt image.pages (Hw.Frame.Mfn.to_int mfn)
 
-let preserve_predicate image =
-  (* Binary search over sorted (start, stop) extents: the predicate runs
-     once per allocated frame during the micro-reboot, so it must be
-     cheap even for multi-GiB guests. *)
-  let ranges =
-    List.concat_map
-      (fun f ->
-        List.map
-          (fun e ->
-            let base = Hw.Frame.Mfn.to_int e.Entry.mfn in
-            (base, base + Entry.frames e))
-          f.entries)
-      image.built_files
-  in
-  let ranges = Array.of_list ranges in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) ranges;
-  let in_guest frame =
-    let lo = ref 0 and hi = ref (Array.length ranges - 1) in
-    let found = ref false in
-    while (not !found) && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let start, stop = ranges.(mid) in
-      if frame < start then hi := mid - 1
-      else if frame >= stop then lo := mid + 1
-      else found := true
-    done;
-    !found
-  in
-  fun mfn ->
-    let frame = Hw.Frame.Mfn.to_int mfn in
-    Hashtbl.mem image.pages frame || in_guest frame
+let preserved image = Lazy.force image.preserved
+
+(* One binary search per call, for callers that ask frame by frame
+   (the per-frame scrub in [Hw.Pmem.wipe_unpreserved]). *)
+let preserve_predicate image = Hw.Extent_set.mem (preserved image)
 
 let release image ~pmem =
   List.iter

@@ -56,9 +56,14 @@ val page_content : image -> Hw.Frame.Mfn.t -> bytes option
 (** Read a metadata page out of the in-RAM image (what a parser running
     after kexec sees). *)
 
+val preserved : image -> Hw.Extent_set.t
+(** The frames the micro-reboot must not scrub, coalesced: metadata
+    pages and every guest frame covered by an entry.  What
+    {!Hw.Pmem.reboot_reset}, [Kexec.execute] and
+    [Uisr.Codec.decode_verified] take. *)
+
 val preserve_predicate : image -> Hw.Frame.Mfn.t -> bool
-(** True for frames the micro-reboot must not scrub: metadata pages and
-    every guest frame covered by an entry. *)
+(** Membership in {!preserved}, one binary search per frame. *)
 
 val release : image -> pmem:Hw.Pmem.t -> unit
 (** Step 7 of the workflow: free the metadata pages once VMs run again

@@ -494,7 +494,7 @@ let singleton_present p tag =
   || (tag = tag_devices && p.p_devices <> None)
   || (tag = tag_memmap && p.p_memmap <> None)
 
-let decode_verified_v2 ?frame_ok ~outer_ok body =
+let decode_verified_v2 ?preserved ~outer_ok body =
   let blen = Bytes.length body in
   let flags = Bytes.get_uint8 body 6 in
   let has_crc = flags land flag_section_crcs <> 0 in
@@ -609,11 +609,11 @@ let decode_verified_v2 ?frame_ok ~outer_ok body =
       Integrity.rejected ~section:"envelope" ~sections_total:!total
         ~sections_ok:!ok "mandatory section missing")
   | Some state ->
-    let semantic_diags = Integrity.validate ?frame_ok state in
+    let semantic_diags = Integrity.validate ?preserved state in
     Integrity.verdict_of ~outer_ok ~scan_diags ~semantic_diags ~state
       ~sections_total:!total ~sections_ok:!ok
 
-let decode_verified ?frame_ok blob =
+let decode_verified ?preserved blob =
   let len = Bytes.length blob in
   let reject ?offset ~section reason =
     Integrity.rejected ?offset ~section ~sections_total:0 ~sections_ok:0 reason
@@ -650,7 +650,7 @@ let decode_verified ?frame_ok blob =
               reject ~section:"envelope" (Format.asprintf "%a" pp_error e)
             | Ok state ->
               let sections = 5 + List.length state.Vm_state.vcpus in
-              let semantic_diags = Integrity.validate ?frame_ok state in
+              let semantic_diags = Integrity.validate ?preserved state in
               Integrity.verdict_of ~outer_ok:true ~scan_diags:[]
                 ~semantic_diags ~state ~sections_total:sections
                 ~sections_ok:sections
@@ -658,7 +658,7 @@ let decode_verified ?frame_ok blob =
         else if version = format_version then begin
           if Bytes.length body < 7 then
             reject ~section:"envelope" "v2 blob truncated before flags"
-          else decode_verified_v2 ?frame_ok ~outer_ok body
+          else decode_verified_v2 ?preserved ~outer_ok body
         end
         else
           reject ~offset:4 ~section:"envelope"

@@ -60,12 +60,13 @@ val decode : bytes -> (Vm_state.t, error) result
     {!legacy_format_version}. *)
 
 val decode_verified :
-  ?frame_ok:(Hw.Frame.Mfn.t -> bool) -> bytes -> Integrity.report
+  ?preserved:Hw.Extent_set.t -> bytes -> Integrity.report
 (** The salvage decoder.  Classifies the blob (see {!Integrity.verdict})
     and returns decoded state whenever the VM can still resume.  Never
-    raises.  [frame_ok] (typically [Pram.Build.preserve_predicate])
-    lets the semantic pass check that every mapped machine frame
-    survives in the PRAM-preserved frame map. *)
+    raises.  [preserved] (typically [Pram.Build.preserved]) lets the
+    semantic pass check that every mapped machine frame survives in the
+    PRAM-preserved frame map; a memory-map entry with a frame outside
+    it rejects the blob, naming that entry's first uncovered frame. *)
 
 val corrupt : bytes -> bytes
 (** A copy of the blob with one payload byte flipped, leaving the

@@ -311,7 +311,7 @@ let validate_devices t acc =
            acc)
     acc t.Vm_state.devices
 
-let validate_memmap ?frame_ok t acc =
+let validate_memmap ?preserved t acc =
   let section = "memmap" in
   let entries = t.Vm_state.memmap in
   let acc =
@@ -356,23 +356,19 @@ let validate_memmap ?frame_ok t acc =
       :: acc
     else acc
   in
-  match frame_ok with
+  match preserved with
   | None -> acc
-  | Some ok ->
+  | Some set ->
+    (* One range query per entry, naming the first uncovered frame. *)
     List.fold_left
       (fun acc (e : Vm_state.memmap_entry) ->
-        let rec check i =
-          if i >= e.frames then None
-          else if not (ok (Hw.Frame.Mfn.add e.mfn i)) then Some i
-          else check (i + 1)
-        in
-        match check 0 with
+        match Hw.Extent_set.first_absent set e.mfn e.frames with
         | None -> acc
-        | Some i ->
+        | Some mfn ->
           diag ~section ~fatal:true
             (Printf.sprintf
                "mfn %d not resolvable in the PRAM-preserved frame map"
-               (Hw.Frame.Mfn.to_int (Hw.Frame.Mfn.add e.mfn i)))
+               (Hw.Frame.Mfn.to_int mfn))
           :: acc)
       acc entries
 
@@ -387,14 +383,14 @@ let validate_vm_info t acc =
     diag ~section ~fatal:true "non-positive RAM size" :: acc
   else acc
 
-let validate ?frame_ok (t : Vm_state.t) =
+let validate ?preserved (t : Vm_state.t) =
   []
   |> validate_vm_info t
   |> validate_vcpus t
   |> validate_ioapic t.ioapic
   |> validate_pit t.pit
   |> validate_devices t
-  |> validate_memmap ?frame_ok t
+  |> validate_memmap ?preserved t
   |> List.rev
 
 let verdict_of ~outer_ok ~scan_diags ~semantic_diags ~state ~sections_total

@@ -45,14 +45,16 @@ val default_ioapic : pins:int -> Vmstate.Ioapic.t
 (** All-masked IOAPIC substituted when the IOAPIC section is damaged. *)
 
 val validate :
-  ?frame_ok:(Hw.Frame.Mfn.t -> bool) -> Vm_state.t -> diagnostic list
+  ?preserved:Hw.Extent_set.t -> Vm_state.t -> diagnostic list
 (** The semantic validator: LAPIC vector-range and register-shape rules,
     MTRR count/type/overlap rules, XSAVE area bounds against
     [Xsave.component_words], virtqueue index sanity via
     [Virtqueue.of_words], device uniqueness/unplug consistency, memory
-    map power-of-two/coverage/overlap rules, and (when [frame_ok] is
-    given, typically [Pram.Build.preserve_predicate]) that every mapped
-    machine frame is resolvable in the PRAM-preserved frame map.
+    map power-of-two/coverage/overlap rules, and (when [preserved] is
+    given, typically [Pram.Build.preserved]) that every mapped machine
+    frame is resolvable in the PRAM-preserved frame map: one range
+    query per memory-map entry, naming the entry's first uncovered
+    frame.
     Pristine states produced by the hypervisors' [to_uisr] pass with
     zero diagnostics. *)
 

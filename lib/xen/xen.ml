@@ -42,10 +42,7 @@ let hv_heap_frames = Hw.Units.frames_of_bytes (Hw.Units.mib 48)
 let boot ~machine ~pmem ~rng:_ =
   let hv_heap = Hw.Pmem.alloc_extents pmem hv_heap_frames in
   List.iter
-    (fun (start, len) ->
-      for i = 0 to len - 1 do
-        Hw.Pmem.write pmem (Hw.Frame.Mfn.add start i) 0x58454E5F48454150L
-      done)
+    (fun (start, len) -> Hw.Pmem.fill pmem start len 0x58454E5F48454150L)
     hv_heap;
   {
     machine;

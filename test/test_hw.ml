@@ -39,6 +39,50 @@ let test_frame_typed () =
     (Invalid_argument "gfn.of_int: negative") (fun () ->
       ignore (Hw.Frame.Gfn.of_int (-1)))
 
+(* --- Extent_set --- *)
+
+(* Set operations and range queries against a bitmap over a small
+   frame space. *)
+let prop_extent_set_matches_bitmap =
+  let space = 200 in
+  let extent = QCheck.(pair (int_range 0 (space - 1)) (int_range 0 40)) in
+  QCheck.Test.make ~count:300 ~name:"extent set agrees with a bitmap"
+    QCheck.(
+      triple (list_of_size (Gen.int_range 0 8) extent)
+        (list_of_size (Gen.int_range 0 4) (pair bool extent))
+        extent)
+    (fun (base, edits, (qlo, qlen)) ->
+      let mfn = Hw.Frame.Mfn.of_int in
+      let bits = Array.make (space + 64) false in
+      let set_bits v (a, l) = for f = a to a + l - 1 do bits.(f) <- v done in
+      List.iter (set_bits true) base;
+      let s = Hw.Extent_set.of_extents (List.map (fun (a, l) -> (mfn a, l)) base) in
+      let s =
+        List.fold_left
+          (fun s (add, (a, l)) ->
+            set_bits add (a, l);
+            if add then Hw.Extent_set.add s (mfn a) l
+            else Hw.Extent_set.remove s (mfn a) l)
+          s edits
+      in
+      let frames = List.init (Array.length bits) Fun.id in
+      let members = List.filter (fun f -> bits.(f)) frames in
+      let in_query = List.filter (fun f -> f >= qlo && f < qlo + qlen) frames in
+      let first p = Option.map mfn (List.find_opt p in_query) in
+      (* Maximal extents: non-empty, ascending, no two touching. *)
+      let rec maximal = function
+        | (a, l) :: ((b, _) :: _ as rest) ->
+          l > 0 && Hw.Frame.Mfn.to_int a + l < Hw.Frame.Mfn.to_int b && maximal rest
+        | [ (_, l) ] -> l > 0
+        | [] -> true
+      in
+      List.for_all (fun f -> Hw.Extent_set.mem s (mfn f) = bits.(f)) frames
+      && Hw.Extent_set.cardinal s = List.length members
+      && Hw.Extent_set.first_mem s (mfn qlo) qlen = first (fun f -> bits.(f))
+      && Hw.Extent_set.first_absent s (mfn qlo) qlen = first (fun f -> not bits.(f))
+      && maximal (Hw.Extent_set.extents s)
+      && Hw.Extent_set.union s s = s)
+
 (* --- Pmem --- *)
 
 let mk_pmem ?(frames = 512 * 64) () = Hw.Pmem.create ~frames ()
@@ -90,6 +134,27 @@ let test_pmem_contents () =
   Alcotest.check (Alcotest.option Alcotest.int64) "written" (Some 0xDEADL)
     (Hw.Pmem.read p mfn)
 
+let test_pmem_fill_and_uniform () =
+  let p = mk_pmem () in
+  let start, len = List.hd (Hw.Pmem.alloc_extents p 64) in
+  let some = Alcotest.(check (option int64)) in
+  some "untagged extent" None (Hw.Pmem.uniform p start len);
+  Hw.Pmem.fill p start len 5L;
+  some "filled" (Some 5L) (Hw.Pmem.uniform p start len);
+  some "frame of the fill" (Some 5L) (Hw.Pmem.read p (Hw.Frame.Mfn.add start 9));
+  Hw.Pmem.write p (Hw.Frame.Mfn.add start 9) 6L;
+  some "override reads back" (Some 6L) (Hw.Pmem.read p (Hw.Frame.Mfn.add start 9));
+  some "override breaks uniformity" None (Hw.Pmem.uniform p start len);
+  some "prefix still uniform" (Some 5L) (Hw.Pmem.uniform p start 9);
+  Hw.Pmem.write p (Hw.Frame.Mfn.add start 9) 5L;
+  some "same tag restores it" (Some 5L) (Hw.Pmem.uniform p start len);
+  Hw.Pmem.fill p (Hw.Frame.Mfn.add start 10) 4 7L;
+  some "a later fill overrides" (Some 7L) (Hw.Pmem.read p (Hw.Frame.Mfn.add start 12));
+  some "beyond it the old fill" (Some 5L) (Hw.Pmem.read p (Hw.Frame.Mfn.add start 14));
+  Alcotest.check_raises "fill of unallocated frames"
+    (Invalid_argument "Pmem.fill: frame not allocated") (fun () ->
+      Hw.Pmem.fill p (Hw.Frame.Mfn.add start len) 1 1L)
+
 let test_pmem_write_unallocated () =
   let p = mk_pmem () in
   Alcotest.check_raises "unallocated write"
@@ -139,10 +204,9 @@ let test_pmem_reboot_reset () =
   let doomed = Hw.Pmem.alloc_frames p 16 in
   List.iter (fun m -> Hw.Pmem.write p m 7L) (preserved @ reserved @ doomed);
   List.iter (fun m -> Hw.Pmem.reserve_extent p m 1) reserved;
-  let pset = List.map Hw.Frame.Mfn.to_int preserved in
   let reclaimed =
-    Hw.Pmem.reboot_reset p ~preserve:(fun m ->
-        List.mem (Hw.Frame.Mfn.to_int m) pset)
+    Hw.Pmem.reboot_reset p
+      ~preserved:(Hw.Extent_set.of_extents (List.map (fun m -> (m, 1)) preserved))
   in
   checki "reclaimed only the doomed" 16 reclaimed;
   List.iter
@@ -231,6 +295,172 @@ let prop_pmem_alloc_free_idempotent =
         all;
       Hw.Pmem.free_frames p = before)
 
+(* Differential property: the extent-granular pmem against a naive
+   per-frame model.  The model mirrors every allocation the pool hands
+   out, keeps one tag and one reserved bit per frame, and scrubs frame
+   by frame.  Random schedules of alloc / write / fill / reserve /
+   unreserve / free interleave with reboots and wipes under random
+   preserved extent sets; afterwards every observable must agree. *)
+module Model = struct
+  type t = {
+    alloc : (int, unit) Hashtbl.t;
+    tags : (int, int64) Hashtbl.t;
+    reserved : (int, unit) Hashtbl.t;
+  }
+
+  let create () =
+    { alloc = Hashtbl.create 64; tags = Hashtbl.create 64; reserved = Hashtbl.create 64 }
+
+  let frames start len = List.init len (fun i -> Hw.Frame.Mfn.to_int start + i)
+
+  let scrub m ~kept ~free =
+    let victims =
+      Hashtbl.fold
+        (fun f () acc ->
+          if Hashtbl.mem m.reserved f || kept f then acc
+          else if free || Hashtbl.mem m.tags f then f :: acc
+          else acc)
+        m.alloc []
+    in
+    List.iter
+      (fun f ->
+        Hashtbl.remove m.tags f;
+        if free then Hashtbl.remove m.alloc f)
+      victims;
+    List.length victims
+end
+
+let prop_pmem_matches_frame_model =
+  let total = 512 * 16 in
+  QCheck.Test.make ~count:150 ~name:"extent pmem agrees with a per-frame model"
+    QCheck.(
+      list_of_size (Gen.int_range 1 40)
+        (triple (int_range 0 9) (int_range 0 100_000) (int_range 0 100_000)))
+    (fun ops ->
+      let p = Hw.Pmem.create ~seed:7L ~frames:total () in
+      let m = Model.create () in
+      let live = ref [] in (* (start, len, reserved) *)
+      let ok = ref true in
+      let fail () = ok := false in
+      let nth_live a = List.nth_opt !live (a mod Stdlib.max 1 (List.length !live)) in
+      let preserved_set a b =
+        let picked =
+          List.filteri (fun i _ -> (a lsr (i mod 16)) land 1 = 1) !live
+          |> List.map (fun (s, l, _) -> (s, l))
+        in
+        (* A random range and a half-chunk: the straddling cases. *)
+        let lo = b mod total in
+        let extra =
+          [ (Hw.Frame.Mfn.of_int lo, Stdlib.min (total - lo) (a mod 1500));
+            (Hw.Frame.Mfn.of_int (b mod 16 * 512), 256) ]
+        in
+        picked @ extra
+      in
+      List.iter
+        (fun (kind, a, b) ->
+          match kind with
+          | 0 | 1 -> (
+            let align = List.nth [ 1; 2; 8; 512 ] (b mod 4) in
+            match Hw.Pmem.alloc_extents p ~align (1 + (a mod 900)) with
+            | extents ->
+              List.iter
+                (fun (s, l) ->
+                  List.iter
+                    (fun f ->
+                      if Hashtbl.mem m.Model.alloc f then fail ();
+                      Hashtbl.replace m.Model.alloc f ())
+                    (Model.frames s l);
+                  live := (s, l, false) :: !live)
+                extents
+            | exception Hw.Pmem.Out_of_memory -> ())
+          | 2 -> (
+            match nth_live a with
+            | Some (s, l, _) ->
+              let mfn = Hw.Frame.Mfn.add s (b mod l) in
+              let v = Int64.of_int (a * 31 + b) in
+              Hw.Pmem.write p mfn v;
+              Hashtbl.replace m.Model.tags (Hw.Frame.Mfn.to_int mfn) v
+            | None -> ())
+          | 3 -> (
+            match nth_live a with
+            | Some (s, l, _) ->
+              let off = b mod l in
+              let len = 1 + (a mod (l - off)) in
+              let v = Int64.of_int b in
+              Hw.Pmem.fill p (Hw.Frame.Mfn.add s off) len v;
+              List.iter
+                (fun f -> Hashtbl.replace m.Model.tags f v)
+                (Model.frames (Hw.Frame.Mfn.add s off) len)
+            | None -> ())
+          | 4 -> (
+            match nth_live a with
+            | Some ((s, l, false) as e) ->
+              Hw.Pmem.reserve_extent p s l;
+              List.iter (fun f -> Hashtbl.replace m.Model.reserved f ()) (Model.frames s l);
+              live := List.map (fun x -> if x == e then (s, l, true) else x) !live
+            | Some (_, _, true) | None -> ())
+          | 5 -> (
+            match nth_live a with
+            | Some ((s, l, true) as e) ->
+              Hw.Pmem.unreserve_extent p s l;
+              List.iter (Hashtbl.remove m.Model.reserved) (Model.frames s l);
+              live := List.map (fun x -> if x == e then (s, l, false) else x) !live
+            | Some (_, _, false) | None -> ())
+          | 6 | 7 -> (
+            match nth_live a with
+            | Some ((s, l, false) as e) ->
+              Hw.Pmem.free_extent p s l;
+              List.iter
+                (fun f ->
+                  Hashtbl.remove m.Model.alloc f;
+                  Hashtbl.remove m.Model.tags f)
+                (Model.frames s l);
+              live := List.filter (fun x -> x != e) !live
+            | Some (_, _, true) | None -> ())
+          | 8 ->
+            let set = Hw.Extent_set.of_extents (preserved_set a b) in
+            let kept f = Hw.Extent_set.mem set (Hw.Frame.Mfn.of_int f) in
+            let expect = Model.scrub m ~kept ~free:true in
+            if Hw.Pmem.reboot_reset p ~preserved:set <> expect then fail ();
+            (* Live extents now hold only surviving frames: re-derive
+               them as single frames from the model. *)
+            live :=
+              Hashtbl.fold
+                (fun f () acc ->
+                  (Hw.Frame.Mfn.of_int f, 1, Hashtbl.mem m.Model.reserved f) :: acc)
+                m.Model.alloc []
+              |> List.sort compare
+          | _ ->
+            let set = Hw.Extent_set.of_extents (preserved_set a b) in
+            let kept f = Hw.Extent_set.mem set (Hw.Frame.Mfn.of_int f) in
+            let expect = Model.scrub m ~kept ~free:false in
+            if Hw.Pmem.wipe_unpreserved p ~preserve:(Hw.Extent_set.mem set) <> expect
+            then fail ())
+        ops;
+      (* Every frame reads back the model's tag and allocation bit. *)
+      for f = 0 to total - 1 do
+        let mfn = Hw.Frame.Mfn.of_int f in
+        if Hw.Pmem.read p mfn <> Hashtbl.find_opt m.Model.tags f then fail ();
+        if Hw.Pmem.is_allocated p mfn <> Hashtbl.mem m.Model.alloc f then fail ();
+        if Hw.Pmem.is_reserved p mfn <> Hashtbl.mem m.Model.reserved f then fail ()
+      done;
+      (* The sweep visits each allocated frame once, with its tag. *)
+      let swept = ref [] in
+      Hw.Pmem.iter_allocated p (fun mfn tag ->
+          swept := (Hw.Frame.Mfn.to_int mfn, tag) :: !swept);
+      let expected =
+        Hashtbl.fold (fun f () acc -> (f, Hashtbl.find_opt m.Model.tags f) :: acc)
+          m.Model.alloc []
+      in
+      if List.sort compare !swept <> List.sort compare expected then fail ();
+      let used = Hashtbl.length m.Model.alloc in
+      let usage =
+        Printf.sprintf "frames: %d total, %d used, %d free, %d reserved" total used
+          (total - used) (Hashtbl.length m.Model.reserved)
+      in
+      if Format.asprintf "%a" Hw.Pmem.pp_usage p <> usage then fail ();
+      !ok)
+
 (* --- Golden pin: what a reboot reclaims and the allocation order after it --- *)
 
 let read_golden name =
@@ -302,9 +532,11 @@ let pmem_reboot_scenario seed =
   keep := List.map (fun m -> (m, 1)) (List.filteri (fun i _ -> i <> 2) meta) @ !keep;
   (p, !keep, rng)
 
-let render_pmem_reboot ~reboot seed =
+let render_pmem_reboot seed =
   let p, keep, rng = pmem_reboot_scenario seed in
-  let reclaimed = reboot p keep in
+  let reclaimed =
+    Hw.Pmem.reboot_reset p ~preserved:(Hw.Extent_set.of_extents keep)
+  in
   let digest = ref 0L and count = ref 0 in
   Hw.Pmem.iter_allocated p (fun mfn tag ->
       incr count;
@@ -330,21 +562,10 @@ let render_pmem_reboot ~reboot seed =
   done;
   Buffer.contents b
 
-let reboot_with_predicate p keep =
-  let frames = Hashtbl.create 4096 in
-  List.iter
-    (fun (s, l) ->
-      for i = 0 to l - 1 do
-        Hashtbl.replace frames (Hw.Frame.Mfn.to_int s + i) ()
-      done)
-    keep;
-  Hw.Pmem.reboot_reset p ~preserve:(fun m ->
-      Hashtbl.mem frames (Hw.Frame.Mfn.to_int m))
-
 let test_pmem_reboot_golden () =
   let got =
     String.concat ""
-      (List.map (render_pmem_reboot ~reboot:reboot_with_predicate) [ 1; 2; 3; 4 ])
+      (List.map render_pmem_reboot [ 1; 2; 3; 4 ])
   in
   Alcotest.check Alcotest.string "reclaim, survivors and next allocations"
     (read_golden "pmem_reboot.txt") got
@@ -395,6 +616,7 @@ let suites =
         Alcotest.test_case "float conversions" `Quick test_units_to_float;
       ] );
     ("hw.frame", [ Alcotest.test_case "typed frames" `Quick test_frame_typed ]);
+    ("hw.extent_set", [ qtest prop_extent_set_matches_bitmap ]);
     ( "hw.pmem",
       [
         Alcotest.test_case "alloc/free counts" `Quick test_pmem_alloc_free_counts;
@@ -402,6 +624,8 @@ let suites =
         Alcotest.test_case "no double allocation" `Quick test_pmem_no_overlap;
         Alcotest.test_case "out of memory" `Quick test_pmem_oom;
         Alcotest.test_case "content tags" `Quick test_pmem_contents;
+        Alcotest.test_case "fill, override and uniform" `Quick
+          test_pmem_fill_and_uniform;
         Alcotest.test_case "unallocated write rejected" `Quick
           test_pmem_write_unallocated;
         Alcotest.test_case "reservation protects" `Quick test_pmem_reserve_protects;
@@ -409,6 +633,7 @@ let suites =
         Alcotest.test_case "reboot reset reclaims" `Quick test_pmem_reboot_reset;
         qtest prop_pmem_alloc_free_idempotent;
         qtest prop_pmem_random_ops;
+        qtest prop_pmem_matches_frame_model;
         Alcotest.test_case "reboot golden pin" `Quick test_pmem_reboot_golden;
       ] );
     ( "hw.machine",

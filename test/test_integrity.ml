@@ -342,11 +342,76 @@ let test_new_fault_sites_parse () =
     ((not (Fault.pre_pnr Fault.Uisr_corrupt))
     && not (Fault.pre_pnr Fault.Pram_corrupt))
 
+(* --- the PRAM-preserved frame map check --- *)
+
+let memmap_extents (st : Uisr.Vm_state.t) =
+  List.map (fun (e : Uisr.Vm_state.memmap_entry) -> (e.mfn, e.frames)) st.memmap
+
+let test_memmap_uncovered_tail () =
+  let st = Lazy.force state in
+  (* Cover every entry but the last of the 2 MiB ones, whose tail half
+     is missing: the diagnostic names its first uncovered frame. *)
+  let victim =
+    List.fold_left
+      (fun acc (e : Uisr.Vm_state.memmap_entry) -> if e.frames >= 2 then Some e else acc)
+      None st.memmap
+    |> Option.get
+  in
+  let half = victim.frames / 2 in
+  let extents =
+    List.map
+      (fun (mfn, frames) -> if Hw.Frame.Mfn.equal mfn victim.mfn then (mfn, half) else (mfn, frames))
+      (memmap_extents st)
+  in
+  let preserved = Hw.Extent_set.of_extents extents in
+  match (Uisr.Codec.decode_verified ~preserved (Lazy.force blob)).Uisr.Integrity.verdict with
+  | Uisr.Integrity.Rejected d ->
+    Alcotest.check Alcotest.string "names the first uncovered mfn"
+      (Printf.sprintf "mfn %d not resolvable in the PRAM-preserved frame map"
+         (Hw.Frame.Mfn.to_int victim.mfn + half))
+      d.Uisr.Integrity.diag_reason;
+    Alcotest.check Alcotest.string "memmap section" "memmap"
+      d.Uisr.Integrity.diag_section
+  | v -> Alcotest.fail (Format.asprintf "expected rejection, got %a" Uisr.Integrity.pp_verdict v)
+
+let test_memmap_covered_intact () =
+  let st = Lazy.force state in
+  let intact name extents =
+    match
+      (Uisr.Codec.decode_verified ~preserved:(Hw.Extent_set.of_extents extents)
+         (Lazy.force blob)).Uisr.Integrity.verdict
+    with
+    | Uisr.Integrity.Intact -> ()
+    | v -> Alcotest.fail (Format.asprintf "%s: %a" name Uisr.Integrity.pp_verdict v)
+  in
+  intact "exactly the memory map" (memmap_extents st);
+  (* Every entry as two adjacent halves (or single frames), which the
+     set coalesces back into one extent. *)
+  intact "adjacent halves coalesce"
+    (List.concat_map
+       (fun (mfn, frames) ->
+         if frames < 2 then [ (mfn, frames) ]
+         else
+           let h = frames / 2 in
+           [ (Hw.Frame.Mfn.add mfn h, frames - h); (mfn, h) ])
+       (memmap_extents st));
+  (* And a superset: the whole address range the map touches. *)
+  let hi =
+    List.fold_left
+      (fun acc (mfn, frames) -> Stdlib.max acc (Hw.Frame.Mfn.to_int mfn + frames))
+      0 (memmap_extents st)
+  in
+  intact "one covering extent" [ (Hw.Frame.Mfn.of_int 0, hi) ]
+
 let suites =
   [
     ( "integrity.decoder",
       [
         Alcotest.test_case "pristine intact" `Quick test_pristine_intact;
+        Alcotest.test_case "memmap tail outside PRAM rejected" `Quick
+          test_memmap_uncovered_tail;
+        Alcotest.test_case "memmap covered by PRAM intact" `Quick
+          test_memmap_covered_intact;
         Alcotest.test_case "pit salvage" `Quick test_salvage_pit;
         Alcotest.test_case "fatal section rejected" `Quick
           test_fatal_section_rejected;

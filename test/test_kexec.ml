@@ -42,11 +42,8 @@ let test_execute_wipes_and_preserves () =
   List.iter (fun m -> Hw.Pmem.write pmem m 1L) keep;
   List.iter (fun m -> Hw.Pmem.write pmem m 2L) lose;
   let img = Kexec.load ~pmem ~kernel:"kvm" ~size:(Hw.Units.kib 64) ~cmdline:"" in
-  let keep_set = List.map Hw.Frame.Mfn.to_int keep in
-  let report =
-    Kexec.execute ~pmem img ~preserve:(fun m ->
-        List.mem (Hw.Frame.Mfn.to_int m) keep_set)
-  in
+  let preserved = Hw.Extent_set.of_extents (List.map (fun m -> (m, 1)) keep) in
+  let report = Kexec.execute ~pmem img ~preserved in
   checki "wiped the rest" 10 report.Kexec.frames_wiped;
   checkb "image intact" true report.Kexec.image_intact;
   List.iter
@@ -75,8 +72,22 @@ let test_execute_detects_image_clobber () =
     Option.get !found
   in
   Hw.Pmem.write pmem victim 0xBAD0BAD0L;
-  let report = Kexec.execute ~pmem img ~preserve:(fun _ -> false) in
+  let report = Kexec.execute ~pmem img ~preserved:Hw.Extent_set.empty in
   checkb "clobbered image detected" false report.Kexec.image_intact
+
+(* A stray write into the middle of an image extent is caught too: the
+   check walks every tag run of the extent, not only its first frame. *)
+let test_execute_detects_mid_extent_clobber () =
+  let pmem = mk_pmem () in
+  let img = Kexec.load ~pmem ~kernel:"kvm" ~size:(Hw.Units.kib 64) ~cmdline:"" in
+  let reserved = ref [] in
+  for f = Hw.Pmem.total_frames pmem - 1 downto 0 do
+    let m = Hw.Frame.Mfn.of_int f in
+    if Hw.Pmem.is_reserved pmem m then reserved := m :: !reserved
+  done;
+  Hw.Pmem.write pmem (List.nth !reserved 7) 0xBAD0BAD0L;
+  let report = Kexec.execute ~pmem img ~preserved:Hw.Extent_set.empty in
+  checkb "mid-extent clobber detected" false report.Kexec.image_intact
 
 let test_unload_frees () =
   let pmem = mk_pmem () in
@@ -89,7 +100,7 @@ let test_unload_frees () =
 let test_image_survives_own_jump () =
   let pmem = mk_pmem () in
   let img = Kexec.load ~pmem ~kernel:"xen" ~size:(Hw.Units.mib 4) ~cmdline:"" in
-  let report = Kexec.execute ~pmem img ~preserve:(fun _ -> false) in
+  let report = Kexec.execute ~pmem img ~preserved:Hw.Extent_set.empty in
   checkb "reserved image not wiped" true report.Kexec.image_intact
 
 let suites =
@@ -103,6 +114,8 @@ let suites =
           test_execute_wipes_and_preserves;
         Alcotest.test_case "image clobber detected" `Quick
           test_execute_detects_image_clobber;
+        Alcotest.test_case "mid-extent clobber detected" `Quick
+          test_execute_detects_mid_extent_clobber;
         Alcotest.test_case "unload frees" `Quick test_unload_frees;
         Alcotest.test_case "image survives its jump" `Quick
           test_image_survives_own_jump;

@@ -210,8 +210,7 @@ let test_granularity_size_difference () =
 
 let test_survives_reboot_reset () =
   let pmem, mems, image = build_setup () in
-  let preserve = Pram.Build.preserve_predicate image in
-  ignore (Hw.Pmem.reboot_reset pmem ~preserve);
+  ignore (Hw.Pmem.reboot_reset pmem ~preserved:(Pram.Build.preserved image));
   (match Pram.Parse.parse ~pmem ~image (Pram.Build.pointer_mfn image) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Format.asprintf "%a" Pram.Parse.pp_error e));

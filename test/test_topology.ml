@@ -218,6 +218,84 @@ let test_mode_identity_qcheck () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:20 ~name:"mode identity" gen prop)
 
+(* --- the fleet digest sees every config field --- *)
+
+(* Rewrite every region journal's config line, keeping its entries. *)
+let with_config fr cfg =
+  let swap j =
+    match String.split_on_char '\n' (C.journal_to_string j) with
+    | magic :: _ :: entries -> (
+      match
+        C.journal_of_string
+          (String.concat "\n" (magic :: C.config_to_line cfg :: entries))
+      with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "re-parse: %s" e)
+    | _ -> Alcotest.fail "journal without a config line"
+  in
+  { fr with C.f_journals = Array.map swap fr.C.f_journals }
+
+(* One single-field change per config field, in declaration order. *)
+let config_mutations : (C.config -> C.config) list =
+  [
+    (fun c -> { c with C.nodes = c.C.nodes + 1 });
+    (fun c -> { c with C.vms_per_node = c.C.vms_per_node + 1 });
+    (fun c -> { c with C.vm_ram = c.C.vm_ram + 4096 });
+    (fun c -> { c with C.node_ram = c.C.node_ram + 4096 });
+    (fun c -> { c with C.inplace_fraction = c.C.inplace_fraction +. 0.001 });
+    (fun c -> { c with C.concurrency = c.C.concurrency + 1 });
+    (fun c -> { c with C.straggler_factor = c.C.straggler_factor +. 0.01 });
+    (fun c -> { c with C.breaker_window = c.C.breaker_window + 1 });
+    (fun c -> { c with C.breaker_threshold = c.C.breaker_threshold +. 0.001 });
+    (fun c ->
+      { c with
+        C.breaker_cooldown = Sim.Time.add c.C.breaker_cooldown (Sim.Time.ns 1) });
+    (fun c -> { c with C.jitter_pct = c.C.jitter_pct +. 0.0001 });
+    (fun c -> { c with C.drain_flakiness = c.C.drain_flakiness +. 0.001 });
+    (fun c -> { c with C.retry_flakiness = c.C.retry_flakiness +. 0.001 });
+    (fun c -> { c with C.seed = Int64.succ c.C.seed });
+    (fun c -> { c with C.shadow_spares = c.C.shadow_spares + 1 });
+  ]
+
+let config_of_draws a =
+  {
+    C.nodes = 1 + a.(0);
+    vms_per_node = 1 + a.(1);
+    vm_ram = Hw.Units.gib 1 + (4096 * a.(2));
+    node_ram = Hw.Units.gib 64 + (4096 * a.(3));
+    inplace_fraction = float_of_int a.(4) /. 1000.0;
+    concurrency = 1 + a.(5);
+    straggler_factor = 1.2 +. (float_of_int a.(6) /. 100.0);
+    breaker_window = 1 + (a.(7) mod 61);
+    breaker_threshold = float_of_int a.(8) /. 1000.0;
+    breaker_cooldown = Sim.Time.ns (1000 * a.(9));
+    jitter_pct = float_of_int a.(10) /. 10000.0;
+    drain_flakiness = float_of_int a.(11) /. 1000.0;
+    retry_flakiness = float_of_int a.(12) /. 1000.0;
+    seed = Int64.of_int a.(13);
+    shadow_spares = a.(14) mod 8;
+  }
+
+let prop_digest_sees_every_config_field =
+  let base =
+    lazy
+      (C.run_fleet
+         ~topology:(T.uniform ~regions:2 ~hosts:8 ~vms_per_host:2 ())
+         C.default_config)
+  in
+  QCheck.Test.make ~count:200 ~name:"changing any one config field changes the digest"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (array int) int)
+       QCheck.Gen.(
+         pair
+           (array_size (return 15) (int_range 0 999))
+           (int_range 0 (List.length config_mutations - 1))))
+    (fun (draws, field) ->
+      let fr = Lazy.force base in
+      let cfg = config_of_draws draws in
+      let cfg' = (List.nth config_mutations field) cfg in
+      C.fleet_digest (with_config fr cfg) <> C.fleet_digest (with_config fr cfg'))
+
 let test_fleet_report_consistency () =
   let tp = T.make
       [ T.region ~name:"edge" ~hosts:30 ~vms_per_host:2 ();
@@ -267,6 +345,7 @@ let suites =
       [
         Alcotest.test_case "ctx sharding knob" `Quick test_ctx_sharding;
         Alcotest.test_case "mode strings" `Quick test_shard_mode_strings;
+        QCheck_alcotest.to_alcotest prop_digest_sees_every_config_field;
         Alcotest.test_case "fleet report consistency" `Quick
           test_fleet_report_consistency;
         Alcotest.test_case "mode identity (qcheck)" `Slow
