@@ -5,23 +5,25 @@ type t = { starts : int array; stops : int array }
 
 let empty = { starts = [||]; stops = [||] }
 
-(* Sort (start, stop) pairs and coalesce overlapping or adjacent ones. *)
-let of_ranges ranges =
-  let sorted =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      (List.filter (fun (a, b) -> a < b) ranges)
-  in
+let by_start (a, _) (b, _) = Int.compare a b
+
+(* Coalesce (start, stop) pairs sorted by start: overlapping or adjacent
+   ones merge, empty ones vanish. *)
+let coalesce sorted =
   let merged =
     List.fold_left
       (fun acc (a, b) ->
-        match acc with
-        | (a', b') :: rest when a <= b' -> (a', Stdlib.max b b') :: rest
-        | _ -> (a, b) :: acc)
+        if a >= b then acc
+        else
+          match acc with
+          | (a', b') :: rest when a <= b' -> (a', Stdlib.max b b') :: rest
+          | _ -> (a, b) :: acc)
       [] sorted
   in
   let merged = Array.of_list (List.rev merged) in
   { starts = Array.map fst merged; stops = Array.map snd merged }
 
+let of_ranges ranges = coalesce (List.sort by_start ranges)
 let ranges t = List.init (Array.length t.starts) (fun i -> (t.starts.(i), t.stops.(i)))
 
 let range_of start len =
@@ -29,15 +31,13 @@ let range_of start len =
   (a, a + len)
 
 let of_extents l = of_ranges (List.map (fun (s, len) -> range_of s len) l)
-let extents t = List.map (fun (a, b) -> (Frame.Mfn.of_int a, b - a)) (ranges t)
 
 let cardinal t =
   let n = ref 0 in
   Array.iteri (fun i a -> n := !n + (t.stops.(i) - a)) t.starts;
   !n
 
-let is_empty t = Array.length t.starts = 0
-let union a b = of_ranges (ranges a @ ranges b)
+let union a b = coalesce (List.merge by_start (ranges a) (ranges b))
 let add t start len = union t (of_extents [ (start, len) ])
 
 let remove t start len =

@@ -18,13 +18,9 @@ val of_extents : (Frame.Mfn.t * int) list -> t
 (** The union of [(start, length)] extents given in any order;
     overlapping and adjacent extents coalesce, empty ones are ignored. *)
 
-val extents : t -> (Frame.Mfn.t * int) list
-(** The maximal extents, ascending. *)
-
 val cardinal : t -> int
 (** Number of frames in the set. *)
 
-val is_empty : t -> bool
 val union : t -> t -> t
 val add : t -> Frame.Mfn.t -> int -> t
 val remove : t -> Frame.Mfn.t -> int -> t

@@ -292,16 +292,13 @@ let unreserve_extent t start len =
 
 let is_reserved t mfn = Extent_set.mem t.reserved mfn
 
-let write t mfn v =
-  let frame = Frame.Mfn.to_int mfn in
-  if not (is_allocated t mfn) then
-    invalid_arg "Pmem.write: frame not allocated";
-  set_tags t frame (frame + 1) v
-
-let fill t start len v =
-  check_allocated t ~what:"Pmem.fill" start len;
+let tag_extent t ~what start len v =
+  check_allocated t ~what start len;
   let lo = Frame.Mfn.to_int start in
   if len > 0 then set_tags t lo (lo + len) v
+
+let write t mfn v = tag_extent t ~what:"Pmem.write" mfn 1 v
+let fill t start len v = tag_extent t ~what:"Pmem.fill" start len v
 
 let read t mfn = tag_of t (Frame.Mfn.to_int mfn)
 

@@ -69,18 +69,10 @@ let prop_extent_set_matches_bitmap =
       let members = List.filter (fun f -> bits.(f)) frames in
       let in_query = List.filter (fun f -> f >= qlo && f < qlo + qlen) frames in
       let first p = Option.map mfn (List.find_opt p in_query) in
-      (* Maximal extents: non-empty, ascending, no two touching. *)
-      let rec maximal = function
-        | (a, l) :: ((b, _) :: _ as rest) ->
-          l > 0 && Hw.Frame.Mfn.to_int a + l < Hw.Frame.Mfn.to_int b && maximal rest
-        | [ (_, l) ] -> l > 0
-        | [] -> true
-      in
       List.for_all (fun f -> Hw.Extent_set.mem s (mfn f) = bits.(f)) frames
       && Hw.Extent_set.cardinal s = List.length members
       && Hw.Extent_set.first_mem s (mfn qlo) qlen = first (fun f -> bits.(f))
       && Hw.Extent_set.first_absent s (mfn qlo) qlen = first (fun f -> not bits.(f))
-      && maximal (Hw.Extent_set.extents s)
       && Hw.Extent_set.union s s = s)
 
 (* --- Pmem --- *)
