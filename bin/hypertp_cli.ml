@@ -101,7 +101,7 @@ let audit_flag =
                  scrub-and-recheck on findings.")
 
 let audit_of_flag armed =
-  if armed then Some Hypertp.Ctx.audit_default else None
+  if armed then Some Hypertp.Inplace.Scrub else None
 
 let print_fault_trace = function
   | None -> ()
@@ -219,9 +219,8 @@ let inplace_cmd =
     let fault = fault_of_specs fault_specs in
     let obs, metrics = obs_of_paths trace_out metrics_out in
     let report =
-      Hypertp.Api.transplant_inplace
-        ~ctx:(Hypertp.Ctx.make ?audit:(audit_of_flag audit) ())
-        ~rng:(Sim.Rng.create seed) ?fault ?obs ?metrics ~host ~target ()
+      Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create seed) ?fault ?obs
+        ?metrics ?audit:(audit_of_flag audit) ~host ~target ()
     in
     Format.printf "%a@." Hypertp.Inplace.pp_report report;
     Format.printf "fixups:@.";
@@ -254,9 +253,8 @@ let migrate_cmd =
     let fault = fault_of_specs fault_specs in
     let obs, metrics = obs_of_paths trace_out metrics_out in
     let report =
-      Hypertp.Api.transplant_migration
-        ~ctx:(Hypertp.Ctx.make ?audit:(audit_of_flag audit) ())
-        ~rng:(Sim.Rng.create seed) ?fault ?obs ?metrics ~src ~dst ()
+      Hypertp.Api.transplant_migration ~rng:(Sim.Rng.create seed) ?fault ?obs
+        ?metrics ?audit:(audit_of_flag audit) ~src ~dst ()
     in
     Format.printf "%a@." Hypertp.Migrate.pp_report report;
     (match report.Hypertp.Migrate.audit with
@@ -358,11 +356,11 @@ let audit_cmd =
     end;
     let host = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
     let fault = fault_of_specs fault_specs in
-    let ctx =
-      Hypertp.Ctx.make ~rng:(Sim.Rng.create seed) ?fault
-        ~audit:{ Hypertp.Ctx.audit_scrub = not no_scrub } ()
+    let report =
+      Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create seed) ?fault
+        ~audit:(if no_scrub then Hypertp.Inplace.Report_only else Scrub)
+        ~host ~target ()
     in
-    let report = Hypertp.Api.transplant_inplace ~ctx ~host ~target () in
     let a =
       match report.Hypertp.Inplace.audit with
       | Some a -> a

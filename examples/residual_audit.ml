@@ -15,7 +15,7 @@ let fresh_host () =
     [ Vmstate.Vm.config ~name:"vm0" ~workload:Vmstate.Vm.Wl_redis ();
       Vmstate.Vm.config ~name:"vm1" () ]
 
-let audited = Hypertp.Ctx.make ~audit:Hypertp.Ctx.audit_default ()
+let audit = Hypertp.Inplace.Scrub
 
 let () =
   Format.printf "=== HyperTP residual-state audit ===@.@.";
@@ -25,7 +25,7 @@ let () =
   Format.printf "--- calm transplant, audit armed ---@.";
   let host = fresh_host () in
   let r =
-    Hypertp.Api.transplant_inplace ~ctx:audited ~host ~target:Hv.Kind.Kvm ()
+    Hypertp.Api.transplant_inplace ~audit ~host ~target:Hv.Kind.Kvm ()
   in
   Format.printf "%a@." Hypertp.Inplace.pp_report r;
   (match r.Hypertp.Inplace.audit with
@@ -43,8 +43,9 @@ let () =
     Fault.make
       [ { Fault.site = Fault.Residual_leak; trigger = Fault.Nth_hit 1 } ]
   in
-  let ctx = Hypertp.Ctx.with_fault fault audited in
-  let r = Hypertp.Api.transplant_inplace ~ctx ~host ~target:Hv.Kind.Kvm () in
+  let r =
+    Hypertp.Api.transplant_inplace ~fault ~audit ~host ~target:Hv.Kind.Kvm ()
+  in
   Format.printf "%a@.@." Hypertp.Inplace.pp_report r;
 
   (* 3. The scrub itself fails: the ladder escalates to the full-reboot
@@ -56,8 +57,9 @@ let () =
       [ { Fault.site = Fault.Residual_leak; trigger = Fault.Nth_hit 1 };
         { Fault.site = Fault.Scrub_fail; trigger = Fault.Nth_hit 1 } ]
   in
-  let ctx = Hypertp.Ctx.with_fault fault audited in
-  let r = Hypertp.Api.transplant_inplace ~ctx ~host ~target:Hv.Kind.Kvm () in
+  let r =
+    Hypertp.Api.transplant_inplace ~fault ~audit ~host ~target:Hv.Kind.Kvm ()
+  in
   Format.printf "%a@.@." Hypertp.Inplace.pp_report r;
 
   (* 4. MigrationTP gets the same rung: the destination world is swept
@@ -69,6 +71,6 @@ let () =
       ~hv:Hv.Kind.Kvm []
   in
   let r =
-    Hypertp.Api.transplant_migration ~ctx:audited ~src ~dst ()
+    Hypertp.Api.transplant_migration ~audit ~src ~dst ()
   in
   Format.printf "%a@." Hypertp.Migrate.pp_report r

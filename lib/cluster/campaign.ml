@@ -1574,11 +1574,7 @@ let start_st ?eng ?like ?fault ?probe ?obs ?metrics cfg =
   settle_at ctx (Sim.Engine.now ctx.eng);
   ctx
 
-let run ?ctx:run_ctx ?fault ?obs ?metrics cfg =
-  let c = Hypertp.Ctx.resolve ?ctx:run_ctx ?fault ?obs ?metrics () in
-  drive
-    (start_st ?fault:c.Hypertp.Ctx.fault ?obs:c.Hypertp.Ctx.obs
-       ?metrics:c.Hypertp.Ctx.metrics cfg)
+let run ?fault ?obs ?metrics cfg = drive (start_st ?fault ?obs ?metrics cfg)
 
 (* Replayed controller: journal re-applied and validated, in-flight
    attempts re-armed, nothing driven yet.  [fault] is the crashed run's
@@ -1660,11 +1656,8 @@ let resume_st ?eng ?like ?fault ?probe ?obs ?metrics journal =
   | B_closed | B_half_open -> ());
   ctx
 
-let resume ?ctx:run_ctx ?fault ?obs ?metrics journal =
-  let c = Hypertp.Ctx.resolve ?ctx:run_ctx ?fault ?obs ?metrics () in
-  drive
-    (resume_st ?fault:c.Hypertp.Ctx.fault ?obs:c.Hypertp.Ctx.obs
-       ?metrics:c.Hypertp.Ctx.metrics journal)
+let resume ?fault ?obs ?metrics journal =
+  drive (resume_st ?fault ?obs ?metrics journal)
 
 (* Run to the end, resuming across controller crashes; returns the
    finished controller and the number of resumes. *)
@@ -1677,12 +1670,8 @@ let complete_st ?fault ?obs ?metrics cfg =
   in
   go 0 (start_st ?fault ?obs ?metrics cfg)
 
-let run_to_completion ?ctx ?fault ?obs ?metrics cfg =
-  let c = Hypertp.Ctx.resolve ?ctx ?fault ?obs ?metrics () in
-  make_report
-    (fst
-       (complete_st ?fault:c.Hypertp.Ctx.fault ?obs:c.Hypertp.Ctx.obs
-          ?metrics:c.Hypertp.Ctx.metrics cfg))
+let run_to_completion ?fault ?obs ?metrics cfg =
+  make_report (fst (complete_st ?fault ?obs ?metrics cfg))
 
 (* --- region controllers on a caller's engine --- *)
 
@@ -1784,7 +1773,7 @@ type summary = {
 
 type fleet_report = {
   f_topology : Topology.t;
-  f_mode : Hypertp.Ctx.sharding;
+  f_mode : Sim.Shard.mode;
   f_shards : int;
   f_domains : int;
   f_summaries : summary array; (* region order *)
@@ -1861,10 +1850,8 @@ let region_fault fault (r : Topology.region) =
         (Fault.injections f))
     fault
 
-let run_fleet ?ctx:run_ctx ?fault ?sharding ~topology cfg =
-  let c = Hypertp.Ctx.resolve ?ctx:run_ctx ?fault ?sharding () in
+let run_fleet ?fault ?sharding:(mode = Sim.Shard.Sequential) ~topology cfg =
   let topology = Topology.validate_exn topology in
-  let mode = c.Hypertp.Ctx.sharding in
   (match Sim.Shard.validate mode with
   | Ok () -> ()
   | Error msg -> Hypertp_error.raise_error ~site:"Campaign.run_fleet" msg);
@@ -1878,7 +1865,7 @@ let run_fleet ?ctx:run_ctx ?fault ?sharding ~topology cfg =
     Sim.Shard.map mode n (fun i ->
         let r = regions.(i) in
         let rcfg = region_config cfg r in
-        let rfault = region_fault c.Hypertp.Ctx.fault r in
+        let rfault = region_fault fault r in
         (* OCaml 5 GC counters are per-domain and a task runs on one
            domain start to finish, so the delta is this region's own
            allocation even under [Parallel]. *)

@@ -192,14 +192,12 @@ type run_result =
       (** a {!Fault.Controller_crash} fired; resume from the journal *)
 
 val run :
-  ?ctx:Hypertp.Ctx.t -> ?fault:Fault.t -> ?obs:Obs.Tracer.t ->
-  ?metrics:Obs.Metrics.t -> config -> run_result
-(** Execute the campaign.  [ctx] bundles the fault plan, tracer and
-    metrics registry ({!Hypertp.Ctx.t}); the individual optional
-    arguments are deprecated spellings that override the corresponding
-    [ctx] field.  Raises [Hypertp.Error.Error] (site ["Campaign"]) on a
-    malformed config (non-positive concurrency, straggler factor below
-    1.2, jitter outside [0, 0.1], threshold outside [0, 1], ...).
+  ?fault:Fault.t -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> config ->
+  run_result
+(** Execute the campaign under the [fault] plan, if any.  Raises
+    [Hypertp.Error.Error] (site ["Campaign"]) on a malformed config
+    (non-positive concurrency, straggler factor below 1.2, jitter
+    outside [0, 0.1], threshold outside [0, 1], ...).
 
     [obs] records the campaign on virtual time: a root [campaign] span
     on the [controller] track, one [attempt:<step>] span per admission
@@ -214,8 +212,8 @@ val run :
     exposure and wall-clock gauges. *)
 
 val resume :
-  ?ctx:Hypertp.Ctx.t -> ?fault:Fault.t -> ?obs:Obs.Tracer.t ->
-  ?metrics:Obs.Metrics.t -> journal -> run_result
+  ?fault:Fault.t -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> journal ->
+  run_result
 (** Replay the journal — re-validating it against a {e restarted} copy
     of the fault plan (same injections and seed as the original run) —
     then continue the campaign live.  The final report is identical to
@@ -223,8 +221,8 @@ val resume :
     ["Campaign.resume"]) if the journal does not match the plan. *)
 
 val run_to_completion :
-  ?ctx:Hypertp.Ctx.t -> ?fault:Fault.t -> ?obs:Obs.Tracer.t ->
-  ?metrics:Obs.Metrics.t -> config -> report
+  ?fault:Fault.t -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> config ->
+  report
 (** [run], resuming across any number of controller crashes.  With
     [obs], each crash-and-resume cycle replays the journal into the
     same tracer, so the trace accumulates one timeline per life of the
@@ -287,7 +285,7 @@ val pp_report : Format.formatter -> report -> unit
     [run_fleet] scales the campaign controller to million-host fleets
     by partitioning a {!Topology.t} into region shards, each simulated
     by its own campaign (own {!Sim.Engine}, own derived seed and fault
-    plan) under a {!Hypertp.Ctx.sharding} schedule ({!Sim.Shard.mode}):
+    plan) under a {!Sim.Shard.mode} schedule:
     sequential, rotated batches, or parallel on stdlib domains.
 
     Determinism contract: a region's campaign is a pure function of the
@@ -299,9 +297,9 @@ val pp_report : Format.formatter -> report -> unit
 
     The fleet config's [nodes]/[vms_per_node]/[shadow_spares] fields
     are overridden per region by the topology ([rg_spares = 0] inherits
-    the config's spare count); [obs]/[metrics] from the context are
-    {e not} threaded into shards — a shared tracer is not domain-safe
-    and would make the trace schedule-dependent. *)
+    the config's spare count).  [run_fleet] takes no [obs]/[metrics]:
+    a shared tracer is not domain-safe and would make the trace
+    schedule-dependent. *)
 
 (** Scalar per-region outcome (no per-host records — at fleet scale a
     million boxed timelines would defeat the packed journal). *)
@@ -325,7 +323,7 @@ type summary = {
 
 type fleet_report = {
   f_topology : Topology.t;
-  f_mode : Hypertp.Ctx.sharding;
+  f_mode : Sim.Shard.mode;
   f_shards : int;  (** shard batches actually used (clamped) *)
   f_domains : int;  (** domains actually spawned *)
   f_summaries : summary array;  (** region order *)
@@ -343,11 +341,10 @@ type fleet_report = {
 }
 
 val run_fleet :
-  ?ctx:Hypertp.Ctx.t -> ?fault:Fault.t -> ?sharding:Hypertp.Ctx.sharding ->
-  topology:Topology.t -> config -> fleet_report
-(** Simulate one campaign per region of [topology] under
-    [ctx.sharding] (default [Sequential]; the [?sharding] argument
-    overrides the [ctx] field).  The topology is validated
+  ?fault:Fault.t -> ?sharding:Sim.Shard.mode -> topology:Topology.t ->
+  config -> fleet_report
+(** Simulate one campaign per region of [topology] under [sharding]
+    (default [Sequential]).  The topology is validated
     ({!Topology.validate}); raises [Hypertp.Error.Error] on an invalid
     topology, sharding mode, or region config.  A [?fault] plan is
     re-derived per region (same injections, region-derived seed);

@@ -190,11 +190,9 @@ exception Subctl_died of int
 let region_name r = Printf.sprintf "r%d" r
 let labels r = [ ("engine", "controlplane"); ("region", region_name r) ]
 
-let make_st ?ctx ?fault ?obs ?metrics (cfg : config) =
-  let c = Hypertp.Ctx.resolve ?ctx ?fault ?obs ?metrics () in
+let make_st ?fault ?obs ?metrics (cfg : config) =
   validate_config cfg;
-  let fault = c.Hypertp.Ctx.fault and metrics = c.Hypertp.Ctx.metrics in
-  let obs = Option.map Hypertp.Otrace.attach c.Hypertp.Ctx.obs in
+  let obs = Option.map Hypertp.Otrace.attach obs in
   let chaos_seed = match fault with Some f -> Fault.seed f | None -> 0xC7A05L in
   {
     cfg;
@@ -451,8 +449,8 @@ let launch st make =
   Sim.Engine.schedule_every st.eng st.cfg.heartbeat_every (tick st);
   drive st
 
-let run ?ctx ?fault ?obs ?metrics cfg =
-  let st = make_st ?ctx ?fault ?obs ?metrics cfg in
+let run ?fault ?obs ?metrics cfg =
+  let st = make_st ?fault ?obs ?metrics cfg in
   let cfgs = region_configs cfg in
   launch st (fun ?like r rg ->
       C.start_controller ~eng:st.eng ?like ?fault:(C.region_fault st.hplan rg)
@@ -460,8 +458,8 @@ let run ?ctx ?fault ?obs ?metrics cfg =
 
 (* Leader handoff: every region is rebuilt from its journal; the replays
    re-emit the timeline and re-derive the reallocation ledger. *)
-let resume ?ctx ?fault ?obs ?metrics bundle =
-  let st = make_st ?ctx ?fault ?obs ?metrics bundle.b_config in
+let resume ?fault ?obs ?metrics bundle =
+  let st = make_st ?fault ?obs ?metrics bundle.b_config in
   root_instant st "leader:handoff";
   Hypertp.Otrace.count st.metrics
     ~labels:[ ("engine", "controlplane") ]
@@ -472,12 +470,12 @@ let resume ?ctx ?fault ?obs ?metrics bundle =
 
 (* The chaos plan is passed through as-is (not restarted), so an Nth_hit
    on a control-plane site fires once across the whole run/resume chain. *)
-let run_to_completion ?ctx ?fault ?obs ?metrics cfg =
+let run_to_completion ?fault ?obs ?metrics cfg =
   let rec go = function
     | Finished (report, _) -> report
-    | Crashed b -> go (resume ?ctx ?fault ?obs ?metrics b)
+    | Crashed b -> go (resume ?fault ?obs ?metrics b)
   in
-  go (run ?ctx ?fault ?obs ?metrics cfg)
+  go (run ?fault ?obs ?metrics cfg)
 
 (* --- rendering + serialisation --- *)
 

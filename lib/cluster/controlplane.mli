@@ -158,8 +158,8 @@ type run_result =
           sub-controller); hand the bundle to {!resume} *)
 
 val run :
-  ?ctx:Hypertp.Ctx.t -> ?fault:Fault.t -> ?obs:Obs.Tracer.t ->
-  ?metrics:Obs.Metrics.t -> config -> run_result
+  ?fault:Fault.t -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> config ->
+  run_result
 (** Run a fresh campaign.  [fault] arms the per-host sites (re-seeded
     per region) and the {!Fault.controlplane_sites}.  Sub-controller
     crashes and partitions are absorbed {e inside} the run by rebuilding
@@ -169,8 +169,8 @@ val run :
     instrumentation (a rebuilt region re-emits its timeline). *)
 
 val resume :
-  ?ctx:Hypertp.Ctx.t -> ?fault:Fault.t -> ?obs:Obs.Tracer.t ->
-  ?metrics:Obs.Metrics.t -> bundle -> run_result
+  ?fault:Fault.t -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> bundle ->
+  run_result
 (** Leader handoff: rebuild every region from its journal through
     {!Campaign}'s resume path (a journal the derived fault plan
     disagrees with raises [Hypertp.Error.Error], site
@@ -181,7 +181,7 @@ val resume :
     run/resume chain (pass the plan value you passed to {!run}). *)
 
 val run_to_completion :
-  ?ctx:Hypertp.Ctx.t -> ?fault:Fault.t -> ?obs:Obs.Tracer.t ->
-  ?metrics:Obs.Metrics.t -> config -> report
+  ?fault:Fault.t -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> config ->
+  report
 (** [run] then [resume] until [Finished], threading one chaos plan
     through the whole chain. *)

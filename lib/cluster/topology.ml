@@ -18,6 +18,14 @@ type t = { tp_regions : region array }
 
 let site = "Topology"
 
+(* Bounds that keep every fleet total an exact [int]: with at most
+   [max_hosts] hosts of at most [max_vms_per_host] VMs each, no sum or
+   product over regions can overflow. *)
+let max_regions = 1 lsl 20
+let max_hosts = 1 lsl 30
+let max_vms_per_host = 1 lsl 20
+let max_vms = 1 lsl 40
+
 let region ?(spares = 0) ?wire_budget ~name ~hosts ~vms_per_host () =
   { rg_name = name; rg_hosts = hosts; rg_vms_per_host = vms_per_host;
     rg_spares = spares; rg_wire_budget = wire_budget }
@@ -41,8 +49,9 @@ let make regions =
    remainder on the lowest region indices — the same split rule the
    control plane uses for its admission budget. *)
 let uniform ?(spares = 0) ?wire_budget ~regions ~hosts ~vms_per_host () =
-  if regions < 1 then
-    Hypertp_error.raise_error ~site "uniform: need at least one region";
+  if regions < 1 || regions > max_regions then
+    Hypertp_error.raise_errorf ~site "uniform: need 1 to %d regions"
+      max_regions;
   let base = hosts / regions and rem = hosts mod regions in
   {
     tp_regions =
@@ -70,9 +79,11 @@ let validate t =
   let err fmt = Printf.ksprintf (fun reason -> Error (Hypertp_error.make ~site reason)) fmt in
   let n = Array.length t.tp_regions in
   if n < 1 then err "a topology needs at least one region"
+  else if n > max_regions then
+    err "%d regions exceed the limit of %d" n max_regions
   else begin
     let seen = Hashtbl.create n in
-    let rec check i =
+    let rec check i ~hosts ~vms =
       if i >= n then Ok t
       else
         let r = t.tp_regions.(i) in
@@ -87,16 +98,23 @@ let validate t =
             r.rg_name
         else if r.rg_vms_per_host < 1 then
           err "region %S needs at least 1 VM per host" r.rg_name
+        else if r.rg_hosts > max_hosts - hosts then
+          err "region %S takes the fleet past %d hosts" r.rg_name max_hosts
+        else if r.rg_vms_per_host > max_vms_per_host then
+          err "region %S exceeds %d VMs per host" r.rg_name max_vms_per_host
+        else if r.rg_hosts * r.rg_vms_per_host > max_vms - vms then
+          err "region %S takes the fleet past %d VMs" r.rg_name max_vms
         else if r.rg_spares < 0 then
           err "region %S has a negative spare pool" r.rg_name
         else if (match r.rg_wire_budget with Some b -> b < 0 | None -> false)
         then err "region %S has a negative wire budget" r.rg_name
         else begin
           Hashtbl.add seen r.rg_name ();
-          check (i + 1)
+          check (i + 1) ~hosts:(hosts + r.rg_hosts)
+            ~vms:(vms + (r.rg_hosts * r.rg_vms_per_host))
         end
     in
-    check 0
+    check 0 ~hosts:0 ~vms:0
   end
 
 let validate_exn t =
@@ -158,6 +176,8 @@ let of_spec s =
     let* h = pos_int "host count" h in
     let* vv = pos_int "vms per host" v in
     if r < 1 then fail "need at least one region"
+    else if r > max_regions then
+      fail "%d regions exceed the limit of %d" r max_regions
     else
       Ok
         {

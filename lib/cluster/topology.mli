@@ -42,7 +42,7 @@ val uniform :
 (** [hosts] is the fleet {e total}, split as evenly as possible with
     the remainder on the lowest region indices; regions are named
     ["r0"], ["r1"], ....  Raises {!Hypertp_error.Error} when
-    [regions < 1]. *)
+    [regions] is below 1 or above the {!validate} limit. *)
 
 val flat : hosts:int -> vms_per_host:int -> t
 (** One region ["r0"] holding the whole fleet — the shape every legacy
@@ -51,7 +51,9 @@ val flat : hosts:int -> vms_per_host:int -> t
 val validate : t -> (t, Hypertp_error.t) result
 (** At least one region; names non-empty, unique, free of [' '], [':'],
     [';']; each region has [hosts >= 2] (campaigns drain into peers),
-    [vms_per_host >= 1], non-negative spares and wire budget. *)
+    [vms_per_host >= 1], non-negative spares and wire budget.  At most
+    2{^20} regions, 2{^30} hosts, 2{^20} VMs per host and 2{^40} VMs in
+    total, so {!hosts} and {!vms} never overflow. *)
 
 val validate_exn : t -> t
 (** {!validate}, raising {!Hypertp_error.Error}. *)

@@ -129,9 +129,8 @@ type faulty_timing = {
 let vms_accounted t =
   t.vms_inplace_ok + t.vms_migrated_fallback + t.vms_recovered
 
-let execute_faulty ?ctx ?fault ?(fallback_vm_ram = Hw.Units.gib 4)
+let execute_faulty ?fault ?(fallback_vm_ram = Hw.Units.gib 4)
     ?(fallback_workload = Vmstate.Vm.Wl_idle) ~nic (plan : Btrplace.plan) =
-  let fault = (Hypertp.Ctx.resolve ?ctx ?fault ()).Hypertp.Ctx.fault in
   let base = execute ~nic plan in
   let fire ~vm site =
     match fault with Some f -> Fault.fire f ~vm site | None -> false

@@ -74,13 +74,11 @@ val vms_accounted : faulty_timing -> int
     [base.inplace_vm_count] — no VM is ever lost, only delayed. *)
 
 val execute_faulty :
-  ?ctx:Hypertp.Ctx.t -> ?fault:Fault.t -> ?fallback_vm_ram:Hw.Units.bytes_ ->
+  ?fault:Fault.t -> ?fallback_vm_ram:Hw.Units.bytes_ ->
   ?fallback_workload:Vmstate.Vm.workload_kind -> nic:Hw.Nic.t ->
   Btrplace.plan -> faulty_timing
-(** Like {!execute}, but consults the fault plan — taken from [?ctx]
-    ({!Hypertp.Ctx.t}) or the deprecated [?fault] argument, which
-    overrides the [ctx] field — once per in-place host
-    upgrade ({!Fault.Host_crash}, the host name as the VM key).  The
+(** Like {!execute}, but consults the [fault] plan once per in-place
+    host upgrade ({!Fault.Host_crash}, the host name as the VM key).  The
     pre/post-PNR split of a failed host is drawn from a per-host RNG
     independent of the plan's stream, so which hosts fail depends only
     on the fault plan's seed and probability. *)

@@ -17,21 +17,21 @@ type outcome =
 
 type response = { advice : Cve.Window.advice; outcome : outcome }
 
-let transplant_inplace ?ctx ?options ?rng ?fault ?obs ?metrics ~host ~target
+let transplant_inplace ?options ?rng ?fault ?obs ?metrics ?audit ~host ~target
     () =
-  Inplace.run ?ctx ?options ?rng ?fault ?obs ?metrics ~host
+  Inplace.run ?options ?rng ?fault ?obs ?metrics ?audit ~host
     ~target:(hypervisor_of target) ()
 
-let transplant_migration ?ctx ?rng ?fault ?retry ?obs ?metrics ~src ~dst
+let transplant_migration ?rng ?fault ?retry ?obs ?metrics ?audit ~src ~dst
     ?vm_names () =
-  Migrate.run ?ctx ?rng ?fault ?retry ?obs ?metrics ~src ~dst ?vm_names ()
+  Migrate.run ?rng ?fault ?retry ?obs ?metrics ?audit ~src ~dst ?vm_names ()
 
-let transplant_shadow ?ctx ?rng ?fault ?retry ?obs ?metrics ?params ?ladder
-    ~src ~spare ~target ?vm_names () =
-  Migrate.run_shadow ?ctx ?rng ?fault ?retry ?obs ?metrics ?params ?ladder
-    ~src ~spare ~target:(hypervisor_of target) ?vm_names ()
+let transplant_shadow ?rng ?fault ?retry ?obs ?metrics ?params ?ladder ~src
+    ~spare ~target ?vm_names () =
+  Migrate.run_shadow ?rng ?fault ?retry ?obs ?metrics ?params ?ladder ~src
+    ~spare ~target:(hypervisor_of target) ?vm_names ()
 
-let respond_to_cve ?ctx ?options ?rng ?fault ~host ~cve_id ~mode () =
+let respond_to_cve ?options ?rng ?fault ~host ~cve_id ~mode () =
   let site = "Api.respond_to_cve" in
   let record =
     match Cve.Nvd.find cve_id with
@@ -63,7 +63,7 @@ let respond_to_cve ?ctx ?options ?rng ?fault ~host ~cve_id ~mode () =
       in
       match mode with
       | `Apply ->
-        `Applied (transplant_inplace ?ctx ?options ?rng ?fault ~host ~target ())
+        `Applied (transplant_inplace ?options ?rng ?fault ~host ~target ())
       | `Advise -> `Advised target)
     (* Plain [advise] never returns [Wait_for_patch]; only the
        cost-aware stream policy does. *)
@@ -71,12 +71,6 @@ let respond_to_cve ?ctx ?options ?rng ?fault ~host ~cve_id ~mode () =
     | Cve.Window.No_safe_alternative -> `No_safe_alternative
   in
   { advice; outcome }
-
-let respond_to_cve_legacy ?options ?rng ?fault ~host ~cve_id ?(apply = true) ()
-    =
-  respond_to_cve ?options ?rng ?fault ~host ~cve_id
-    ~mode:(if apply then `Apply else `Advise)
-    ()
 
 let applied_report r =
   match r.outcome with `Applied rep -> Some rep | _ -> None

@@ -1,5 +1,9 @@
 (** The unified HyperTP entry points: hypervisor registry, host
-    provisioning and the CVE-driven transplant decision of Fig. 1(b). *)
+    provisioning and the CVE-driven transplant decision of Fig. 1(b).
+
+    Run knobs are explicit optional arguments, one per knob, passed
+    through unchanged to {!Inplace.run} and {!Migrate.run}; an omitted
+    knob means the engine default. *)
 
 val hypervisor_of : Hv.Kind.t -> (module Hv.Intf.S)
 (** The HyperTP-compliant hypervisor repertoire (Xen and KVM). *)
@@ -22,7 +26,7 @@ type outcome =
 type response = { advice : Cve.Window.advice; outcome : outcome }
 
 val respond_to_cve :
-  ?ctx:Ctx.t -> ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
+  ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
   host:Hv.Host.t -> cve_id:string -> mode:[ `Advise | `Apply ] -> unit ->
   response
 (** The operator's one-click flow: look the CVE up, ask the policy for
@@ -34,35 +38,26 @@ val respond_to_cve :
     (site ["Api.respond_to_cve"]) on an unknown CVE id or a host
     without a hypervisor. *)
 
-val respond_to_cve_legacy :
-  ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t -> host:Hv.Host.t ->
-  cve_id:string -> ?apply:bool -> unit -> response
-(** Deprecated pre-[mode] spelling: [?apply:true] (the default) is
-    [`Apply], [false] is [`Advise].  Thin wrapper over
-    {!respond_to_cve}; produces identical responses. *)
-
 val applied_report : response -> Inplace.report option
 (** [Some report] iff the outcome is [`Applied] — convenience for
     callers that only care whether a transplant ran. *)
 
 val transplant_inplace :
-  ?ctx:Ctx.t -> ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
-  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> host:Hv.Host.t ->
-  target:Hv.Kind.t -> unit -> Inplace.report
-(** InPlaceTP against a {!Hv.Kind.t} target.  Run knobs may be bundled
-    as [?ctx] ({!Ctx.t}); the individual optional arguments are
-    deprecated wrappers that override the matching [ctx] field. *)
+  ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
+  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> ?audit:Inplace.audit ->
+  host:Hv.Host.t -> target:Hv.Kind.t -> unit -> Inplace.report
+(** InPlaceTP against a {!Hv.Kind.t} target ({!Inplace.run} with the
+    module resolved from the repertoire). *)
 
 val transplant_migration :
-  ?ctx:Ctx.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
-  ?retry:Migrate.retry_params -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t ->
+  ?rng:Sim.Rng.t -> ?fault:Fault.t -> ?retry:Migrate.retry_params ->
+  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> ?audit:Inplace.audit ->
   src:Hv.Host.t -> dst:Hv.Host.t -> ?vm_names:string list -> unit ->
   Migrate.report
-(** MigrationTP (or the homogeneous baseline).  Same [?ctx] contract as
-    {!transplant_inplace}; [retry] stays separate. *)
+(** MigrationTP (or the homogeneous baseline): {!Migrate.run}. *)
 
 val transplant_shadow :
-  ?ctx:Ctx.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
+  ?rng:Sim.Rng.t -> ?fault:Fault.t ->
   ?retry:Migrate.retry_params -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t ->
   ?params:Migration.Shadow.params -> ?ladder:bool -> src:Hv.Host.t ->
   spare:Hv.Host.t -> target:Hv.Kind.t -> ?vm_names:string list -> unit ->

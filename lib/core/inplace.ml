@@ -13,6 +13,8 @@ let all_ok c =
   && c.uisr_roundtrip_ok && c.management_consistent && c.platform_preserved
   && c.devices_preserved
 
+type audit = Scrub | Report_only
+
 type recovery_detail = {
   recovery_faults : Fault.site list;
   restore_retries : int;
@@ -203,16 +205,9 @@ let emit_obs obs metrics ~source ~target ~(phases : Phases.t) ~rungs ~restores
     ~labels:[ ("engine", "inplace"); ("outcome", outcome_label) ]
     "hypertp_transplants_total"
 
-let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
-    ~target:(module T : Hv.Intf.S) () =
-  let c = Ctx.resolve ?ctx ?options ?rng ?fault ?obs ?metrics () in
-  let options = c.Ctx.options in
-  let rng =
-    match c.Ctx.rng with Some r -> r | None -> Sim.Rng.create 0x1A2BL
-  in
-  let fault = c.Ctx.fault in
-  let obs = c.Ctx.obs in
-  let metrics = c.Ctx.metrics in
+let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
+    ~(host : Hv.Host.t) ~target:(module T : Hv.Intf.S) () =
+  let rng = match rng with Some r -> r | None -> Sim.Rng.create 0x1A2BL in
   let (Hv.Host.Packed ((module S), _, _)) = Hv.Host.running_exn host in
   if Hv.Kind.equal S.kind T.kind then
     invalid_arg "Inplace.run: target equals the running hypervisor";
@@ -602,7 +597,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
           (translation_seconds +. reboot_seconds +. restoration_seconds
           +. !recovery_seconds));
 
-    (* Step 8 (optional, Ctx-armed): post-commit residual audit.  Sweep
+    (* Step 8 (optional, armed by [?audit]): post-commit residual audit.  Sweep
        the target world against a fresh-boot reference of the target,
        scrub-and-recheck on findings, and escalate the recovery ladder
        if the scrub fails — a world with known residue must not report
@@ -612,9 +607,9 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
     let audit_residue = ref false in
     let audit_findings = ref 0 in
     let audit_scrubbed = ref 0 in
-    (match c.Ctx.audit with
+    (match audit with
     | None -> ()
-    | Some acfg ->
+    | Some mode ->
       let reference =
         Audit.reference_of_fresh_boot ~machine (module T : Hv.Intf.S)
       in
@@ -662,7 +657,7 @@ let run ?ctx ?options ?rng ?fault ?obs ?metrics ~(host : Hv.Host.t)
         audit_residue := true;
         Log.warn (fun m ->
             m "post-commit audit: %d residual finding(s)" !audit_findings);
-        if not acfg.Ctx.audit_scrub then ()
+        if mode = Report_only then ()
         else if fire Fault.Scrub_fail then begin
           note Fault.Scrub_fail;
           full_reboot := true;

@@ -33,6 +33,14 @@ type checks = {
 
 val all_ok : checks -> bool
 
+type audit =
+  | Scrub  (** sweep, then scrub-and-recheck on findings *)
+  | Report_only
+      (** sweep and report the findings, but leave the residue in place *)
+(** How the post-commit residual audit rung runs once armed.  Passing
+    no [?audit] to {!run} skips the rung entirely, so default runs stay
+    byte-identical to runs without an auditor. *)
+
 type recovery_detail = {
   recovery_faults : Fault.site list;
       (** distinct post-PNR sites that fired, in firing order *)
@@ -77,18 +85,16 @@ type report = {
   outcome : outcome;
   audit : Audit.report option;
       (** final post-commit audit report when the audit rung was armed
-          via {!Ctx.t.audit}: the recheck report if a scrub ran, the
-          first sweep otherwise; [None] when unarmed or rolled back *)
+          via [?audit]: the recheck report if a scrub ran, the first
+          sweep otherwise; [None] when unarmed or rolled back *)
 }
 
 val run :
-  ?ctx:Ctx.t -> ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
-  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> host:Hv.Host.t ->
-  target:(module Hv.Intf.S) -> unit -> report
-(** Transplant every VM on [host] onto [target].  Pass the run knobs
-    bundled as [?ctx] ({!Ctx.t}); the individual optional arguments are
-    deprecated thin wrappers that override the corresponding [ctx]
-    field (see {!Ctx.resolve}) and produce byte-identical output.
+  ?options:Options.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t ->
+  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> ?audit:audit ->
+  host:Hv.Host.t -> target:(module Hv.Intf.S) -> unit -> report
+(** Transplant every VM on [host] onto [target].  [options] defaults to
+    {!Options.default} and [rng] to a fixed engine stream.
 
     On a committed or
     recovered run the host ends up running the target hypervisor with
@@ -111,12 +117,12 @@ val run :
     [hypertp_transplants_total].  Both default to off and cost nothing
     when absent.
 
-    When [ctx] arms the audit ({!Ctx.t.audit}), a post-commit residual
-    audit sweeps the target world against a fresh-boot reference after
-    the VMs resume.  Findings trigger a scrub-and-recheck (unless
-    [audit_scrub] is false); a scrub failure — the [scrub_fail] fault
-    site, or residue the scrub cannot remediate — escalates to the
-    full-reboot rung.  Any residue found forces the outcome to
+    [audit] arms a post-commit residual audit that sweeps the target
+    world against a fresh-boot reference after the VMs resume.
+    Findings trigger a scrub-and-recheck under [Scrub] ([Report_only]
+    reports them and leaves them); a scrub failure — the [scrub_fail]
+    fault site, or residue the scrub cannot remediate — escalates to
+    the full-reboot rung.  Any residue found forces the outcome to
     [Recovered] even if every other step was calm, and audit/scrub time
     is charged as [rung:audit] / [rung:scrub] recovery rungs, visible
     in both the phase accounting and the obs trace. *)

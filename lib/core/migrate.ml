@@ -200,15 +200,10 @@ let emit_vm_obs obs metrics ~(plan : Migration.Precopy.plan) ~dropped
     "hypertp_downtime_seconds"
     (Sim.Time.to_sec_f r.downtime)
 
-let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
+let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
     ~(src : Hv.Host.t) ~(dst : Hv.Host.t) ?vm_names () =
-  let c = Ctx.resolve ?ctx ?rng ?fault ?obs ?metrics () in
-  let rng =
-    match c.Ctx.rng with Some r -> r | None -> Sim.Rng.create 0x3C4DL
-  in
-  let fault = c.Ctx.fault in
-  let metrics = c.Ctx.metrics in
-  let obs = Option.map Otrace.attach c.Ctx.obs in
+  let rng = match rng with Some r -> r | None -> Sim.Rng.create 0x3C4DL in
+  let obs = Option.map Otrace.attach obs in
   if retry.max_attempts < 1 then invalid_arg "Migrate.run: max_attempts < 1";
   let (Hv.Host.Packed ((module S), _, _)) = Hv.Host.running_exn src in
   let (Hv.Host.Packed ((module D), _, _)) = Hv.Host.running_exn dst in
@@ -532,9 +527,9 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
   let audit_report = ref None in
   let audit_time = ref Sim.Time.zero in
   let residual_clean = ref true in
-  (match c.Ctx.audit with
+  (match audit with
   | None -> ()
-  | Some acfg ->
+  | Some mode ->
     let machine = dst.Hv.Host.machine in
     let fire_host site =
       match fault with
@@ -606,7 +601,7 @@ let run ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics
       let findings = List.length first.Audit.r_findings in
       Log.warn (fun m ->
           m "post-migration audit: %d residual finding(s)" findings);
-      if not acfg.Ctx.audit_scrub then residual_clean := false
+      if mode = Inplace.Report_only then residual_clean := false
       else if fire_host Fault.Scrub_fail then begin
         residual_clean := false;
         Log.warn (fun m -> m "scrub failed: destination retains residue")
@@ -696,24 +691,12 @@ type shadow_report = {
 
 exception Shadow_abort of Fault.site
 
-let run_shadow ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?params
-    ?ladder ~(src : Hv.Host.t) ~(spare : Hv.Host.t) ~target ?vm_names () =
+let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
+    ?params ?(ladder = true) ~(src : Hv.Host.t) ~(spare : Hv.Host.t) ~target
+    ?vm_names () =
   let module T = (val target : Hv.Intf.S) in
-  let c = Ctx.resolve ?ctx ?rng ?fault ?obs ?metrics () in
-  let rng =
-    match c.Ctx.rng with Some r -> r | None -> Sim.Rng.create 0x5AD0L
-  in
-  let fault = c.Ctx.fault in
-  let metrics = c.Ctx.metrics in
-  let obs = Option.map Otrace.attach c.Ctx.obs in
-  let ladder =
-    match ladder with
-    | Some b -> b
-    | None -> (
-      match c.Ctx.shadow with
-      | Some s -> s.Ctx.shadow_ladder
-      | None -> Ctx.shadow_default.Ctx.shadow_ladder)
-  in
+  let rng = match rng with Some r -> r | None -> Sim.Rng.create 0x5AD0L in
+  let obs = Option.map Otrace.attach obs_arg in
   let (Hv.Host.Packed ((module S), _, _)) = Hv.Host.running_exn src in
   let vm_names =
     match vm_names with Some l -> l | None -> Hv.Host.vm_names src
@@ -1120,7 +1103,9 @@ let run_shadow ?ctx ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?params
       finish (Shadow_deferred site) ~intact
     else begin
       classic :=
-        Some (run ~ctx:c ~rng ~retry ~src ~dst:spare ~vm_names ());
+        Some
+          (run ~rng ?fault ~retry ?obs:obs_arg ?metrics ~src ~dst:spare
+             ~vm_names ());
       finish (Classic_fallback site) ~intact
     end
 

@@ -82,7 +82,7 @@ type report = {
   checks : checks;
   audit : Audit.report option;
       (** final post-migration audit of the destination world when armed
-          via {!Ctx.t.audit} (the recheck report if a scrub ran) *)
+          via [?audit] (the recheck report if a scrub ran) *)
   audit_time : Sim.Time.t;
       (** audit + scrub time charged into [total_time] (zero when
           unarmed); equals the extent of the [audit]/[scrub] spans laid
@@ -90,14 +90,10 @@ type report = {
 }
 
 val run :
-  ?ctx:Ctx.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t -> ?retry:retry_params ->
-  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> src:Hv.Host.t ->
-  dst:Hv.Host.t -> ?vm_names:string list -> unit -> report
-(** Migrate the named VMs (default: all) from [src] to [dst].  The run
-    knobs (rng/fault/obs/metrics) may be bundled as [?ctx] ({!Ctx.t});
-    the individual optional arguments are deprecated wrappers that
-    override the corresponding [ctx] field ({!Ctx.resolve}).  [retry]
-    stays a separate argument — it is migration-specific.  The
+  ?rng:Sim.Rng.t -> ?fault:Fault.t -> ?retry:retry_params ->
+  ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> ?audit:Inplace.audit ->
+  src:Hv.Host.t -> dst:Hv.Host.t -> ?vm_names:string list -> unit -> report
+(** Migrate the named VMs (default: all) from [src] to [dst].  The
     destination hypervisor must already be booted; the kind is inferred:
     same hypervisor -> homogeneous baseline (native-format stream,
     Xen's sequential receive), different -> MigrationTP (UISR proxies).
@@ -123,14 +119,15 @@ val run :
     [hypertp_wire_bytes_total], [hypertp_faults_total] and a
     [hypertp_downtime_seconds] histogram.
 
-    When [ctx] arms the audit ({!Ctx.t.audit}), a post-migration
-    residual audit sweeps the destination world against a fresh-boot
-    reference after the last VM lands, using the transmitted UISR blobs
-    as the guest baseline.  Findings trigger a scrub-and-recheck; a
-    scrub failure (the [scrub_fail] fault site, or residue the scrub
-    cannot remediate) fails the [residual_clean] check.  The
-    [residual_leak] fault site plants residue on the destination for
-    the audit to catch.
+    [audit] ({!Inplace.audit}) arms a post-migration residual audit
+    that sweeps the destination world against a fresh-boot reference
+    after the last VM lands, using the transmitted UISR blobs as the
+    guest baseline.  Findings trigger a scrub-and-recheck under
+    [Scrub].  Findings left standing fail the [residual_clean] check:
+    under [Report_only], or on a scrub failure (the [scrub_fail] fault
+    site, or residue the scrub cannot remediate).  The [residual_leak]
+    fault site plants residue on the destination for the audit to
+    catch.
 
     Raises [Invalid_argument] if the destination lacks memory or a
     hypervisor, a VM name is unknown, or [retry.max_attempts < 1]. *)
@@ -202,7 +199,7 @@ type shadow_report = {
 }
 
 val run_shadow :
-  ?ctx:Ctx.t -> ?rng:Sim.Rng.t -> ?fault:Fault.t -> ?retry:retry_params ->
+  ?rng:Sim.Rng.t -> ?fault:Fault.t -> ?retry:retry_params ->
   ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t ->
   ?params:Migration.Shadow.params -> ?ladder:bool -> src:Hv.Host.t ->
   spare:Hv.Host.t -> target:(module Hv.Intf.S) -> ?vm_names:string list ->
@@ -222,8 +219,7 @@ val run_shadow :
     watchdog, not asserted); {!Fault.Swap_partition} hits the handshake
     strictly before the flip.  All five abort with the source verified
     intact, then walk the degradation ladder: classic {!run} against
-    the staged spare when [ladder] (default from {!Ctx.t.shadow},
-    ultimately [true]), defer otherwise.
+    the staged spare when [ladder] (default [true]), defer otherwise.
 
     [obs] lays the five phase spans back-to-back from t=0 on the
     [shadow:<src>] track under one root whose extent equals

@@ -140,8 +140,8 @@ let mix_of_topology topology =
 
 let config_to_line c =
   Printf.sprintf
-    "config years=%.6f xen=%d kvm=%d bhyve=%d vph=%d rate=%.6f crit=%.6f \
-     coord=%.6f policy=%s tempo=%.6f conc=%d inplace=%.6f batch=%.6f \
+    "config years=%.17g xen=%d kvm=%d bhyve=%d vph=%d rate=%.17g crit=%.17g \
+     coord=%.17g policy=%s tempo=%.17g conc=%d inplace=%.17g batch=%.17g \
      preempt=%b seed=%Ld track=%b"
     c.years c.mix.xen_hosts c.mix.kvm_hosts c.mix.bhyve_hosts c.vms_per_host
     c.rate_per_year c.critical_fraction c.coordinated_fraction

@@ -103,6 +103,13 @@ val journal_to_string : journal -> string
 
 val journal_of_string : string -> (journal, string) result
 
+val config_to_line : config -> string
+val config_of_line : string -> (config, string) result
+(** The journal's config line.  Floats are written with 17 significant
+    digits, so [config_of_line (config_to_line c) = Ok c] for every
+    config with finite fields and a resumed run sees the exact config
+    of the run it continues. *)
+
 (** {1 Running} *)
 
 type run_result =

@@ -22,7 +22,7 @@ let hv_module = function
 let small_vm ?(name = "vm0") ?(mib = 64) () =
   Vmstate.Vm.config ~name ~ram:(Hw.Units.mib mib) ()
 
-let audited = Hypertp.Ctx.make ~audit:Hypertp.Ctx.audit_default ()
+let audit = Hypertp.Inplace.Scrub
 
 let one site trigger = Fault.make [ { Fault.site; trigger } ]
 
@@ -202,7 +202,7 @@ let test_calm_transplants_audit_clean_all_directions () =
         Hypertp.Api.provision ~name:"ah" ~machine:(machine ()) ~hv:src
           [ small_vm (); small_vm ~name:"vm1" () ]
       in
-      let r = Hypertp.Api.transplant_inplace ~ctx:audited ~host ~target:tgt () in
+      let r = Hypertp.Api.transplant_inplace ~audit ~host ~target:tgt () in
       (match r.Hypertp.Inplace.outcome with
       | Hypertp.Inplace.Committed -> ()
       | o ->
@@ -228,10 +228,10 @@ let recovered r =
 
 let test_leak_scrubbed_never_commits () =
   let host = xen_host () in
-  let ctx =
-    Hypertp.Ctx.with_fault (one Fault.Residual_leak (Fault.Nth_hit 1)) audited
+  let fault = one Fault.Residual_leak (Fault.Nth_hit 1) in
+  let r =
+    Hypertp.Api.transplant_inplace ~fault ~audit ~host ~target:Hv.Kind.Kvm ()
   in
-  let r = Hypertp.Api.transplant_inplace ~ctx ~host ~target:Hv.Kind.Kvm () in
   let d = recovered r in
   checkb "leak noted" true (List.mem Fault.Residual_leak d.recovery_faults);
   checki "five plants found" 5 d.Hypertp.Inplace.audit_findings;
@@ -251,9 +251,7 @@ let test_scrub_fail_escalates_to_full_reboot () =
         { Fault.site = Fault.Scrub_fail; trigger = Fault.Nth_hit 1 } ]
   in
   let r =
-    Hypertp.Api.transplant_inplace
-      ~ctx:(Hypertp.Ctx.with_fault fault audited)
-      ~host ~target:Hv.Kind.Kvm ()
+    Hypertp.Api.transplant_inplace ~fault ~audit ~host ~target:Hv.Kind.Kvm ()
   in
   let d = recovered r in
   checkb "both sites noted" true
@@ -271,10 +269,10 @@ let test_leak_nth2_never_fires () =
   (* The site is consulted exactly once per transplant: an Nth_hit 2
      trigger can never fire, pinning the consultation count. *)
   let host = xen_host () in
-  let ctx =
-    Hypertp.Ctx.with_fault (one Fault.Residual_leak (Fault.Nth_hit 2)) audited
+  let fault = one Fault.Residual_leak (Fault.Nth_hit 2) in
+  let r =
+    Hypertp.Api.transplant_inplace ~fault ~audit ~host ~target:Hv.Kind.Kvm ()
   in
-  let r = Hypertp.Api.transplant_inplace ~ctx ~host ~target:Hv.Kind.Kvm () in
   checkb "committed" true (r.Hypertp.Inplace.outcome = Hypertp.Inplace.Committed);
   match r.Hypertp.Inplace.audit with
   | Some a -> checkb "clean" true (A.clean a)
@@ -284,10 +282,10 @@ let test_salvage_then_audit_clean () =
   (* A salvaged VM's PIT was replaced with power-on defaults — the
      auditor must read that as regenerated state, not residue. *)
   let host = xen_host ~vms:[ small_vm (); small_vm ~name:"vm1" () ] () in
-  let ctx =
-    Hypertp.Ctx.with_fault (one Fault.Uisr_corrupt (Fault.On_vm "vm1")) audited
+  let fault = one Fault.Uisr_corrupt (Fault.On_vm "vm1") in
+  let r =
+    Hypertp.Api.transplant_inplace ~fault ~audit ~host ~target:Hv.Kind.Kvm ()
   in
-  let r = Hypertp.Api.transplant_inplace ~ctx ~host ~target:Hv.Kind.Kvm () in
   let d = recovered r in
   checkb "vm1 salvaged" true (List.map fst d.Hypertp.Inplace.salvaged = [ "vm1" ]);
   checki "no residual findings" 0 d.Hypertp.Inplace.audit_findings;
@@ -307,12 +305,12 @@ let phases_equal a b =
   && Sim.Time.equal a.network b.network
 
 let test_audit_time_charged_to_downtime () =
-  let run ctx =
+  let run ?audit () =
     let host = xen_host () in
-    Hypertp.Api.transplant_inplace ~ctx ~host ~target:Hv.Kind.Kvm ()
+    Hypertp.Api.transplant_inplace ?audit ~host ~target:Hv.Kind.Kvm ()
   in
-  let plain = run (Hypertp.Ctx.make ()) in
-  let aud = run audited in
+  let plain = run () in
+  let aud = run ~audit () in
   checkb "both committed" true
     (plain.Hypertp.Inplace.outcome = Hypertp.Inplace.Committed
     && aud.Hypertp.Inplace.outcome = Hypertp.Inplace.Committed);
@@ -326,12 +324,11 @@ let test_audit_time_charged_to_downtime () =
 let test_audit_rungs_reconcile_with_trace () =
   let host = xen_host () in
   let tr = Obs.Tracer.create () in
-  let ctx =
-    Hypertp.Ctx.make
+  let r =
+    Hypertp.Api.transplant_inplace
       ~fault:(one Fault.Residual_leak (Fault.Nth_hit 1))
-      ~obs:tr ~audit:Hypertp.Ctx.audit_default ()
+      ~obs:tr ~audit ~host ~target:Hv.Kind.Kvm ()
   in
-  let r = Hypertp.Api.transplant_inplace ~ctx ~host ~target:Hv.Kind.Kvm () in
   let d = recovered r in
   let derived = Hypertp.Phases.of_trace (Obs.Tracer.spans tr) in
   checkb "phases reconcile from the trace" true
@@ -367,13 +364,10 @@ let planted_inplace ?(scrub = true) () =
       ~hv:Hv.Kind.Xen
       [ Vmstate.Vm.config ~name:"vm0" ~vcpus:1 ~ram:(Hw.Units.gib 1) () ]
   in
-  let ctx =
-    Hypertp.Ctx.make ~rng:(Sim.Rng.create 42L)
-      ~fault:(one Fault.Residual_leak (Fault.Nth_hit 1))
-      ~audit:{ Hypertp.Ctx.audit_scrub = scrub }
-      ()
-  in
-  Hypertp.Api.transplant_inplace ~ctx ~host ~target:Hv.Kind.Kvm ()
+  Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create 42L)
+    ~fault:(one Fault.Residual_leak (Fault.Nth_hit 1))
+    ~audit:(if scrub then Hypertp.Inplace.Scrub else Report_only)
+    ~host ~target:Hv.Kind.Kvm ()
 
 let audit_of r =
   match r.Hypertp.Inplace.audit with
@@ -439,12 +433,12 @@ let kvm_dst ?(name = "adst") () =
   Hypertp.Api.provision ~name ~machine:(machine ()) ~hv:Hv.Kind.Kvm []
 
 let test_migrate_audit_time_charged () =
-  let run ctx =
+  let run ?audit () =
     let src = xen_host () and dst = kvm_dst () in
-    Hypertp.Api.transplant_migration ~ctx ~src ~dst ()
+    Hypertp.Api.transplant_migration ?audit ~src ~dst ()
   in
-  let plain = run (Hypertp.Ctx.make ()) in
-  let aud = run audited in
+  let plain = run () in
+  let aud = run ~audit () in
   checkb "plain run pays nothing" true
     (Sim.Time.equal plain.Hypertp.Migrate.audit_time Sim.Time.zero
     && plain.Hypertp.Migrate.audit = None);
@@ -462,10 +456,8 @@ let test_migrate_audit_time_charged () =
 
 let test_migrate_leak_scrubbed_stays_clean () =
   let src = xen_host () and dst = kvm_dst () in
-  let ctx =
-    Hypertp.Ctx.with_fault (one Fault.Residual_leak (Fault.Nth_hit 1)) audited
-  in
-  let r = Hypertp.Api.transplant_migration ~ctx ~src ~dst () in
+  let fault = one Fault.Residual_leak (Fault.Nth_hit 1) in
+  let r = Hypertp.Api.transplant_migration ~fault ~audit ~src ~dst () in
   checkb "scrub-and-recheck keeps the check green" true
     r.Hypertp.Migrate.checks.Hypertp.Migrate.residual_clean;
   match r.Hypertp.Migrate.audit with
@@ -480,9 +472,7 @@ let test_migrate_scrub_fail_flags_residue () =
         { Fault.site = Fault.Scrub_fail; trigger = Fault.Nth_hit 1 } ]
   in
   let r =
-    Hypertp.Api.transplant_migration
-      ~ctx:(Hypertp.Ctx.with_fault fault audited)
-      ~src ~dst ()
+    Hypertp.Api.transplant_migration ~fault ~audit ~src ~dst ()
   in
   checkb "residual check fails" true
     (not r.Hypertp.Migrate.checks.Hypertp.Migrate.residual_clean);

@@ -6,6 +6,7 @@ module C = Cluster.Campaign
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+let checks = Alcotest.check Alcotest.string
 
 let close ?(eps = 1e-6) msg expected actual =
   checkb
@@ -296,6 +297,69 @@ let test_journal_parse_errors () =
   reject "not a journal";
   reject "hypertp-campaign-journal v99\n"
 
+(* --- incremental exposure accounting == recomputed integral --- *)
+
+(* Campaign: the accumulator updated on each host completion must equal
+   the per-host fold over the final report. *)
+let test_campaign_incremental_exposure_qcheck () =
+  let gen =
+    QCheck.(pair (int_range 2 30) (pair (int_range 1 4) small_int))
+  in
+  let prop (nodes, (vms_per_node, seed)) =
+    (* The int_range shrinker can step below the range; skip those. *)
+    QCheck.assume (nodes >= 2 && vms_per_node >= 1 && seed >= 0);
+    let cfg =
+      {
+        Cluster.Campaign.default_config with
+        Cluster.Campaign.nodes;
+        vms_per_node;
+        seed = Int64.of_int seed;
+      }
+    in
+    let fault =
+      Fault.make
+        ~seed:(Int64.of_int (seed + 1))
+        [ { Fault.site = Fault.Host_crash; trigger = Fault.Probability 0.3 } ]
+    in
+    let r = Cluster.Campaign.run_to_completion ~fault cfg in
+    let folded =
+      List.fold_left
+        (fun acc h -> acc +. h.Cluster.Campaign.hr_exposure_hours)
+        0.0 r.Cluster.Campaign.hosts
+    in
+    if Float.abs (folded -. r.Cluster.Campaign.exposed_host_hours) > 1e-6 then
+      QCheck.Test.fail_reportf
+        "incremental %.9f <> fold %.9f (nodes=%d seed=%d)"
+        r.Cluster.Campaign.exposed_host_hours folded nodes seed;
+    true
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:25 ~name:"campaign incremental exposure" gen prop)
+
+(* --- fleet-scale determinism --- *)
+
+let test_large_campaign_deterministic () =
+  let cfg =
+    {
+      Cluster.Campaign.default_config with
+      Cluster.Campaign.nodes = 1000;
+      vms_per_node = 8;
+    }
+  in
+  let snap () =
+    match Cluster.Campaign.run cfg with
+    | Cluster.Campaign.Finished (r, j) ->
+      ( Cluster.Campaign.journal_to_string j,
+        r.Cluster.Campaign.exposed_host_hours,
+        r.Cluster.Campaign.wall_clock )
+    | Cluster.Campaign.Crashed _ -> Alcotest.fail "no fault plan: cannot crash"
+  in
+  let j1, e1, w1 = snap () in
+  let j2, e2, w2 = snap () in
+  checks "identical 1k-host journal" j1 j2;
+  checkb "identical exposure" true (e1 = e2);
+  checkb "identical wall clock" true (w1 = w2)
+
 let suites =
   [
     ( "campaign.admission",
@@ -326,5 +390,12 @@ let suites =
         Alcotest.test_case "mismatched fault rejected" `Quick
           test_resume_rejects_mismatched_fault;
         Alcotest.test_case "parse errors" `Quick test_journal_parse_errors;
+        Alcotest.test_case "1k-host determinism" `Slow
+          test_large_campaign_deterministic;
+      ] );
+    ( "campaign.exposure",
+      [
+        Alcotest.test_case "campaign incremental (qcheck)" `Slow
+          test_campaign_incremental_exposure_qcheck;
       ] );
   ]

@@ -454,6 +454,47 @@ let test_fleet_rejects_medium () =
        false
      with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Fleet.simulate")
 
+(* --- incremental exposure accounting == recomputed integral --- *)
+
+(* Fleet: the running sum kept as transplants fire must equal the
+   integral recomputed from the event log after the fact. *)
+let fleet_integral (o : Cluster.Fleet.outcome) =
+  let firsts = Hashtbl.create 16 in
+  let disclosed = ref Sim.Time.zero in
+  Array.iter
+    (fun (t, ev) ->
+      match ev with
+      | Cluster.Fleet.Disclosed _ -> disclosed := t
+      | Cluster.Fleet.Host_transplanted { host; _ } ->
+        if not (Hashtbl.mem firsts host) then Hashtbl.add firsts host t
+      | Cluster.Fleet.Patch_released | Cluster.Fleet.Host_patched _ -> ())
+    o.Cluster.Fleet.events;
+  Hashtbl.fold
+    (fun _ t acc ->
+      acc +. (Sim.Time.to_sec_f (Sim.Time.sub t !disclosed) /. 3600.0))
+    firsts 0.0
+
+let test_fleet_incremental_exposure_qcheck () =
+  let gen =
+    QCheck.(
+      pair (int_range 2 12)
+        (pair (int_range 1 3) (int_range 30 3600)))
+  in
+  let prop (hosts, (vms_per_host, stagger_s)) =
+    let o =
+      Cluster.Fleet.simulate ~hosts ~vms_per_host
+        ~stagger:(Sim.Time.sec stagger_s) ~cve_id:"CVE-2016-6258" ()
+    in
+    let integral = fleet_integral o in
+    if Float.abs (integral -. o.Cluster.Fleet.exposed_host_hours) > 1e-6 then
+      QCheck.Test.fail_reportf
+        "incremental %.9f <> integral %.9f (hosts=%d stagger=%ds)"
+        o.Cluster.Fleet.exposed_host_hours integral hosts stagger_s;
+    true
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:30 ~name:"fleet incremental exposure" gen prop)
+
 let suites =
   [
     ( "cluster.model",
@@ -507,5 +548,7 @@ let suites =
         Alcotest.test_case "stagger scales exposure" `Quick
           test_fleet_stagger_scales_exposure;
         Alcotest.test_case "medium flaws rejected" `Quick test_fleet_rejects_medium;
+        Alcotest.test_case "fleet incremental (qcheck)" `Slow
+          test_fleet_incremental_exposure_qcheck;
       ] );
   ]

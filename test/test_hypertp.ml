@@ -454,14 +454,14 @@ let test_api_respond_no_apply () =
   in
   checkb "advice only" true (r.outcome = `Advised Hv.Kind.Kvm);
   checkb "still xen" true (Hv.Host.hypervisor_kind host = Some Hv.Kind.Xen);
-  (* The deprecated boolean spelling maps onto the same modes. *)
+  (* Advice is a pure function of the CVE and the running hypervisor. *)
   let host' = xen_host () in
   let r' =
-    Hypertp.Api.respond_to_cve_legacy ~host:host' ~cve_id:"CVE-2016-6258"
-      ~apply:false ()
+    Hypertp.Api.respond_to_cve ~host:host' ~cve_id:"CVE-2016-6258"
+      ~mode:`Advise ()
   in
-  checkb "legacy advice matches" true (r'.outcome = r.outcome);
-  checkb "legacy host untouched" true
+  checkb "repeat advice matches" true (r'.outcome = r.outcome);
+  checkb "repeat host untouched" true
     (Hv.Host.hypervisor_kind host' = Some Hv.Kind.Xen)
 
 let test_api_respond_common_flaw () =

@@ -326,6 +326,70 @@ let test_journal_roundtrip () =
       checks "complete-journal resume is identity" text
         (Stream.Service.journal_to_string j3))
 
+(* Every float field of the config line must survive the text journal
+   exactly, or a resumed run replays under a different config. *)
+let prop_config_line_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      let pos =
+        map (fun x -> 1e-12 +. x)
+          (oneof [ float_bound_inclusive 1e-6; float_bound_inclusive 1e6 ])
+      in
+      let frac = float_bound_inclusive 1.0 in
+      let pop = oneofl [ 0; 2; 3; 17; 1000 ] in
+      let* years = pos and* rate_per_year = pos and* tempo = pos in
+      let* batch_days = pos and* critical_fraction = frac in
+      let* coordinated_fraction = frac and* inplace_fraction = frac in
+      let* xen_hosts = pop and* kvm_hosts = pop and* bhyve_hosts = pop in
+      let* vms_per_host = int_range 1 64 and* concurrency = int_range 1 64 in
+      let* policy = oneofl Stream.Policy.all_kinds in
+      let* preempt = bool and* track_bookings = bool in
+      let* seed = map Int64.of_int int in
+      return
+        {
+          Stream.Service.years;
+          mix = { Stream.Service.xen_hosts; kvm_hosts; bhyve_hosts };
+          vms_per_host;
+          rate_per_year;
+          critical_fraction;
+          coordinated_fraction;
+          policy;
+          tempo;
+          concurrency;
+          inplace_fraction;
+          batch_days;
+          preempt;
+          seed;
+          track_bookings;
+        })
+  in
+  QCheck.Test.make ~count:200 ~name:"config line round-trips exactly"
+    (QCheck.make ~print:Stream.Service.config_to_line gen) (fun c ->
+      Stream.Service.config_of_line (Stream.Service.config_to_line c) = Ok c)
+
+(* A crash journal written as text and read back must resume to the
+   uninterrupted report, also for a horizon that six decimals round. *)
+let test_text_resume_non_round_config () =
+  let cfg = { small_config with Stream.Service.years = 0.5000004 } in
+  let fault =
+    Fault.make
+      [ { Fault.site = Fault.Controller_crash; trigger = Fault.Nth_hit 10 } ]
+  in
+  match Stream.Service.run ~fault cfg with
+  | Stream.Service.Finished _ -> Alcotest.fail "expected a crash"
+  | Stream.Service.Crashed j -> (
+    let text = Stream.Service.journal_to_string j in
+    match Stream.Service.journal_of_string text with
+    | Error e -> Alcotest.fail e
+    | Ok j' -> (
+      match Stream.Service.resume ~fault j' with
+      | Stream.Service.Crashed _ -> Alcotest.fail "resume crashed again"
+      | Stream.Service.Finished (r, _) ->
+        let r_clean, _ = run_clean cfg in
+        checks "text resume equals the uninterrupted run"
+          (Stream.Service.report_to_string r_clean)
+          (Stream.Service.report_to_string r)))
+
 let test_resume_rejects_mismatch () =
   let _, j = run_clean small_config in
   let text = Stream.Service.journal_to_string j in
@@ -415,10 +479,13 @@ let suites =
           test_journal_roundtrip;
         Alcotest.test_case "resume rejects a tampered journal" `Quick
           test_resume_rejects_mismatch;
+        Alcotest.test_case "text resume of a non-round config" `Quick
+          test_text_resume_non_round_config;
         Alcotest.test_case "config validation" `Quick test_service_validation;
         Alcotest.test_case "metrics dashboard" `Quick test_metrics_dashboard;
         qtest prop_service_deterministic;
         qtest prop_policy_dominance;
         qtest prop_preemption_safe;
+        qtest prop_config_line_roundtrip;
       ] );
   ]

@@ -84,7 +84,12 @@ let test_spec_errors () =
   checkb "zero regions" true (fails "0x5x2");
   checkb "tiny region" true (fails "a:1:1");
   checkb "empty" true (fails "");
-  checkb "trailing field" true (fails "a:4:2:0:1:9")
+  checkb "trailing field" true (fails "a:4:2:0:1:9");
+  (* Counts whose totals overflow [int] are rejected, not wrapped. *)
+  checkb "huge region count" true (fails "4611686018427387903x2x2");
+  checkb "overflowing host total" true (fails "3x4611686018427387903x8");
+  checkb "overflowing region list" true
+    (fails "a:2:4611686018427387903;b:4611686018427387903:2")
 
 let test_spec_roundtrip_qcheck () =
   let region_gen =
@@ -121,20 +126,6 @@ let test_spec_roundtrip_qcheck () =
   in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:100 ~name:"spec round-trip" gen prop)
-
-(* --- Ctx sharding knob --- *)
-
-let test_ctx_sharding () =
-  checkb "default is sequential" true
-    (Hypertp.Ctx.default.Hypertp.Ctx.sharding = Sim.Shard.Sequential);
-  let m = Sim.Shard.Parallel { shards = 8; domains = 2 } in
-  let c = Hypertp.Ctx.with_sharding m Hypertp.Ctx.default in
-  checkb "with_sharding sets" true (c.Hypertp.Ctx.sharding = m);
-  let r = Hypertp.Ctx.resolve ~ctx:c ~sharding:(Sim.Shard.Rotated 3) () in
-  checkb "explicit arg wins" true
-    (r.Hypertp.Ctx.sharding = Sim.Shard.Rotated 3);
-  let r' = Hypertp.Ctx.resolve ~ctx:c () in
-  checkb "ctx field survives" true (r'.Hypertp.Ctx.sharding = m)
 
 let test_shard_mode_strings () =
   List.iter
@@ -343,7 +334,6 @@ let suites =
       ] );
     ( "topology.sharding",
       [
-        Alcotest.test_case "ctx sharding knob" `Quick test_ctx_sharding;
         Alcotest.test_case "mode strings" `Quick test_shard_mode_strings;
         QCheck_alcotest.to_alcotest prop_digest_sees_every_config_field;
         Alcotest.test_case "fleet report consistency" `Quick
