@@ -756,7 +756,8 @@ let campaign_cmd =
          & info [ "mode"; "shards" ] ~docv:"MODE"
              ~doc:"Shard schedule for $(b,--topology): $(b,seq), \
                    $(b,rotated:K) or $(b,parallel:SxD) (S shards on D \
-                   domains).  Results are byte-identical across modes; only \
+                   domains, D at most 128).  Results are byte-identical \
+                   across modes; only \
                    wall-clock changes.")
   in
   let journal_file =
@@ -1175,6 +1176,10 @@ let serve_cmd =
         ( S.mix_of_topology tp,
           (Cluster.Topology.regions tp).(0).Cluster.Topology.rg_vms_per_host )
       | None ->
+        (* Checked before the split: [hosts + 1] wraps at [max_int]. *)
+        if hosts < 0 || hosts > Cluster.Topology.max_hosts then
+          Hypertp.Error.raise_errorf ~site:"serve"
+            "--hosts must be in [0, %d] (got %d)" Cluster.Topology.max_hosts hosts;
         ( { S.xen_hosts = (hosts + 1) / 2;
             kvm_hosts = hosts / 2;
             bhyve_hosts },

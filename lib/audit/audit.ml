@@ -114,133 +114,64 @@ let pp_report fmt r =
 
 (* --- deterministic serialization --- *)
 
+module J = Sim.Journal
+
 let magic = "hypertp-audit-report v1"
+
+let header { J.field; _ } r =
+  let r_source = field "source" J.str r.r_source in
+  let r_target = field "target" J.str r.r_target in
+  let r_frames_swept = field "frames_swept" J.int r.r_frames_swept in
+  let r_guest_frames = field "guest_frames" J.int r.r_guest_frames in
+  { r with r_source; r_target; r_frames_swept; r_guest_frames }
+
+let kinds = J.conv kind_to_string kind_of_string
+let severities = J.conv severity_to_string severity_of_string
+let hex = J.conv (Printf.sprintf "0x%Lx") Int64.of_string_opt
+
+let finding { J.field; optional; _ } f =
+  let f_kind = field "kind" kinds f.f_kind in
+  let f_severity = field "severity" severities f.f_severity in
+  let f_subject = field "subject" J.str f.f_subject in
+  let f_frame = optional "frame" J.int f.f_frame in
+  let f_tag = optional "tag" hex f.f_tag in
+  (* free text: last, so it may run to the end of the line *)
+  let f_reason = field "reason" J.rest f.f_reason in
+  { f_kind; f_severity; f_subject; f_frame; f_tag; f_reason }
+
+let total { J.field; _ } n = field "findings" J.int n
 
 let to_string r =
   let b = Buffer.create 256 in
-  Buffer.add_string b magic;
-  Buffer.add_char b '\n';
-  Printf.bprintf b "source=%s target=%s frames_swept=%d guest_frames=%d\n"
-    r.r_source r.r_target r.r_frames_swept r.r_guest_frames;
-  List.iter
-    (fun f ->
-      Printf.bprintf b "finding kind=%s severity=%s subject=%s"
-        (kind_to_string f.f_kind)
-        (severity_to_string f.f_severity)
-        f.f_subject;
-      (match f.f_frame with
-      | Some n -> Printf.bprintf b " frame=%d" n
-      | None -> ());
-      (match f.f_tag with
-      | Some t -> Printf.bprintf b " tag=0x%Lx" t
-      | None -> ());
-      Printf.bprintf b " reason=%s\n" f.f_reason)
-    r.r_findings;
-  Printf.bprintf b "end findings=%d\n" (List.length r.r_findings);
+  J.line b magic;
+  J.put_line b "" header r;
+  List.iter (J.put_line b "finding" finding) r.r_findings;
+  J.put_line b "end" total (List.length r.r_findings);
   Buffer.contents b
 
-let split_kv tok =
-  match String.index_opt tok '=' with
-  | None -> (tok, "")
-  | Some i ->
-    (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-
 let of_string s =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match String.split_on_char '\n' s with
-  | m :: header :: rest when String.equal m magic -> (
-    let assoc line =
-      List.map split_kv (String.split_on_char ' ' line)
-    in
-    let req kvs key =
-      match List.assoc_opt key kvs with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing %s" key)
-    in
-    let ( let* ) = Result.bind in
-    let* src = req (assoc header) "source" in
-    let* tgt = req (assoc header) "target" in
-    let* swept = req (assoc header) "frames_swept" in
-    let* guest = req (assoc header) "guest_frames" in
-    let* swept =
-      Option.to_result ~none:"bad frames_swept" (int_of_string_opt swept)
-    in
-    let* guest =
-      Option.to_result ~none:"bad guest_frames" (int_of_string_opt guest)
-    in
-    let parse_finding line =
-      (* the reason is free text: split it off before tokenizing *)
-      let body, reason =
-        match
-          (* find " reason=" *)
-          let needle = " reason=" in
-          let nl = String.length needle in
-          let rec search i =
-            if i + nl > String.length line then None
-            else if String.sub line i nl = needle then Some i
-            else search (i + 1)
-          in
-          search 0
-        with
-        | Some i ->
-          ( String.sub line 0 i,
-            String.sub line (i + 8) (String.length line - i - 8) )
-        | None -> (line, "")
+  (* templates only: reading replaces every field *)
+  let r =
+    { r_source = ""; r_target = ""; r_frames_swept = 0; r_guest_frames = 0;
+      r_findings = [] }
+  in
+  let f =
+    { f_kind = Clock_skew; f_severity = Benign; f_subject = ""; f_frame = None;
+      f_tag = None; f_reason = "" }
+  in
+  J.parse s (fun rd ->
+      J.magic rd magic;
+      let r = J.get_line rd "" header r in
+      let rec findings acc =
+        if J.at_tag rd "finding" then findings (J.get_line rd "finding" finding f :: acc)
+        else List.rev acc
       in
-      let kvs = assoc body in
-      let* kind_s = req kvs "kind" in
-      let* sev_s = req kvs "severity" in
-      let* subject = req kvs "subject" in
-      let* f_kind =
-        Option.to_result ~none:("bad kind " ^ kind_s) (kind_of_string kind_s)
-      in
-      let* f_severity =
-        Option.to_result
-          ~none:("bad severity " ^ sev_s)
-          (severity_of_string sev_s)
-      in
-      let* f_frame =
-        match List.assoc_opt "frame" kvs with
-        | None -> Ok None
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n -> Ok (Some n)
-          | None -> Error ("bad frame " ^ v))
-      in
-      let* f_tag =
-        match List.assoc_opt "tag" kvs with
-        | None -> Ok None
-        | Some v -> (
-          match Int64.of_string_opt v with
-          | Some t -> Ok (Some t)
-          | None -> Error ("bad tag " ^ v))
-      in
-      Ok { f_kind; f_severity; f_subject = subject; f_frame; f_tag;
-           f_reason = reason }
-    in
-    let rec go acc = function
-      | [] | [ "" ] -> fail "missing end line"
-      | line :: rest when String.length line >= 8
-                          && String.sub line 0 8 = "finding " -> (
-        match parse_finding (String.sub line 8 (String.length line - 8)) with
-        | Ok f -> go (f :: acc) rest
-        | Error e -> Error e)
-      | line :: _ when String.length line >= 4 && String.sub line 0 4 = "end "
-        -> (
-        let kvs = assoc line in
-        let* n = req kvs "findings" in
-        match int_of_string_opt n with
-        | Some n when n = List.length acc -> Ok (List.rev acc)
-        | Some n ->
-          fail "finding count mismatch: end says %d, parsed %d" n
-            (List.length acc)
-        | None -> fail "bad end line %S" line)
-      | line :: _ -> fail "unexpected line %S" line
-    in
-    let* findings = go [] rest in
-    Ok { r_source = src; r_target = tgt; r_frames_swept = swept;
-         r_guest_frames = guest; r_findings = findings })
-  | _ -> fail "not an audit report (missing %S)" magic
+      let r_findings = findings [] in
+      let at = J.mark rd and n = List.length r_findings in
+      let stated = J.get_line rd "end" total 0 in
+      if stated <> n then
+        J.fail ~at rd "finding count mismatch: end says %d, parsed %d" stated n;
+      { r with r_findings })
 
 (* --- reference worlds --- *)
 

@@ -89,11 +89,16 @@ val worst : report -> severity option
 val pp_report : Format.formatter -> report -> unit
 
 val to_string : report -> string
-(** Deterministic line-based serialization; same report, byte-identical
-    string. *)
+(** Deterministic {!Sim.Journal} text: the magic, an untagged
+    [source= target= frames_swept= guest_frames=] header, one
+    [finding] line per finding (its free-text [reason=] last, to the
+    end of the line) and an [end findings=N] line.  Same report,
+    byte-identical string. *)
 
 val of_string : string -> (report, string) result
-(** Inverse of {!to_string}: [of_string (to_string r) = Ok r]. *)
+(** Inverse of {!to_string}: [of_string (to_string r) = Ok r].  Errors
+    read ["line N, column C: ..."], including a finding count that
+    disagrees with the [end] line. *)
 
 (** {1 Reference worlds} *)
 

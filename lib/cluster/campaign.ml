@@ -491,190 +491,128 @@ let journal_iter f j =
 
 (* --- journal text form --- *)
 
+module J = Sim.Journal
+
 let journal_magic = "hypertp-campaign-journal v1"
 
-(* Parse errors are [Failure]s, turned into [Error] by
-   [journal_of_string]. *)
-let line_fields line =
-  List.filter_map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | Some i ->
-        Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-      | None -> None)
-    (String.split_on_char ' ' line)
+(* One description for both directions ({!Sim.Journal.fields}). *)
+let config_line { J.field; optional; _ } c =
+  let nodes = field "nodes" J.int c.nodes in
+  let vms_per_node = field "vms_per_node" J.int c.vms_per_node in
+  let vm_ram = field "vm_ram" J.int c.vm_ram in
+  let node_ram = field "node_ram" J.int c.node_ram in
+  let inplace_fraction = field "fraction" J.float c.inplace_fraction in
+  let concurrency = field "concurrency" J.int c.concurrency in
+  let straggler_factor = field "straggler" J.float c.straggler_factor in
+  let breaker_window = field "window" J.int c.breaker_window in
+  let breaker_threshold = field "threshold" J.float c.breaker_threshold in
+  let breaker_cooldown = field "cooldown_ns" J.time c.breaker_cooldown in
+  let jitter_pct = field "jitter" J.float c.jitter_pct in
+  let drain_flakiness = field "drain" J.float c.drain_flakiness in
+  let retry_flakiness = field "retry" J.float c.retry_flakiness in
+  let seed = field "seed" J.int64 c.seed in
+  (* Absent for shadow-free campaigns, so journals recorded before the
+     shadow rung existed serialise byte-identically. *)
+  let spares = if c.shadow_spares > 0 then Some c.shadow_spares else None in
+  let spares = optional "shadow_spares" J.int spares in
+  { nodes; vms_per_node; vm_ram; node_ram; inplace_fraction; concurrency;
+    straggler_factor; breaker_window; breaker_threshold; breaker_cooldown;
+    jitter_pct; drain_flakiness; retry_flakiness; seed;
+    shadow_spares = Option.value spares ~default:0 }
 
-let field fs k =
-  match List.assoc_opt k fs with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "missing field %S" k)
+let config_to_line c = J.to_line "config" config_line c
 
-let int_field fs k =
-  match int_of_string_opt (field fs k) with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "bad integer for %S" k)
+(* An entry line over (host, stamp, packed word 1, cursor); word 1's
+   host bits are neither written nor read.  Optional tokens (decision,
+   audit, shadow) are absent when unused, so journals written before a
+   feature existed serialise byte-identically. *)
+let kinds, steps, mans = (J.enum kind_names, J.enum step_names, J.enum man_names)
+let verdicts = J.enum (Array.map verdict_to_string [| A_clean; A_scrubbed; A_failed |])
+let raise_part =
+  let ok v = if v >= 0 && v <= raise_field_max then Some v else None in
+  J.conv string_of_int (fun s -> Option.bind (int_of_string_opt s) ok)
 
-let config_to_line c =
-  Printf.sprintf
-    "config nodes=%d vms_per_node=%d vm_ram=%d node_ram=%d fraction=%.17g \
-     concurrency=%d straggler=%.17g window=%d threshold=%.17g cooldown_ns=%d \
-     jitter=%.17g drain=%.17g retry=%.17g seed=%Ld%s"
-    c.nodes c.vms_per_node c.vm_ram c.node_ram c.inplace_fraction c.concurrency
-    c.straggler_factor c.breaker_window c.breaker_threshold
-    (Sim.Time.to_ns c.breaker_cooldown)
-    c.jitter_pct c.drain_flakiness c.retry_flakiness c.seed
-    (* Optional token: absent for shadow-free campaigns, so journals
-       recorded before the shadow rung existed serialise byte-identically. *)
-    (if c.shadow_spares > 0 then Printf.sprintf " shadow_spares=%d" c.shadow_spares
-     else "")
-
-let config_of_line line =
-  Scanf.sscanf line
-    "config nodes=%d vms_per_node=%d vm_ram=%d node_ram=%d fraction=%g \
-     concurrency=%d straggler=%g window=%d threshold=%g cooldown_ns=%d \
-     jitter=%g drain=%g retry=%g seed=%Ld%[^\n]"
-    (fun nodes vms_per_node vm_ram node_ram inplace_fraction concurrency
-         straggler_factor breaker_window breaker_threshold cooldown jitter_pct
-         drain_flakiness retry_flakiness seed spares ->
-      { nodes; vms_per_node; vm_ram; node_ram; inplace_fraction; concurrency;
-        straggler_factor; breaker_window; breaker_threshold;
-        breaker_cooldown = Sim.Time.ns cooldown; jitter_pct; drain_flakiness;
-        retry_flakiness; seed;
-        shadow_spares =
-          (if spares = "" then 0
-           else Scanf.sscanf spares " shadow_spares=%d%!" Fun.id) })
-
-(* Optional tokens (decision, audit, shadow) are absent when unused, so
-   journals written before a feature existed serialise byte-identically. *)
-let entry_to_line buf e =
-  let c = event_bits e.je_event in
-  let kind = c land 0xf and step = (c lsr 4) land 3 and man = (c lsr 6) land 3 in
-  let args =
-    match e.je_event with
-    | Admitted _ | Attempt_completed _ -> " step=" ^ step_names.(step)
-    | Attempt_failed _ -> " step=" ^ step_names.(step) ^ " man=" ^ man_names.(man)
-    | Limit_raised { from_region; slots } ->
-      Printf.sprintf " from=%d slots=%d" from_region slots
-    | _ -> ""
+let entry_line { J.field; optional; word } (host, at, w1, cursor) =
+  let bit i = (w1 lsr i) land 1 in
+  (* A flag group: present iff bit [p], flag [i] in bit [p + 1 + i]. *)
+  let flags p keys =
+    let set i v = if v <> 0 then 1 lsl (p + 1 + i) else 0 in
+    match optional keys.(0) J.int (if bit p = 1 then Some (bit (p + 1)) else None) with
+    | None -> 0
+    | Some v ->
+      let w = ref ((1 lsl p) lor set 0 v) in
+      for i = 1 to Array.length keys - 1 do
+        w := !w lor set i (field keys.(i) J.int (bit (p + 1 + i)))
+      done;
+      !w
   in
-  let bit n v = Printf.sprintf " %s=%d" n (Bool.to_int v) in
-  let bits names vs = String.concat "" (List.map2 bit names vs) in
-  Buffer.add_string buf
-    (Printf.sprintf "e at=%d host=%s %s%s%s%s%s cursor=%d\n"
-       (Sim.Time.to_ns e.je_at)
-       (Option.value e.je_host ~default:"-")
-       kind_names.(kind) args
-       (match e.je_decision with
-       | Some { d_flap; d_crash; d_timeout } ->
-         bits [ "flap"; "crash"; "timeout" ] [ d_flap; d_crash; d_timeout ]
-       | None -> "")
-       (match e.je_audit with
-       | Some v -> " audit=" ^ verdict_to_string v
-       | None -> "")
-       (match e.je_shadow with
-       | Some s ->
-         bits [ "sspare"; "sstage"; "sdrop"; "sdiverge"; "spart" ]
-           [ s.s_spare; s.s_stage; s.s_drop; s.s_diverge; s.s_partition ]
-       | None -> "")
-       e.je_cursor)
+  let at = field "at" J.time at in
+  let host = field "host" J.str host in
+  let kind = word kinds (w1 land 0xf) in
+  (* The bit field of word 1 at [shift], a token only where [used]. *)
+  let part used k v shift mask =
+    if used then field k v ((w1 lsr shift) land mask) lsl shift else 0
+  in
+  (* adm, fail and done name a ladder step; fail also a manifestation *)
+  let step = part (kind = 0 || kind = 3 || kind = 4) "step" steps 4 3 in
+  let man = part (kind = 3) "man" mans 6 3 in
+  let from = part (kind = kind_raise) "from" raise_part 20 raise_field_max in
+  let slots = part (kind = kind_raise) "slots" raise_part 41 raise_field_max in
+  let decision = flags 8 [| "flap"; "crash"; "timeout" |] in
+  let verdict = match (w1 lsr 12) land 3 with 0 -> None | a -> Some (a - 1) in
+  let audit =
+    match optional "audit" verdicts verdict with Some a -> (a + 1) lsl 12 | None -> 0
+  in
+  let shadow = flags 14 [| "sspare"; "sstage"; "sdrop"; "sdiverge"; "spart" |] in
+  let cursor = field "cursor" J.int cursor in
+  let w = kind lor step lor man lor from lor slots in
+  (host, at, w lor decision lor audit lor shadow, cursor)
 
-let entry_of_line line =
-  let tokens = String.split_on_char ' ' line in
-  if List.hd tokens <> "e" then failwith ("bad entry line: " ^ line);
-  let fs = line_fields line in
-  let index what names v =
-    match Array.find_index (String.equal v) names with
-    | Some i -> i
-    | None -> failwith (Printf.sprintf "bad %s %S" what v)
-  in
-  let kind =
-    match List.find_opt (fun t -> t <> "e" && not (String.contains t '=')) tokens with
-    | Some k -> index "entry kind" kind_names k
-    | None -> failwith ("entry without a kind: " ^ line)
-  in
-  let step =
-    if List.mem kind [ 0; 3; 4 ] then index "ladder step" step_names (field fs "step")
-    else 0
-  in
-  let man = if kind = 3 then index "manifestation" man_names (field fs "man") else 0 in
-  let raised k =
-    let v = if kind = kind_raise then int_field fs k else 0 in
-    if v < 0 || v > raise_field_max then failwith (Printf.sprintf "%S out of range" k);
-    v
-  in
-  let flag k = int_field fs k <> 0 in
-  {
-    je_at = Sim.Time.ns (int_field fs "at");
-    je_host = (match field fs "host" with "-" -> None | h -> Some h);
-    je_event =
-      event_of_word
-        (kind lor (step lsl 4) lor (man lsl 6) lor (raised "from" lsl 20)
-        lor (raised "slots" lsl 41));
-    je_decision =
-      (if List.mem_assoc "flap" fs then
-         Some
-           { d_flap = flag "flap"; d_crash = flag "crash"; d_timeout = flag "timeout" }
-       else None);
-    je_audit =
-      (match List.assoc_opt "audit" fs with
-      | None -> None
-      | Some v -> (
-        match verdict_of_string v with
-        | Some _ as r -> r
-        | None -> failwith ("bad audit verdict " ^ v)));
-    je_shadow =
-      (if List.mem_assoc "sspare" fs then
-         Some
-           { s_spare = flag "sspare"; s_stage = flag "sstage"; s_drop = flag "sdrop";
-             s_diverge = flag "sdiverge"; s_partition = flag "spart" }
-       else None);
-    je_cursor = int_field fs "cursor";
-  }
+let write_journal b j =
+  J.line b journal_magic;
+  J.put_line b "config" config_line j.j_config;
+  let words = j.j_words and names = j.j_names in
+  for k = 0 to journal_length j - 1 do
+    let w1 = Sim.Vec.get words ((3 * k) + 1) in
+    let host = match host_field w1 with 0 -> "-" | i -> names.(i - 1) in
+    let at = Sim.Time.ns (Sim.Vec.get words (3 * k)) in
+    J.put_line b "e" entry_line (host, at, w1, Sim.Vec.get words ((3 * k) + 2))
+  done
+
+(* Entry lines run 40-80 bytes: size the buffer once. *)
+let journal_bytes j = 64 * (journal_length j + 4)
 
 let journal_to_string j =
-  (* Entry lines run 40-80 bytes: size the buffer once. *)
-  let buf = Buffer.create (64 * (journal_length j + 4)) in
-  Buffer.add_string buf (journal_magic ^ "\n" ^ config_to_line j.j_config ^ "\n");
-  journal_iter (entry_to_line buf) j;
-  Buffer.contents buf
+  let b = Buffer.create (journal_bytes j) in
+  write_journal b j;
+  Buffer.contents b
 
-let journal_of_string s =
-  try
-    match List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s) with
-    | magic :: config_line :: entry_lines ->
-      if String.trim magic <> journal_magic then
-        failwith "not a campaign journal (bad magic line)";
-      let config = config_of_line config_line in
-      (* Parsed entries are interned straight into the packed form;
-         hosts get side-table indices in first-appearance order. *)
-      let words = Sim.Vec.create ~capacity:(4 * List.length entry_lines) 0 in
-      let names = ref [] and n_names = ref 0 in
-      let name_idx = Hashtbl.create 64 in
-      let intern h =
-        match Hashtbl.find_opt name_idx h with
-        | Some i -> i
-        | None ->
-          let i = !n_names in
-          Hashtbl.replace name_idx h i;
-          names := h :: !names;
-          incr n_names;
-          i
-      in
-      List.iter
-        (fun line ->
-          let e = entry_of_line line in
-          let host_idx = match e.je_host with None -> -1 | Some h -> intern h in
-          let w0, w1, w2 = pack_entry ~host_idx e in
-          Sim.Vec.push words w0;
-          Sim.Vec.push words w1;
-          Sim.Vec.push words w2)
-        entry_lines;
-      let j_names = Array.of_list (List.rev !names) in
-      Ok { j_config = config; j_words = words; j_names }
-    | _ -> failwith "truncated journal (need magic + config lines)"
-  with
-  | Failure msg | Invalid_argument msg | Scanf.Scan_failure msg -> Error msg
-  | End_of_file -> Error "truncated config line"
+(* Reads entries up to the first line that is not one, so a journal can
+   be embedded in a larger text.  Hosts get side-table indices in
+   first-appearance order. *)
+let read_journal r =
+  J.magic r journal_magic;
+  let j_config = J.get_line r "config" config_line default_config in
+  let words = Sim.Vec.create ~capacity:1024 0 in
+  let names = Sim.Vec.create "" and name_idx = Hashtbl.create 64 in
+  let intern h =
+    match Hashtbl.find_opt name_idx h with
+    | Some i -> i
+    | None ->
+      Sim.Vec.push names h;
+      Hashtbl.replace name_idx h (Sim.Vec.length names - 1);
+      Sim.Vec.length names - 1
+  in
+  while J.at_tag r "e" do
+    let host, at, w1, cursor = J.get_line r "e" entry_line ("-", Sim.Time.zero, 0, 0) in
+    let hosted = w1 land 0xf <> kind_raise && host <> "-" in
+    Sim.Vec.push words (Sim.Time.to_ns at);
+    Sim.Vec.push words (if hosted then w1 lor ((intern host + 1) lsl 20) else w1);
+    Sim.Vec.push words cursor
+  done;
+  { j_config; j_words = words; j_names = Sim.Vec.to_array names }
+
+let journal_of_string s = J.parse s read_journal
 
 (* --- controller state (shared between live execution and replay) --- *)
 
@@ -1618,7 +1556,12 @@ let resume_st ?eng ?like ?fault ?probe ?obs ?metrics journal =
       in
       if st.fault <> None && replayed <> e then begin
         let b = Buffer.create 192 in
-        List.iter (entry_to_line b) [ e; replayed ];
+        List.iter
+          (fun e ->
+            let _, w1, cursor = pack_entry ~host_idx:0 e in
+            let host = Option.value e.je_host ~default:"-" in
+            J.put_line b "e" entry_line (host, e.je_at, w1, cursor))
+          [ e; replayed ];
         Hypertp_error.raise_errorf ~site:"Campaign.resume" ~hint
           "journal entry %d disagrees with the fault plan (journal, then \
            plan):\n%s" !entry_no (Buffer.contents b)
@@ -1935,16 +1878,38 @@ let fleet_digest fr =
 
 let fleet_magic = "hypertp-fleet-journal v1"
 
+(* [topology SPEC] and [region NAME]: a tag and the rest of the line. *)
+let named { J.word; _ } s = word J.rest s
+
 let fleet_journals_to_string fr =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (fleet_magic ^ "\n");
-  Buffer.add_string buf ("topology " ^ Topology.spec fr.f_topology ^ "\n");
+  let bytes = Array.fold_left (fun n j -> n + journal_bytes j) 256 fr.f_journals in
+  let b = Buffer.create bytes in
+  J.line b fleet_magic;
+  J.put_line b "topology" named (Topology.spec fr.f_topology);
   Array.iter2
-    (fun s j ->
-      Buffer.add_string buf ("region " ^ s.s_region ^ "\n");
-      Buffer.add_string buf (journal_to_string j))
-    fr.f_summaries fr.f_journals;
-  Buffer.contents buf
+    (fun (rg : Topology.region) j ->
+      J.put_line b "region" named rg.rg_name;
+      write_journal b j)
+    (Topology.regions fr.f_topology) fr.f_journals;
+  Buffer.contents b
+
+let fleet_journals_of_string s =
+  J.parse s (fun r ->
+      J.magic r fleet_magic;
+      let at = J.mark r in
+      let spec = Topology.of_spec (J.get_line r "topology" named "") in
+      let topology = Result.fold ~ok:Fun.id ~error:(J.fail ~at r "%s") spec in
+      let regions = Topology.regions topology in
+      let sections = J.sections r "region" named "" ~body:read_journal in
+      List.iteri
+        (fun i (at, name, _) ->
+          if i >= Array.length regions || name <> regions.(i).Topology.rg_name then
+            J.fail ~at r "region %S is not region %d of the topology" name i)
+        sections;
+      let n = List.length sections in
+      if n < Array.length regions then
+        J.fail r "%d region journals, topology has %d" n (Array.length regions);
+      (topology, Array.of_list (List.map (fun (_, _, j) -> j) sections)))
 
 let pp_summary fmt s =
   Format.fprintf fmt

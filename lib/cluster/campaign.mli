@@ -176,9 +176,17 @@ val config_to_line : config -> string
     round-trip precision.  {!fleet_digest} hashes this line. *)
 
 val journal_to_string : journal -> string
-(** Line-oriented text serialisation (for [--resume-from] files). *)
+(** Line-oriented {!Sim.Journal} text (for [--resume-from] files): the
+    magic, the {!config_to_line} line, one [e] line per entry. *)
 
 val journal_of_string : string -> (journal, string) result
+(** Read back {!journal_to_string}.  Errors read
+    ["line N, column C: ..."] ({!Sim.Journal}). *)
+
+val write_journal : Buffer.t -> journal -> unit
+val read_journal : Sim.Journal.reader -> journal
+(** The same codec inside a larger {!Sim.Journal} text: reading stops
+    at the first line that is not an entry (the next section). *)
 
 val journal_events :
   (Sim.Time.t -> string option -> event -> unit) -> journal -> unit
@@ -366,7 +374,14 @@ val fleet_digest : fleet_report -> int
 
 val fleet_journals_to_string : fleet_report -> string
 (** Concatenated region journals under a fleet header — the
-    byte-identity witness the mode-equivalence tests compare. *)
+    byte-identity witness the mode-equivalence tests compare.  A
+    {!Sim.Journal} text: the magic, a [topology SPEC] line, then per
+    region a [region NAME] section holding its campaign journal. *)
+
+val fleet_journals_of_string : string -> (Topology.t * journal array, string) result
+(** Read back {!fleet_journals_to_string}: the topology and the region
+    journals, in region order.  The region headers must name the
+    topology's regions, in order; errors name a line. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

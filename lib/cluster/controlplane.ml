@@ -534,105 +534,72 @@ let merged_to_string b =
 
 let bundle_magic = "hypertp-controlplane-bundle v2"
 
-(* The control-plane config, then each region's campaign journal text
-   under a header that counts its entries. *)
-let bundle_to_string b =
-  let c = b.b_config and ns = Sim.Time.to_ns in
-  String.concat ""
-    (Printf.sprintf
-       "%s\nconfig regions=%d hosts=%d vms=%d conc=%d straggler=%.17g \
-        window=%d threshold=%.17g cooldown_ns=%d jitter=%.17g drain=%.17g \
-        hb_every_ns=%d hb_timeout_ns=%d lag_ns=%d seed=%Ld\n"
-       bundle_magic c.regions c.hosts_per_region c.vms_per_host
-       c.global_concurrency c.straggler_factor c.breaker_window
-       c.breaker_threshold (ns c.breaker_cooldown) c.jitter_pct
-       c.drain_flakiness (ns c.heartbeat_every) (ns c.heartbeat_timeout)
-       (ns c.realloc_lag) c.seed
-    :: List.concat
-         (List.mapi
-            (fun i j ->
-              [ Printf.sprintf "region idx=%d entries=%d\n" i
-                  (C.journal_length j); C.journal_to_string j ])
-            (Array.to_list b.b_journals)))
+module J = Sim.Journal
 
-exception Parse of string
+let config_line { J.field; _ } (c : config) : config =
+  let regions = field "regions" J.int c.regions in
+  let hosts_per_region = field "hosts" J.int c.hosts_per_region in
+  let vms_per_host = field "vms" J.int c.vms_per_host in
+  let global_concurrency = field "conc" J.int c.global_concurrency in
+  let straggler_factor = field "straggler" J.float c.straggler_factor in
+  let breaker_window = field "window" J.int c.breaker_window in
+  let breaker_threshold = field "threshold" J.float c.breaker_threshold in
+  let breaker_cooldown = field "cooldown_ns" J.time c.breaker_cooldown in
+  let jitter_pct = field "jitter" J.float c.jitter_pct in
+  let drain_flakiness = field "drain" J.float c.drain_flakiness in
+  let heartbeat_every = field "hb_every_ns" J.time c.heartbeat_every in
+  let heartbeat_timeout = field "hb_timeout_ns" J.time c.heartbeat_timeout in
+  let realloc_lag = field "lag_ns" J.time c.realloc_lag in
+  let seed = field "seed" J.int64 c.seed in
+  { regions; hosts_per_region; vms_per_host; global_concurrency; straggler_factor;
+    breaker_window; breaker_threshold; breaker_cooldown; jitter_pct; drain_flakiness;
+    heartbeat_every; heartbeat_timeout; realloc_lag; seed }
+
+let region_line { J.field; _ } (idx, entries) =
+  let idx = field "idx" J.int idx in
+  (idx, field "entries" J.int entries)
+
+(* The control-plane config, then each region's campaign journal in a
+   section whose header counts its entries. *)
+let bundle_to_string b =
+  let buf = Buffer.create (64 * (bundle_length b + (4 * Array.length b.b_journals))) in
+  J.line buf bundle_magic;
+  J.put_line buf "config" config_line b.b_config;
+  Array.iteri
+    (fun i j ->
+      J.put_line buf "region" region_line (i, C.journal_length j);
+      C.write_journal buf j)
+    b.b_journals;
+  Buffer.contents buf
 
 let bundle_of_string s =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
-  let len = String.length s in
-  let eol pos = Option.value (String.index_from_opt s pos '\n') ~default:len in
-  let line pos = String.sub s pos (eol pos - pos) in
-  let next pos = Stdlib.min len (eol pos + 1) in
-  (* A region's journal runs from the line after its header to the next
-     header: no journal line starts with "region ". *)
-  let rec section_end pos =
-    if pos >= len || (pos + 7 <= len && String.sub s pos 7 = "region ") then pos
-    else section_end (next pos)
-  in
-  let config_of_line line =
-    Scanf.sscanf line
-      "config regions=%d hosts=%d vms=%d conc=%d straggler=%g window=%d \
-       threshold=%g cooldown_ns=%d jitter=%g drain=%g hb_every_ns=%d \
-       hb_timeout_ns=%d lag_ns=%d seed=%Ld%!"
-      (fun regions hosts_per_region vms_per_host global_concurrency
-           straggler_factor breaker_window breaker_threshold cooldown
-           jitter_pct drain_flakiness every timeout lag seed ->
-        { regions; hosts_per_region; vms_per_host; global_concurrency;
-          straggler_factor; breaker_window; breaker_threshold;
-          breaker_cooldown = Sim.Time.ns cooldown; jitter_pct;
-          drain_flakiness; heartbeat_every = Sim.Time.ns every;
-          heartbeat_timeout = Sim.Time.ns timeout;
-          realloc_lag = Sim.Time.ns lag; seed })
-  in
-  let rec regions (config : config) cfgs i acc pos =
-    if pos >= len then
-      if i = config.regions then Array.of_list (List.rev acc)
-      else fail "%d region journals, config says %d" i config.regions
-    else if i = config.regions then
-      fail "more regions than the config's %d" config.regions
-    else
-      let header = line pos in
-      let n =
-        try Scanf.sscanf header "region idx=%d entries=%d%!" (fun idx n ->
-            if idx <> i || n < 0 then raise Exit;
-            n)
-        with _ -> fail "want the header of region %d, got %S" i header
-      in
-      let body = next pos in
-      let stop = section_end body in
-      let j =
-        match C.journal_of_string (String.sub s body (stop - body)) with
-        | Ok j -> j
-        | Error e -> fail "region %d journal: %s" i e
-      in
-      if C.journal_length j <> n then
-        fail "region %d: %d entries, header says %d" i (C.journal_length j) n;
-      if C.journal_config j <> cfgs.(i) then
-        fail "region %d journal carries a different config" i;
-      let last = ref Sim.Time.zero in
-      C.journal_events
-        (fun at _ ev ->
-          if Sim.Time.(at < !last) then
-            fail "region %d: entry stamps negative or out of order" i;
-          last := at;
-          match ev with
-          | C.Limit_raised { from_region; _ }
-            when from_region < 0 || from_region >= config.regions ->
-            fail "region %d: grant from unknown region %d" i from_region
-          | _ -> ())
-        j;
-      regions config cfgs (i + 1) (j :: acc) stop
-  in
-  try
-    if line 0 <> bundle_magic then
-      fail "bad magic %S (want %S)" (line 0) bundle_magic;
-    let config =
-      try config_of_line (line (next 0))
-      with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-        fail "bad config line %S" (line (next 0))
-    in
-    (try validate_config config
-     with Hypertp_error.Error e -> fail "%s" (Hypertp_error.to_string e));
-    let b_journals = regions config (region_configs config) 0 [] (next (next 0)) in
-    Ok { b_config = config; b_journals }
-  with Parse msg -> Error msg
+  J.parse s (fun r ->
+      J.magic r bundle_magic;
+      let at = J.mark r in
+      let config = J.get_line r "config" config_line default_config in
+      (try validate_config config
+       with Hypertp_error.Error e -> J.fail ~at r "%s" (Hypertp_error.to_string e));
+      let sections = J.sections r "region" region_line (0, 0) ~body:C.read_journal in
+      let n = List.length sections and cfgs = region_configs config in
+      if n <> config.regions then
+        J.fail r "%d region journals, config says %d" n config.regions;
+      List.iteri
+        (fun i (at, (idx, entries), j) ->
+          let bad fmt = J.fail ~at r fmt in
+          if idx <> i then bad "region %d where region %d belongs" idx i;
+          if C.journal_length j <> entries then
+            bad "region %d: %d entries, header says %d" i (C.journal_length j) entries;
+          if C.journal_config j <> cfgs.(i) then bad "region %d: a different config" i;
+          let last = ref Sim.Time.zero in
+          C.journal_events
+            (fun stamp _ ev ->
+              if Sim.Time.(stamp < !last) then bad "region %d: stamps out of order" i;
+              last := stamp;
+              match ev with
+              | C.Limit_raised { from_region; _ } when from_region >= n ->
+                bad "region %d: grant from unknown region %d" i from_region
+              | _ -> ())
+            j)
+        sections;
+      let b_journals = Array.of_list (List.map (fun (_, _, j) -> j) sections) in
+      { b_config = config; b_journals })

@@ -140,15 +140,17 @@ val merged_to_string : bundle -> string
     from byte-identical runs merge to byte-identical strings. *)
 
 val bundle_to_string : bundle -> string
-(** Self-describing text serialisation: the config line, then per
-    region a header with its entry count followed by its
+(** Self-describing {!Sim.Journal} text: the config line, then per
+    region a [region idx=I entries=N] section holding its
     {!Campaign.journal_to_string} text; round-trips through
     {!bundle_of_string}. *)
 
 val bundle_of_string : string -> (bundle, string) result
 (** [Error] unless the config is valid and each region has exactly one
     complete journal (its header's entry count), in order, carrying the
-    config derived for it, in-order stamps and grants from real regions. *)
+    config derived for it, in-order stamps and grants from real regions.
+    Errors read ["line N, column C: ..."]; a check on a whole region
+    names its header line. *)
 
 type run_result =
   | Finished of report * bundle

@@ -17,13 +17,23 @@ let hours t = Sim.Time.to_sec_f t /. 3600.0
 let simulate ?(hosts = 8) ?(vms_per_host = 4) ?topology ?window_days
     ?(stagger = Sim.Time.sec 600) ~cve_id () =
   let site = "Fleet.simulate" in
+  (* The flat integers get the topology's bounds before anything is
+     sized by them. *)
+  if topology = None then begin
+    if hosts < 0 || hosts > Topology.max_hosts then
+      Hypertp_error.raise_errorf ~site "hosts must be in [0, %d] (got %d)"
+        Topology.max_hosts hosts;
+    if vms_per_host < 0 || vms_per_host > Topology.max_vms_per_host then
+      Hypertp_error.raise_errorf ~site "vms_per_host must be in [0, %d] (got %d)"
+        Topology.max_vms_per_host vms_per_host
+  end;
   (* A topology overrides the flat [hosts]/[vms_per_host] integers:
      the fleet is its regions concatenated in order, each host carrying
      its region's VM density.  Without one, the legacy arguments build
      the same flat fleet as before, byte for byte. *)
   let hosts, per_host_vms =
     match Option.map Topology.validate_exn topology with
-    | None -> (hosts, Array.make (Stdlib.max 0 hosts) vms_per_host)
+    | None -> (hosts, Array.make hosts vms_per_host)
     | Some t ->
       let total = Topology.hosts t in
       let a = Array.make total vms_per_host in

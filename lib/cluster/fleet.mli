@@ -41,7 +41,9 @@ val simulate :
     integers: the fleet is its regions concatenated in order, each host
     carrying its region's VM density (the topology is validated first).
     Raises [Hypertp.Error.Error] (site ["Fleet.simulate"])
-    for an unknown CVE or one the policy would not act on.
+    for an unknown CVE or one the policy would not act on, and before
+    any allocation for flat [hosts]/[vms_per_host] outside
+    [\[0, Topology.max_hosts\]]/[\[0, Topology.max_vms_per_host\]].
 
     Exposure host-hours are accounted incrementally as each host's
     first transplant fires (the qcheck property in the test suite pins

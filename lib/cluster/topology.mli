@@ -58,6 +58,12 @@ val validate : t -> (t, Hypertp_error.t) result
 val validate_exn : t -> t
 (** {!validate}, raising {!Hypertp_error.Error}. *)
 
+val max_hosts : int
+(** 2{^30}: the most hosts {!validate} admits in one fleet. *)
+
+val max_vms_per_host : int
+(** 2{^20}: the most VMs per host {!validate} admits. *)
+
 val regions : t -> region array
 val n_regions : t -> int
 

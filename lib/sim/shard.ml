@@ -14,25 +14,33 @@ type mode =
   | Rotated of int
   | Parallel of { shards : int; domains : int }
 
+(* The OCaml 5.1 runtime's limit on live domains, the calling one
+   included: a larger count would fail in [Domain.spawn]. *)
+let max_domains = 128
+
 let validate = function
   | Sequential -> Ok ()
   | Rotated k ->
     if k >= 1 then Ok ()
     else Error (Printf.sprintf "rotation count must be >= 1 (got %d)" k)
   | Parallel { shards; domains } ->
-    if shards >= 1 && domains >= 1 then Ok ()
-    else
+    if shards < 1 || domains < 1 then
       Error
         (Printf.sprintf
            "parallel shards and domains must be >= 1 (got %dx%d)" shards
            domains)
+    else if domains > max_domains then
+      Error
+        (Printf.sprintf "%d domains exceed the runtime's limit of %d" domains
+           max_domains)
+    else Ok ()
 
 let to_string = function
   | Sequential -> "seq"
   | Rotated k -> Printf.sprintf "rotated:%d" k
   | Parallel { shards; domains } -> Printf.sprintf "parallel:%dx%d" shards domains
 
-let of_string s =
+let parse s =
   let int_of v = match int_of_string_opt v with
     | Some i when i >= 1 -> Some i
     | _ -> None
@@ -58,6 +66,8 @@ let of_string s =
     Error
       (Printf.sprintf
          "unknown sharding mode %S (want seq, rotated:K or parallel:SxD)" s)
+
+let of_string s = Result.bind (parse s) (fun m -> Result.map (fun () -> m) (validate m))
 
 (* How many worker batches / domains a mode uses over [n] tasks; the
    answer feeds benchmark metadata, not scheduling decisions. *)

@@ -23,8 +23,13 @@ type mode =
   | Rotated of int
   | Parallel of { shards : int; domains : int }
 
+val max_domains : int
+(** 128: the OCaml 5.1 runtime's limit on live domains, the calling
+    domain included. *)
+
 val validate : mode -> (unit, string) result
-(** [Rotated k] needs [k >= 1]; [Parallel] needs both counts [>= 1]. *)
+(** [Rotated k] needs [k >= 1]; [Parallel] needs both counts [>= 1]
+    and at most {!max_domains} domains. *)
 
 val to_string : mode -> string
 (** ["seq"], ["rotated:K"] or ["parallel:SxD"]; inverse of
@@ -32,7 +37,8 @@ val to_string : mode -> string
 
 val of_string : string -> (mode, string) result
 (** Accepts ["seq"]/["sequential"], ["rotated:K"]/["rot:K"],
-    ["parallel:SxD"]/["par:SxD"] and ["parallel:S"] (domains = S). *)
+    ["parallel:SxD"]/["par:SxD"] and ["parallel:S"] (domains = S); the
+    result must pass {!validate}. *)
 
 val shards_used : mode -> int -> int
 (** Worker batches the mode actually uses over [n] tasks (clamped to

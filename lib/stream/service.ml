@@ -111,6 +111,9 @@ let validate cfg =
   List.iter
     (fun n ->
       if n < 0 then bad "population sizes must be non-negative";
+      if n > Cluster.Topology.max_hosts then
+        bad "population sizes must be at most %d (the fleet bound)"
+          Cluster.Topology.max_hosts;
       if n = 1 then
         bad "a population needs at least 2 hosts (campaigns roll host-by-host)")
     [ cfg.mix.xen_hosts; cfg.mix.kvm_hosts; cfg.mix.bhyve_hosts ]
@@ -138,102 +141,50 @@ let mix_of_topology topology =
 
 (* {2 Config / journal text round-trip} *)
 
-let config_to_line c =
-  Printf.sprintf
-    "config years=%.17g xen=%d kvm=%d bhyve=%d vph=%d rate=%.17g crit=%.17g \
-     coord=%.17g policy=%s tempo=%.17g conc=%d inplace=%.17g batch=%.17g \
-     preempt=%b seed=%Ld track=%b"
-    c.years c.mix.xen_hosts c.mix.kvm_hosts c.mix.bhyve_hosts c.vms_per_host
-    c.rate_per_year c.critical_fraction c.coordinated_fraction
-    (Policy.kind_to_string c.policy)
-    c.tempo c.concurrency c.inplace_fraction c.batch_days c.preempt c.seed
-    c.track_bookings
+module J = Sim.Journal
 
-let config_of_line line =
-  let ( let* ) = Result.bind in
-  match String.split_on_char ' ' line with
-  | "config" :: kvs ->
-    let assoc = ref [] in
-    let malformed = ref None in
-    List.iter
-      (fun kv ->
-        match String.index_opt kv '=' with
-        | Some i ->
-          assoc :=
-            ( String.sub kv 0 i,
-              String.sub kv (i + 1) (String.length kv - i - 1) )
-            :: !assoc
-        | None -> malformed := Some kv)
-      kvs;
-    (match !malformed with
-    | Some kv -> Error (Printf.sprintf "malformed config field %S" kv)
-    | None ->
-      let get k =
-        match List.assoc_opt k !assoc with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "config field %s missing" k)
-      in
-      let num conv k =
-        let* v = get k in
-        match conv v with
-        | Some x -> Ok x
-        | None -> Error (Printf.sprintf "config field %s unreadable" k)
-      in
-      let f = num float_of_string_opt in
-      let i = num int_of_string_opt in
-      let b = num bool_of_string_opt in
-      let* years = f "years" in
-      let* xen_hosts = i "xen" in
-      let* kvm_hosts = i "kvm" in
-      let* bhyve_hosts = i "bhyve" in
-      let* vms_per_host = i "vph" in
-      let* rate_per_year = f "rate" in
-      let* critical_fraction = f "crit" in
-      let* coordinated_fraction = f "coord" in
-      let* policy = num Policy.kind_of_string "policy" in
-      let* tempo = f "tempo" in
-      let* concurrency = i "conc" in
-      let* inplace_fraction = f "inplace" in
-      let* batch_days = f "batch" in
-      let* preempt = b "preempt" in
-      let* seed = num Int64.of_string_opt "seed" in
-      let* track_bookings = b "track" in
-      Ok
-        {
-          years;
-          mix = { xen_hosts; kvm_hosts; bhyve_hosts };
-          vms_per_host;
-          rate_per_year;
-          critical_fraction;
-          coordinated_fraction;
-          policy;
-          tempo;
-          concurrency;
-          inplace_fraction;
-          batch_days;
-          preempt;
-          seed;
-          track_bookings;
-        })
-  | _ -> Error "missing config line"
+let config_line { J.field; _ } c =
+  let years = field "years" J.float c.years in
+  let xen_hosts = field "xen" J.int c.mix.xen_hosts in
+  let kvm_hosts = field "kvm" J.int c.mix.kvm_hosts in
+  let bhyve_hosts = field "bhyve" J.int c.mix.bhyve_hosts in
+  let vms_per_host = field "vph" J.int c.vms_per_host in
+  let rate_per_year = field "rate" J.float c.rate_per_year in
+  let critical_fraction = field "crit" J.float c.critical_fraction in
+  let coordinated_fraction = field "coord" J.float c.coordinated_fraction in
+  let policies = J.conv Policy.kind_to_string Policy.kind_of_string in
+  let policy = field "policy" policies c.policy in
+  let tempo = field "tempo" J.float c.tempo in
+  let concurrency = field "conc" J.int c.concurrency in
+  let inplace_fraction = field "inplace" J.float c.inplace_fraction in
+  let batch_days = field "batch" J.float c.batch_days in
+  let preempt = field "preempt" J.bool c.preempt in
+  let seed = field "seed" J.int64 c.seed in
+  let track_bookings = field "track" J.bool c.track_bookings in
+  { years; mix = { xen_hosts; kvm_hosts; bhyve_hosts }; vms_per_host; rate_per_year;
+    critical_fraction; coordinated_fraction; policy; tempo; concurrency;
+    inplace_fraction; batch_days; preempt; seed; track_bookings }
+
+let config_to_line c = J.to_line "config" config_line c
+let config_of_line line = J.of_line "config" config_line default_config line
 
 let magic = "cvestream-journal v1"
 
 let journal_to_string j =
-  String.concat "\n"
-    ((magic :: config_to_line j.j_config :: j.j_entries) @ [ "" ])
+  let b = Buffer.create 4096 in
+  J.line b magic;
+  J.put_line b "config" config_line j.j_config;
+  List.iter (J.line b) j.j_entries;
+  Buffer.contents b
 
 let journal_of_string s =
-  match String.split_on_char '\n' s with
-  | m :: cfg_line :: rest when String.equal m magic -> (
-    match config_of_line cfg_line with
-    | Error e -> Error e
-    | Ok cfg ->
-      let entries =
-        List.filter (fun l -> not (String.equal l "")) rest
+  J.parse s (fun r ->
+      J.magic r magic;
+      let j_config = J.get_line r "config" config_line default_config in
+      let rec entries acc =
+        if J.at_eof r then List.rev acc else entries (J.raw_line r :: acc)
       in
-      Ok { j_config = cfg; j_entries = entries })
-  | _ -> Error "not a cvestream journal (bad magic line)"
+      { j_config; j_entries = entries [] })
 
 (* {2 The run} *)
 

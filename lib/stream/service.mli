@@ -99,16 +99,21 @@ val journal_config : journal -> config
 val journal_length : journal -> int
 
 val journal_to_string : journal -> string
-(** Line-oriented text (for [serve --journal] / [--resume-from]). *)
+(** Line-oriented {!Sim.Journal} text (for [serve --journal] /
+    [--resume-from]): the magic, the config line, then one opaque line
+    per entry. *)
 
 val journal_of_string : string -> (journal, string) result
+(** Inverse of {!journal_to_string}; blank lines are skipped and errors
+    read ["line N, column C: ..."]. *)
 
 val config_to_line : config -> string
 val config_of_line : string -> (config, string) result
-(** The journal's config line.  Floats are written with 17 significant
-    digits, so [config_of_line (config_to_line c) = Ok c] for every
-    config with finite fields and a resumed run sees the exact config
-    of the run it continues. *)
+(** The journal's config line, described once for both directions.
+    Floats are written with 17 significant digits, so
+    [config_of_line (config_to_line c) = Ok c] for every config with
+    finite fields and a resumed run sees the exact config of the run it
+    continues.  Errors read ["line 1, column C: ..."]. *)
 
 (** {1 Running} *)
 

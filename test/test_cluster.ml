@@ -454,6 +454,19 @@ let test_fleet_rejects_medium () =
        false
      with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Fleet.simulate")
 
+(* Flat counts past the topology bounds are rejected up front: an
+   allocation sized by [max_int] would raise Invalid_argument instead. *)
+let test_fleet_rejects_huge_counts () =
+  let rejects ?(vms_per_host = 4) hosts =
+    match Cluster.Fleet.simulate ~hosts ~vms_per_host ~cve_id:"CVE-2016-6258" () with
+    | _ -> false
+    | exception Hypertp.Error.Error e -> e.Hypertp.Error.site = "Fleet.simulate"
+  in
+  checkb "max_int hosts" true (rejects max_int);
+  checkb "one host past the bound" true (rejects (Cluster.Topology.max_hosts + 1));
+  checkb "negative hosts" true (rejects (-1));
+  checkb "max_int VMs per host" true (rejects ~vms_per_host:max_int 8)
+
 (* --- incremental exposure accounting == recomputed integral --- *)
 
 (* Fleet: the running sum kept as transplants fire must equal the
@@ -548,6 +561,8 @@ let suites =
         Alcotest.test_case "stagger scales exposure" `Quick
           test_fleet_stagger_scales_exposure;
         Alcotest.test_case "medium flaws rejected" `Quick test_fleet_rejects_medium;
+        Alcotest.test_case "huge flat counts rejected" `Quick
+          test_fleet_rejects_huge_counts;
         Alcotest.test_case "fleet incremental (qcheck)" `Slow
           test_fleet_incremental_exposure_qcheck;
       ] );

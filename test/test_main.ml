@@ -10,5 +10,5 @@ let () =
    @ Test_fault.suites @ Test_integrity.suites @ Test_audit.suites
    @ Test_hypertp.suites
    @ Test_cluster.suites @ Test_campaign.suites @ Test_controlplane.suites
-   @ Test_topology.suites
+   @ Test_topology.suites @ Test_journal.suites
    @ Test_extras.suites @ Test_obs.suites @ Test_stream.suites)

@@ -432,6 +432,25 @@ let test_service_validation () =
   expect_error { small_config with Stream.Service.batch_days = -1.0 };
   expect_error { small_config with Stream.Service.concurrency = 0 }
 
+(* A population past the fleet bound fails on the bound, not on the
+   sign check an overflowed count would trip. *)
+let test_service_population_bound () =
+  let reason mix =
+    match Stream.Service.run { small_config with Stream.Service.mix } with
+    | exception Hypertp_error.Error e -> e.Hypertp_error.reason
+    | _ -> Alcotest.fail "expected a config error"
+  in
+  let huge = max_int and ok = 4 in
+  List.iter
+    (fun mix ->
+      checks "bound message"
+        (Printf.sprintf "population sizes must be at most %d (the fleet bound)"
+           Cluster.Topology.max_hosts)
+        (reason mix))
+    [ { Stream.Service.xen_hosts = huge; kvm_hosts = ok; bhyve_hosts = 0 };
+      { Stream.Service.xen_hosts = ok; kvm_hosts = huge; bhyve_hosts = 0 };
+      { Stream.Service.xen_hosts = ok; kvm_hosts = ok; bhyve_hosts = huge } ]
+
 let test_metrics_dashboard () =
   let metrics = Obs.Metrics.create () in
   let r, _ = Stream.Service.run_to_completion ~metrics small_config in
@@ -482,6 +501,7 @@ let suites =
         Alcotest.test_case "text resume of a non-round config" `Quick
           test_text_resume_non_round_config;
         Alcotest.test_case "config validation" `Quick test_service_validation;
+        Alcotest.test_case "population bound" `Quick test_service_population_bound;
         Alcotest.test_case "metrics dashboard" `Quick test_metrics_dashboard;
         qtest prop_service_deterministic;
         qtest prop_policy_dominance;

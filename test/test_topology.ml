@@ -142,6 +142,21 @@ let test_shard_mode_strings () =
   checkb "bad mode validates" true
     (Result.is_error (Sim.Shard.validate (Sim.Shard.Rotated 0)))
 
+(* Parser results only: nothing here spawns a domain. *)
+let test_shard_domain_bound () =
+  checkb "parallel:64x100000 rejected" true
+    (Result.is_error (Sim.Shard.of_string "parallel:64x100000"));
+  checkb "parallel:200 rejected (domains = shards)" true
+    (Result.is_error (Sim.Shard.of_string "parallel:200"));
+  checkb "max_int domains rejected" true
+    (Result.is_error
+       (Sim.Shard.validate (Sim.Shard.Parallel { shards = 1; domains = max_int })));
+  checkb "the limit itself is accepted" true
+    (Sim.Shard.of_string (Printf.sprintf "parallel:64x%d" Sim.Shard.max_domains)
+    = Ok (Sim.Shard.Parallel { shards = 64; domains = Sim.Shard.max_domains }));
+  checkb "parallel:64x2 accepted on any core count" true
+    (Result.is_ok (Sim.Shard.of_string "parallel:64x2"))
+
 (* --- schedule-independence of the sharded fleet --- *)
 
 let fleet_snap ?fault ~sharding tp cfg =
@@ -335,6 +350,7 @@ let suites =
     ( "topology.sharding",
       [
         Alcotest.test_case "mode strings" `Quick test_shard_mode_strings;
+        Alcotest.test_case "domain bound" `Quick test_shard_domain_bound;
         QCheck_alcotest.to_alcotest prop_digest_sees_every_config_field;
         Alcotest.test_case "fleet report consistency" `Quick
           test_fleet_report_consistency;
