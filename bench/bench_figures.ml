@@ -424,7 +424,7 @@ let fleet () =
   List.iter
     (fun cve_id ->
       subheader cve_id;
-      let o = Cluster.Fleet.simulate ~hosts:8 ~vms_per_host:4 ~cve_id () in
+      let o = Cluster.Fleet.simulate ~cve_id () in
       Format.printf "%a@." Cluster.Fleet.pp_outcome o)
     [ "CVE-2016-6258" (* 7-day window *); "CVE-2015-3456" (* VENOM: escape to bhyve *) ];
   note "without a third hypervisor, VENOM would leave no safe alternative@."

@@ -418,18 +418,11 @@ let cluster_cmd =
          & info [ "inplace-fraction" ] ~docv:"F"
              ~doc:"Share of VMs tolerating InPlaceTP downtime.")
   in
-  let fault_sweep =
-    Arg.(value & opt (some (list float)) None
-         & info [ "fault-sweep" ] ~docv:"P1,P2,..."
-             ~doc:"Also run $(b,Upgrade.sweep_faulty) at these per-host \
-                   failure probabilities and print the per-probability \
-                   table.")
-  in
-  let run nodes vms_per_node fraction fault_sweep seed =
+  let run nodes vms_per_node fraction =
     let sweep =
       Cluster.Upgrade.sweep ~nodes ~vms_per_node ~fractions:[ 0.0; fraction ] ()
     in
-    (match sweep with
+    match sweep with
     | [ (_, base); (_, t) ] ->
       Format.printf "migration-only baseline: %a@." Cluster.Upgrade.pp_timing base;
       Format.printf "with %.0f%% in-place:      %a@." (100.0 *. fraction)
@@ -439,29 +432,11 @@ let cluster_cmd =
         *. (1.0
            -. Sim.Time.to_sec_f t.Cluster.Upgrade.total
               /. Sim.Time.to_sec_f base.Cluster.Upgrade.total))
-    | _ -> assert false);
-    match fault_sweep with
-    | None -> ()
-    | Some probabilities ->
-      Format.printf "@.per-host failure sweep (%dx%d, shared seed %Ld):@."
-        nodes vms_per_node seed;
-      Format.printf "%-6s %-9s %-10s %-10s %-10s %-10s %s@." "p" "failures"
-        "in-place" "drained" "recovered" "added" "total";
-      List.iter
-        (fun (p, (t : Cluster.Upgrade.faulty_timing)) ->
-          Format.printf "%-6.2f %-9d %-10d %-10d %-10d %-10s %a@." p
-            (List.length t.Cluster.Upgrade.failures)
-            t.Cluster.Upgrade.vms_inplace_ok
-            t.Cluster.Upgrade.vms_migrated_fallback
-            t.Cluster.Upgrade.vms_recovered
-            (Sim.Time.to_string t.Cluster.Upgrade.added_time)
-            Sim.Time.pp t.Cluster.Upgrade.total_with_faults)
-        (Cluster.Upgrade.sweep_faulty ~nodes ~vms_per_node ~seed
-           ~probabilities ())
+    | _ -> assert false
   in
   Cmd.v
     (Cmd.info "cluster" ~doc:"Plan and time a rolling cluster upgrade (Fig. 13)")
-    Term.(const run $ nodes $ per_node $ fraction $ fault_sweep $ seed_arg)
+    Term.(const run $ nodes $ per_node $ fraction)
 
 (* --- respond --- *)
 
@@ -546,12 +521,6 @@ let snapshot_cmd =
 (* --- fault-campaign --- *)
 
 let fault_campaign_cmd =
-  let sweep =
-    Arg.(value & flag
-         & info [ "sweep" ]
-             ~doc:"Also sweep the per-host failure probability over a 10x10 \
-                   cluster upgrade.")
-  in
   let list_flag =
     Arg.(value & flag
          & info [ "list" ]
@@ -582,10 +551,10 @@ let fault_campaign_cmd =
     List.iter (row "controlplane") Fault.controlplane_sites;
     List.iter (row "stream") Fault.stream_sites
   in
-  let rec run machine source target vms vcpus gib seed sweep list =
+  let rec run machine source target vms vcpus gib seed list =
     if list then list_sites ()
-    else run_campaign machine source target vms vcpus gib seed sweep
-  and run_campaign machine source target vms vcpus gib seed sweep =
+    else run_campaign machine source target vms vcpus gib seed
+  and run_campaign machine source target vms vcpus gib seed =
     (* One run per engine-level injection site, fault fired on its first
        hit: the exhaustive deterministic campaign.  Cluster-level sites
        are listed separately — they are consulted by the campaign
@@ -655,8 +624,8 @@ let fault_campaign_cmd =
            else " [SOURCE DAMAGED]"))
       Fault.shadow_sites;
     Format.printf
-      "@.cluster-level sites (exercised by 'campaign --fault' and 'cluster \
-       --fault-sweep', not per-transplant): %s@."
+      "@.cluster-level sites (exercised by 'campaign --fault' and 'campaign \
+       --sweep', not per-transplant): %s@."
       (String.concat ", " (List.map Fault.site_to_string Fault.cluster_sites));
     Format.printf
       "control-plane sites (exercised by 'controlplane --fault' against the \
@@ -666,30 +635,14 @@ let fault_campaign_cmd =
     Format.printf
       "stream sites (exercised by 'serve --fault' against the CVE-stream \
        campaign service): %s@."
-      (String.concat ", " (List.map Fault.site_to_string Fault.stream_sites));
-    if sweep then begin
-      Format.printf "@.cluster sweep (10x10, host-crash probability):@.";
-      Format.printf "%-6s %-9s %-10s %-10s %-10s %s@." "p" "failures"
-        "in-place" "drained" "recovered" "total";
-      List.iter
-        (fun (p, (t : Cluster.Upgrade.faulty_timing)) ->
-          Format.printf "%-6.2f %-9d %-10d %-10d %-10d %a@." p
-            (List.length t.Cluster.Upgrade.failures)
-            t.Cluster.Upgrade.vms_inplace_ok
-            t.Cluster.Upgrade.vms_migrated_fallback
-            t.Cluster.Upgrade.vms_recovered Sim.Time.pp
-            t.Cluster.Upgrade.total_with_faults)
-        (Cluster.Upgrade.sweep_faulty ~seed
-           ~probabilities:[ 0.0; 0.1; 0.25; 0.5; 0.75; 1.0 ]
-           ())
-    end
+      (String.concat ", " (List.map Fault.site_to_string Fault.stream_sites))
   in
   Cmd.v
     (Cmd.info "fault-campaign"
        ~doc:"Exhaustive fault-injection campaign: one transplant per \
              injection site, printing the outcome and VM survival")
     Term.(const run $ machine_arg $ source_arg $ target_arg $ vms_arg
-          $ vcpus_arg $ gib_arg $ seed_arg $ sweep $ list_flag)
+          $ vcpus_arg $ gib_arg $ seed_arg $ list_flag)
 
 (* --- campaign --- *)
 
@@ -834,6 +787,7 @@ let campaign_cmd =
       end;
       match sweep with
     | Some probabilities ->
+      let results = Cluster.Campaign.sweep ~config ~probabilities () in
       Format.printf "%-6s %-10s %-9s %-9s %-8s %s@." "p" "wall" "exposed-hh"
         "deferred" "trips" "statuses";
       List.iter
@@ -854,7 +808,7 @@ let campaign_cmd =
             (count Cluster.Campaign.Drained)
             (count Cluster.Campaign.Deferred_resolved)
             (count Cluster.Campaign.Deferred_exposed))
-        (Cluster.Campaign.sweep ~config ~probabilities ())
+        results
     | None -> (
       let obs, metrics = obs_of_paths trace_out metrics_out in
       let result =
@@ -1267,17 +1221,13 @@ let fleet_cmd =
     Arg.(value & pos 0 string "CVE-2016-6258"
          & info [] ~docv:"CVE-ID" ~doc:"The disclosed vulnerability.")
   in
-  let hosts =
-    Arg.(value & opt int 8 & info [ "hosts" ] ~docv:"N" ~doc:"Fleet size.")
-  in
   let topology =
     topology_arg
-      ~doc:"Region-aware fleet shape ($(b,RxHxV) or \
-            $(b,name:hosts:vms;...)); overrides $(b,--hosts) and sets each \
-            host's VM density from its region."
+      ~doc:"Fleet shape ($(b,RxHxV) or $(b,name:hosts:vms;...)), default \
+            $(b,1x8x4); each host carries its region's VM density."
   in
-  let run id hosts topology =
-    let o = Cluster.Fleet.simulate ~hosts ?topology ~cve_id:id () in
+  let run id topology =
+    let o = Cluster.Fleet.simulate ?topology ~cve_id:id () in
     Array.iter
       (fun (at, ev) ->
         match ev with
@@ -1297,7 +1247,7 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:"Simulate the Fig. 1 vulnerability-window timeline on a fleet")
-    Term.(const run $ id $ hosts $ topology)
+    Term.(const run $ id $ topology)
 
 (* --- verify --- *)
 

@@ -1,5 +1,5 @@
 (* Fault injection: abort, rollback, recovery and retry across the two
-   transplant mechanisms, plus the cluster-level failure-probability
+   transplant mechanisms, plus the campaign-level failure-probability
    sweep.
 
    Run with: dune exec examples/fault_injection.exe *)
@@ -52,10 +52,23 @@ let () =
   Format.printf "%a@.@." Hypertp.Migrate.pp_report r;
 
   (* 4. The cluster-level question: how much wall-clock does a given
-     per-host failure probability add to a rolling upgrade, and does
-     every VM survive?  (It does — by migration fallback or recovery.) *)
-  Format.printf "--- cluster sweep: host-crash probability ---@.";
+     per-host failure probability add to a supervised rolling upgrade,
+     and does every VM survive?  (It does — failed hosts fall down the
+     campaign's degradation ladder: drain, or defer and retry.) *)
+  Format.printf "--- campaign sweep: host-crash probability ---@.";
   List.iter
-    (fun (p, t) ->
-      Format.printf "p=%.2f  %a@." p Cluster.Upgrade.pp_faulty_timing t)
-    (Cluster.Upgrade.sweep_faulty ~probabilities:[ 0.0; 0.25; 0.5 ] ())
+    (fun (p, (r : Cluster.Campaign.report)) ->
+      let failed =
+        List.length
+          (List.filter
+             (fun h -> h.Cluster.Campaign.hr_manifestations <> [])
+             r.Cluster.Campaign.hosts)
+      in
+      Format.printf "p=%.2f  %d/%d hosts failed, wall-clock %a, %d/%d VMs \
+                     accounted@."
+        p failed
+        (List.length r.Cluster.Campaign.hosts)
+        Sim.Time.pp r.Cluster.Campaign.wall_clock
+        (Cluster.Campaign.vms_accounted r)
+        r.Cluster.Campaign.vms_total)
+    (Cluster.Campaign.sweep ~probabilities:[ 0.0; 0.25; 0.5 ] ())

@@ -15,7 +15,11 @@ let () =
     | None -> ())
   | None -> assert false);
 
-  let outcome = Cluster.Fleet.simulate ~hosts:6 ~vms_per_host:3 ~cve_id () in
+  let outcome =
+    Cluster.Fleet.simulate
+      ~topology:(Cluster.Topology.uniform ~regions:1 ~hosts:6 ~vms_per_host:3 ())
+      ~cve_id ()
+  in
 
   Format.printf "--- timeline ---@.";
   Array.iter

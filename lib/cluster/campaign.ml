@@ -113,27 +113,37 @@ let retry_fail_frac = 0.5
 let shadow_fail_frac = 0.6
 
 let min_straggler_factor = 1.2
+let max_straggler_factor = 100.0
 let max_jitter_pct = 0.1
 
+(* Every range check is written [not (lo <= x && x <= hi)] so a NaN
+   fails it, and every count is bounded by the topology limits, so a
+   resumed journal or a control-plane region cannot size an allocation
+   by a wrapped or absurd count. *)
 let validate_config cfg =
-  let bad msg = Hypertp_error.raise_error ~site:"Campaign" msg in
-  if cfg.nodes < 2 then bad "need at least 2 nodes";
-  if cfg.vms_per_node < 1 then bad "vms_per_node must be at least 1";
-  if cfg.inplace_fraction < 0.0 || cfg.inplace_fraction > 1.0 then
+  let bad fmt = Hypertp_error.raise_errorf ~site:"Campaign" fmt in
+  let within lo hi x = lo <= x && x <= hi in
+  if not (within 2 Topology.max_hosts cfg.nodes) then
+    bad "nodes outside [2, %d]" Topology.max_hosts;
+  if not (within 1 Topology.max_vms_per_host cfg.vms_per_node) then
+    bad "vms_per_node outside [1, %d]" Topology.max_vms_per_host;
+  if cfg.nodes * cfg.vms_per_node > Topology.max_vms then
+    bad "nodes x vms_per_node above %d" Topology.max_vms;
+  if not (within 0.0 1.0 cfg.inplace_fraction) then
     bad "inplace_fraction outside [0, 1]";
   if cfg.concurrency < 1 then bad "concurrency must be at least 1";
-  if cfg.straggler_factor < min_straggler_factor then
-    bad "straggler_factor below 1.2 (deadline must dominate a flap)";
+  if not (within min_straggler_factor max_straggler_factor cfg.straggler_factor)
+  then bad "straggler_factor outside [1.2, 100] (deadline must dominate a flap)";
   if cfg.breaker_window < 1 then bad "breaker_window must be at least 1";
   if cfg.breaker_window > 62 then
     bad "breaker_window above 62 (outcomes are tracked in one word)";
-  if cfg.breaker_threshold < 0.0 || cfg.breaker_threshold > 1.0 then
+  if not (within 0.0 1.0 cfg.breaker_threshold) then
     bad "breaker_threshold outside [0, 1]";
-  if cfg.jitter_pct < 0.0 || cfg.jitter_pct > max_jitter_pct then
+  if not (within 0.0 max_jitter_pct cfg.jitter_pct) then
     bad "jitter_pct outside [0, 0.1] (success must beat the deadline)";
-  if cfg.drain_flakiness < 0.0 || cfg.drain_flakiness > 1.0 then
+  if not (within 0.0 1.0 cfg.drain_flakiness) then
     bad "drain_flakiness outside [0, 1]";
-  if cfg.retry_flakiness < 0.0 || cfg.retry_flakiness > 1.0 then
+  if not (within 0.0 1.0 cfg.retry_flakiness) then
     bad "retry_flakiness outside [0, 1]";
   if cfg.shadow_spares < 0 then bad "shadow_spares must be non-negative"
 
@@ -1046,7 +1056,7 @@ let shadow_armed st =
 (* The fault-plan consults behind each journaled decision, in their
    fixed order: live execution journals the outcome, replay re-fires
    and compares.  Always all sites of a group, so probability streams
-   stay aligned across plans (the sweep_faulty nesting property). *)
+   stay aligned across plans (the {!sweep} nesting property). *)
 let inplace_decision st node =
   let d_flap = fire_opt st ~vm:node Fault.Host_flap in
   let d_crash = fire_opt st ~vm:node Fault.Host_crash in

@@ -35,13 +35,12 @@
     Fault sites consulted per host admission, in order:
     {!Fault.Host_flap}, {!Fault.Host_crash}, {!Fault.Host_timeout} —
     always all three, so equal seeds keep probability streams aligned
-    and failure sets are nested across probabilities (the
-    [sweep_faulty] monotonicity property, lifted to campaigns).  When
-    several fire, the costliest manifestation governs (timeout >
-    flap > crash).  Shadow admissions additionally consult the five
-    shadow sites ({!Fault.Spare_exhausted}, {!Fault.Shadow_stage_fail},
-    {!Fault.Shadow_stream_drop}, {!Fault.Shadow_diverge},
-    {!Fault.Swap_partition}, in that order) — but {e only} when the
+    and failure sets are nested across probabilities (the {!sweep}
+    nesting property).  When several fire, the costliest manifestation
+    governs (timeout > flap > crash).  Shadow admissions additionally
+    consult the five shadow sites ({!Fault.Spare_exhausted},
+    {!Fault.Shadow_stage_fail}, {!Fault.Shadow_stream_drop},
+    {!Fault.Shadow_diverge}, {!Fault.Swap_partition}, in that order) — but {e only} when the
     plan arms at least one of them, so journals recorded under
     shadow-free plans keep their fault cursors bit-for-bit.  Secondary
     decisions (drain failure, end-of-campaign retry, duration jitter)
@@ -281,9 +280,10 @@ val sweep :
   ?config:config -> ?seed:int64 -> probabilities:float list -> unit ->
   (float * report) list
 (** Run one campaign per per-host failure probability ([Host_crash],
-    probability trigger, all plans sharing [seed] — default [0xC1A5L],
-    matching {!Upgrade.sweep_faulty}): failure sets are nested and
-    wall-clock is monotone in the probability. *)
+    probability trigger, all plans sharing [seed], default [0xC1A5L]).
+    The sets of failed hosts (those with a non-empty
+    [hr_manifestations]) are nested as the probability grows, and no
+    VM is lost at any point ([vms_accounted r = r.vms_total]). *)
 
 val pp_host_record : Format.formatter -> host_record -> unit
 val pp_report : Format.formatter -> report -> unit

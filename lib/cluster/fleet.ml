@@ -14,39 +14,22 @@ type outcome = {
 
 let hours t = Sim.Time.to_sec_f t /. 3600.0
 
-let simulate ?(hosts = 8) ?(vms_per_host = 4) ?topology ?window_days
+let default_topology = Topology.uniform ~regions:1 ~hosts:8 ~vms_per_host:4 ()
+
+let simulate ?(topology = default_topology) ?window_days
     ?(stagger = Sim.Time.sec 600) ~cve_id () =
   let site = "Fleet.simulate" in
-  (* The flat integers get the topology's bounds before anything is
-     sized by them. *)
-  if topology = None then begin
-    if hosts < 0 || hosts > Topology.max_hosts then
-      Hypertp_error.raise_errorf ~site "hosts must be in [0, %d] (got %d)"
-        Topology.max_hosts hosts;
-    if vms_per_host < 0 || vms_per_host > Topology.max_vms_per_host then
-      Hypertp_error.raise_errorf ~site "vms_per_host must be in [0, %d] (got %d)"
-        Topology.max_vms_per_host vms_per_host
-  end;
-  (* A topology overrides the flat [hosts]/[vms_per_host] integers:
-     the fleet is its regions concatenated in order, each host carrying
-     its region's VM density.  Without one, the legacy arguments build
-     the same flat fleet as before, byte for byte. *)
-  let hosts, per_host_vms =
-    match Option.map Topology.validate_exn topology with
-    | None -> (hosts, Array.make hosts vms_per_host)
-    | Some t ->
-      let total = Topology.hosts t in
-      let a = Array.make total vms_per_host in
-      let k = ref 0 in
-      Array.iter
-        (fun r ->
-          for _ = 1 to r.Topology.rg_hosts do
-            a.(!k) <- r.Topology.rg_vms_per_host;
-            incr k
-          done)
-        (Topology.regions t);
-      (total, a)
-  in
+  (* The fleet is the topology's regions concatenated in order, each
+     host carrying its region's VM density. *)
+  let topology = Topology.validate_exn topology in
+  let hosts = Topology.hosts topology in
+  let per_host_vms = Array.make hosts 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun r ->
+      Array.fill per_host_vms !k r.Topology.rg_hosts r.Topology.rg_vms_per_host;
+      k := !k + r.Topology.rg_hosts)
+    (Topology.regions topology);
   let record =
     match Cve.Nvd.find cve_id with
     | Some r -> r

@@ -32,18 +32,18 @@ type outcome = {
 }
 
 val simulate :
-  ?hosts:int -> ?vms_per_host:int -> ?topology:Topology.t ->
-  ?window_days:int -> ?stagger:Sim.Time.t -> cve_id:string -> unit -> outcome
-(** Run the scenario for a Xen fleet hit by [cve_id] (defaults: 8 hosts
-    x 4 VMs, the CVE's documented window or 30 days, one host
-    transplanted every [stagger] = 10 minutes — operators roll changes
-    gradually).  A [topology] overrides the flat [hosts]/[vms_per_host]
-    integers: the fleet is its regions concatenated in order, each host
-    carrying its region's VM density (the topology is validated first).
-    Raises [Hypertp.Error.Error] (site ["Fleet.simulate"])
-    for an unknown CVE or one the policy would not act on, and before
-    any allocation for flat [hosts]/[vms_per_host] outside
-    [\[0, Topology.max_hosts\]]/[\[0, Topology.max_vms_per_host\]].
+  ?topology:Topology.t -> ?window_days:int -> ?stagger:Sim.Time.t ->
+  cve_id:string -> unit -> outcome
+(** Run the scenario for a Xen fleet hit by [cve_id] (defaults: the
+    [1x8x4] topology — 8 hosts x 4 VMs — the CVE's documented window or
+    30 days, one host transplanted every [stagger] = 10 minutes —
+    operators roll changes gradually).  The fleet is the topology's
+    regions concatenated in order, hosts named [host00], [host01], ...
+    across regions, each carrying its region's VM density.  Raises
+    [Hypertp.Error.Error]: site ["Topology"], before any allocation,
+    for a topology {!Topology.validate} rejects; site
+    ["Fleet.simulate"] for an unknown CVE or one the policy would not
+    act on.
 
     Exposure host-hours are accounted incrementally as each host's
     first transplant fires (the qcheck property in the test suite pins

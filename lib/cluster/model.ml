@@ -19,13 +19,23 @@ type t = { nodes : node list }
 
 let make ?(seed = 0xC1D2L) ~nodes ~vms_per_node ~vm_ram ~node_ram
     ~inplace_fraction ~workload_mix () =
-  if nodes <= 0 || vms_per_node <= 0 then
-    invalid_arg "Model.make: non-positive sizes";
-  if inplace_fraction < 0.0 || inplace_fraction > 1.0 then
-    invalid_arg "Model.make: fraction out of range";
+  (* Range checks are written [not (lo <= x && x <= hi)] so NaN fails
+     them; the counts get the topology bounds before anything is sized
+     by them. *)
+  let bad fmt = Hypertp_error.raise_errorf ~site:"Model.make" fmt in
+  if not (1 <= nodes && nodes <= Topology.max_hosts) then
+    bad "nodes must be in [1, %d] (got %d)" Topology.max_hosts nodes;
+  if not (1 <= vms_per_node && vms_per_node <= Topology.max_vms_per_host) then
+    bad "vms_per_node must be in [1, %d] (got %d)" Topology.max_vms_per_host
+      vms_per_node;
+  if nodes * vms_per_node > Topology.max_vms then
+    bad "nodes x vms_per_node must be at most %d" Topology.max_vms;
+  if not (0.0 <= inplace_fraction && inplace_fraction <= 1.0) then
+    bad "inplace_fraction must be in [0, 1] (got %g)" inplace_fraction;
   let mix_total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 workload_mix in
-  if Float.abs (mix_total -. 1.0) > 1e-6 then
-    invalid_arg "Model.make: workload mix must sum to 1";
+  if not (List.for_all (fun (_, f) -> 0.0 <= f && f <= 1.0) workload_mix
+          && Float.abs (mix_total -. 1.0) <= 1e-6)
+  then bad "workload mix fractions must lie in [0, 1] and sum to 1";
   let rng = Sim.Rng.create seed in
   let total = nodes * vms_per_node in
   let n_inplace =

@@ -38,7 +38,11 @@ val make :
 (** Build the paper's cluster: [nodes] hosts each holding
     [vms_per_node] VMs; [inplace_fraction] of all VMs tolerate a few
     seconds of downtime; workloads are drawn from the mix (fractions
-    must sum to 1). *)
+    must lie in \[0, 1\] and sum to 1).  Raises [Hypertp.Error.Error]
+    (site ["Model.make"]) before any allocation when [nodes] is outside
+    \[1, {!Topology.max_hosts}\], [vms_per_node] outside
+    \[1, {!Topology.max_vms_per_host}\], their product above
+    {!Topology.max_vms}, or a fraction is NaN or out of range. *)
 
 val used_ram : node -> Hw.Units.bytes_
 val free_ram : node -> Hw.Units.bytes_

@@ -2,9 +2,7 @@
    optional per-region staged-spare pools and wire budgets.  Every
    fleet-level entry point ([Fleet.simulate], [Campaign.run_fleet],
    [Controlplane.config_of_topology], [Stream.Service.mix_of_topology])
-   consumes one of these instead of ad-hoc host-count integers; the
-   legacy int arguments are deprecated wrappers that build a [flat]
-   or [uniform] topology and stay byte-identical. *)
+   consumes one of these instead of ad-hoc host-count integers. *)
 
 type region = {
   rg_name : string;
@@ -63,16 +61,6 @@ let uniform ?(spares = 0) ?wire_budget ~regions ~hosts ~vms_per_host () =
             rg_spares = spares;
             rg_wire_budget = wire_budget;
           });
-  }
-
-(* One anonymous region holding the whole fleet: the shape every legacy
-   [~hosts]/[~vms_per_host] entry point maps to. *)
-let flat ~hosts ~vms_per_host =
-  {
-    tp_regions =
-      [| { rg_name = region_name 0; rg_hosts = hosts;
-           rg_vms_per_host = vms_per_host; rg_spares = 0;
-           rg_wire_budget = None } |];
   }
 
 let validate t =

@@ -6,9 +6,7 @@
     [~hosts]/[~regions] integer arguments that used to be repeated (and
     re-validated, inconsistently) across [Fleet.simulate],
     [Campaign.run_fleet], [Controlplane.run] and
-    [Stream.Service.serve].  Legacy integer entry points remain as
-    deprecated wrappers over {!flat}/{!uniform} and stay
-    byte-identical.
+    [Stream.Service.serve].
 
     Topologies come from three places: the {!uniform} smart
     constructor, the {!of_spec} CLI parser (["64x15625x8"] or
@@ -44,10 +42,6 @@ val uniform :
     ["r0"], ["r1"], ....  Raises {!Hypertp_error.Error} when
     [regions] is below 1 or above the {!validate} limit. *)
 
-val flat : hosts:int -> vms_per_host:int -> t
-(** One region ["r0"] holding the whole fleet — the shape every legacy
-    [~hosts] entry point maps to. *)
-
 val validate : t -> (t, Hypertp_error.t) result
 (** At least one region; names non-empty, unique, free of [' '], [':'],
     [';']; each region has [hosts >= 2] (campaigns drain into peers),
@@ -63,6 +57,9 @@ val max_hosts : int
 
 val max_vms_per_host : int
 (** 2{^20}: the most VMs per host {!validate} admits. *)
+
+val max_vms : int
+(** 2{^40}: the most VMs {!validate} admits in one fleet. *)
 
 val regions : t -> region array
 val n_regions : t -> int

@@ -105,146 +105,8 @@ let sweep ?(nodes = 10) ?(vms_per_node = 10) ~fractions () =
       (fraction, execute ~nic plan))
     fractions
 
-(* ---- Fault-aware execution: per-host InPlaceTP failure fallback ---- *)
-
-type fallback = Migrate_and_reboot | Recovered_reboot
-
-type host_failure = {
-  failed_node : string;
-  failed_vms : int;
-  fallback : fallback;
-  added : Sim.Time.t;
-}
-
-type faulty_timing = {
-  base : timing;
-  failures : host_failure list;
-  vms_inplace_ok : int;
-  vms_migrated_fallback : int;
-  vms_recovered : int;
-  added_time : Sim.Time.t;
-  total_with_faults : Sim.Time.t;
-}
-
-let vms_accounted t =
-  t.vms_inplace_ok + t.vms_migrated_fallback + t.vms_recovered
-
-let execute_faulty ?fault ?(fallback_vm_ram = Hw.Units.gib 4)
-    ?(fallback_workload = Vmstate.Vm.Wl_idle) ~nic (plan : Btrplace.plan) =
-  let base = execute ~nic plan in
-  let fire ~vm site =
-    match fault with Some f -> Fault.fire f ~vm site | None -> false
-  in
-  let failures = ref [] in
-  let ok = ref 0 and migrated = ref 0 and recovered = ref 0 in
-  let added = ref Sim.Time.zero in
-  Array.iter
-    (fun action ->
-      match action with
-      | Btrplace.Upgrade_inplace { node; vms_in_place } when vms_in_place > 0 ->
-        if fire ~vm:node Fault.Host_crash then begin
-          (* Whether the fault landed before or after the host's
-             point-of-no-return is decided by a per-host RNG that is
-             independent of the fault plan's stream, so raising the
-             failure probability never perturbs which hosts fail. *)
-          let coin = Sim.Rng.create (Int64.of_int (Hashtbl.hash node)) in
-          let pre_pnr = Sim.Rng.float coin 1.0 < 0.5 in
-          let failure =
-            if pre_pnr then begin
-              (* InPlaceTP rolled back: VMs are intact on the source, so
-                 fall back to MigrationTP-draining the host, then reboot
-                 it empty. *)
-              let vm i =
-                {
-                  Model.vm_name = Printf.sprintf "%s-fb%d" node i;
-                  ram = fallback_vm_ram;
-                  inplace_compatible = false;
-                  workload = fallback_workload;
-                }
-              in
-              let drain =
-                Sim.Time.sum
-                  (List.init vms_in_place (fun i ->
-                       migration_op_time ~nic ~vm:(vm i)))
-              in
-              migrated := !migrated + vms_in_place;
-              Hypertp.Log.warn (fun m ->
-                  m "upgrade: %s failed pre-PNR; draining %d VMs then \
-                     rebooting"
-                    node vms_in_place);
-              {
-                failed_node = node;
-                failed_vms = vms_in_place;
-                fallback = Migrate_and_reboot;
-                added = Sim.Time.add drain reboot_host_time;
-              }
-            end
-            else begin
-              (* Post-PNR: the ReHype-style ladder recovered the VMs on
-                 the target, at the cost of a full host reboot. *)
-              recovered := !recovered + vms_in_place;
-              Hypertp.Log.warn (fun m ->
-                  m "upgrade: %s failed post-PNR; %d VMs recovered, full \
-                     reboot"
-                    node vms_in_place);
-              {
-                failed_node = node;
-                failed_vms = vms_in_place;
-                fallback = Recovered_reboot;
-                added = reboot_host_time;
-              }
-            end
-          in
-          failures := failure :: !failures;
-          added := Sim.Time.add !added failure.added
-        end
-        else ok := !ok + vms_in_place
-      | Btrplace.Upgrade_inplace _ | Btrplace.Migrate _
-      | Btrplace.Take_offline _ | Btrplace.Bring_online _ ->
-        ())
-    plan.Btrplace.actions;
-  {
-    base;
-    failures = List.rev !failures;
-    vms_inplace_ok = !ok;
-    vms_migrated_fallback = !migrated;
-    vms_recovered = !recovered;
-    added_time = !added;
-    total_with_faults = Sim.Time.add base.total !added;
-  }
-
-let sweep_faulty ?(nodes = 10) ?(vms_per_node = 10) ?(seed = 0xC1A5L)
-    ~probabilities () =
-  let nic = Hw.Nic.create ~bandwidth_gbps:10.0 () in
-  List.map
-    (fun p ->
-      let model =
-        Model.make ~nodes ~vms_per_node ~vm_ram:(Hw.Units.gib 4)
-          ~node_ram:(Hw.Units.gib 96) ~inplace_fraction:1.0
-          ~workload_mix:
-            [ (Vmstate.Vm.Wl_streaming, 0.3); (Vmstate.Vm.Wl_spec "mcf", 0.3);
-              (Vmstate.Vm.Wl_idle, 0.4) ]
-          ()
-      in
-      let plan = Btrplace.plan_upgrade model in
-      assert (Btrplace.capacity_safe model);
-      let fault =
-        Fault.make ~seed
-          [ { Fault.site = Fault.Host_crash; trigger = Fault.Probability p } ]
-      in
-      (p, execute_faulty ~fault ~nic plan))
-    probabilities
-
 let pp_timing fmt t =
   Format.fprintf fmt
     "%d migrations (%a) + %d VMs in place (tail %a) => total %a"
     t.migration_count Sim.Time.pp t.migration_time t.inplace_vm_count
     Sim.Time.pp t.upgrade_tail Sim.Time.pp t.total
-
-let pp_faulty_timing fmt t =
-  Format.fprintf fmt
-    "%a; %d host failures (+%a): %d VMs in place ok, %d drained by fallback \
-     migration, %d recovered post-PNR => total %a"
-    pp_timing t.base (List.length t.failures) Sim.Time.pp t.added_time
-    t.vms_inplace_ok t.vms_migrated_fallback t.vms_recovered Sim.Time.pp
-    t.total_with_faults

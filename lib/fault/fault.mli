@@ -13,8 +13,8 @@
     each hit consumes exactly one draw regardless of the outcome, two
     plans with the same seed and hit sequence but probabilities
     [p <= p'] fire on a {e subset} of the hits — failure campaigns are
-    ordered, which is what makes `Cluster.Upgrade.sweep_faulty`'s
-    wall-clock monotone in the failure probability. *)
+    ordered, which is what nests the failed-host sets of a
+    `Cluster.Campaign.sweep` across failure probabilities. *)
 
 type site =
   | Pram_build
@@ -97,16 +97,14 @@ val shadow_sites : site list
     ({!Shadow_stage_fail}, {!Shadow_stream_drop}, {!Shadow_diverge},
     {!Swap_partition}, {!Spare_exhausted}) — all strictly pre-swap, so
     any of them firing must leave the source host untouched.  The
-    exhaustive [fault-campaign] sweep iterates these against the shadow
-    engine. *)
+    exhaustive one-transplant-per-site [fault-campaign] table iterates
+    these against the shadow engine. *)
 
 val cluster_sites : site list
-(** Sites consulted by the cluster-level executors — the per-host
-    fallback of [Cluster.Upgrade.execute_faulty] ([Host_crash]) and the
-    supervised campaign controller ([Host_crash], [Host_timeout],
-    [Host_flap], [Controller_crash]).  [Host_crash] appears in both
-    lists: the InPlaceTP engine also consults it for the
-    crash-in-vulnerable-window reboot path. *)
+(** Sites consulted by the supervised campaign controller
+    ([Host_crash], [Host_timeout], [Host_flap], [Controller_crash]).
+    [Host_crash] is also an engine site: the InPlaceTP engine consults
+    it for the crash-in-vulnerable-window reboot path. *)
 
 val controlplane_sites : site list
 (** Sites consulted by the replicated hierarchical control plane

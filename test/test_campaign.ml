@@ -88,7 +88,24 @@ let test_config_validation () =
   bad "straggler factor below floor"
     { C.default_config with C.straggler_factor = 1.0 };
   bad "jitter above cap" { C.default_config with C.jitter_pct = 0.5 };
-  bad "threshold above 1" { C.default_config with C.breaker_threshold = 1.5 }
+  bad "threshold above 1" { C.default_config with C.breaker_threshold = 1.5 };
+  (* NaN fails every comparison, so each float field must reject it
+     rather than slip past a [x < lo || x > hi] check. *)
+  let d = C.default_config in
+  bad "NaN inplace_fraction" { d with C.inplace_fraction = Float.nan };
+  bad "NaN straggler_factor" { d with C.straggler_factor = Float.nan };
+  bad "infinite straggler_factor" { d with C.straggler_factor = Float.infinity };
+  bad "NaN breaker_threshold" { d with C.breaker_threshold = Float.nan };
+  bad "NaN jitter_pct" { d with C.jitter_pct = Float.nan };
+  bad "NaN drain_flakiness" { d with C.drain_flakiness = Float.nan };
+  bad "NaN retry_flakiness" { d with C.retry_flakiness = Float.nan };
+  (* Counts are bounded before anything is sized by them. *)
+  bad "max_int nodes" { d with C.nodes = max_int };
+  bad "max_int vms_per_node" { d with C.vms_per_node = max_int };
+  bad "product past the VM total"
+    { d with
+      C.nodes = Cluster.Topology.max_hosts;
+      vms_per_node = Cluster.Topology.max_vms_per_host }
 
 (* --- Degradation ladder --- *)
 
@@ -297,6 +314,40 @@ let test_journal_parse_errors () =
   reject "not a journal";
   reject "hypertp-campaign-journal v99\n"
 
+(* A config line is validated on resume like a fresh run's config: a
+   journal whose threshold reads [nan] must not resume into a silently
+   different campaign. *)
+let test_resume_rejects_nan_config () =
+  let crashing () =
+    Fault.make ~seed:5L
+      (base_injections 0.3
+      @ [ { Fault.site = Fault.Controller_crash; trigger = Fault.Nth_hit 6 } ])
+  in
+  match C.run ~fault:(crashing ()) C.default_config with
+  | C.Finished _ -> Alcotest.fail "controller crash never fired"
+  | C.Crashed journal ->
+    let tamper tok =
+      if String.starts_with ~prefix:"threshold=" tok then "threshold=nan"
+      else tok
+    in
+    let original = C.journal_to_string journal in
+    let text =
+      String.concat "\n"
+        (List.map
+           (fun line ->
+             String.concat " " (List.map tamper (String.split_on_char ' ' line)))
+           (String.split_on_char '\n' original))
+    in
+    checkb "config line tampered" true (text <> original);
+    checkb "NaN threshold rejected on resume" true
+      (match C.journal_of_string text with
+      | Error _ -> true
+      | Ok j -> (
+        try
+          ignore (C.resume ~fault:(crashing ()) j);
+          false
+        with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Campaign"))
+
 (* --- incremental exposure accounting == recomputed integral --- *)
 
 (* Campaign: the accumulator updated on each host completion must equal
@@ -390,6 +441,8 @@ let suites =
         Alcotest.test_case "mismatched fault rejected" `Quick
           test_resume_rejects_mismatched_fault;
         Alcotest.test_case "parse errors" `Quick test_journal_parse_errors;
+        Alcotest.test_case "NaN config rejected on resume" `Quick
+          test_resume_rejects_nan_config;
         Alcotest.test_case "1k-host determinism" `Slow
           test_large_campaign_deterministic;
       ] );

@@ -47,6 +47,45 @@ let test_model_capacity () =
   Cluster.Model.place node vm;
   checki "replaced" 10 (List.length node.Cluster.Model.placed)
 
+(* Every out-of-range input is a structured error raised before any
+   allocation: NaN fails the range checks, and counts get the topology
+   bounds. *)
+let test_model_rejects_bad_inputs () =
+  let mix = [ (Vmstate.Vm.Wl_idle, 1.0) ] in
+  let rejects ?(nodes = 10) ?(vms_per_node = 10) ?(inplace_fraction = 0.5)
+      ?(workload_mix = mix) () =
+    match
+      Cluster.Model.make ~nodes ~vms_per_node ~vm_ram:(Hw.Units.gib 4)
+        ~node_ram:(Hw.Units.gib 96) ~inplace_fraction ~workload_mix ()
+    with
+    | _ -> false
+    | exception Hypertp.Error.Error e -> e.Hypertp.Error.site = "Model.make"
+  in
+  List.iter
+    (fun (name, rejected) -> checkb name true rejected)
+    [
+      ("zero nodes", rejects ~nodes:0 ());
+      ("negative nodes", rejects ~nodes:(-1) ());
+      ("max_int nodes", rejects ~nodes:max_int ());
+      ("nodes past the host bound", rejects ~nodes:(Cluster.Topology.max_hosts + 1) ());
+      ("zero VMs per node", rejects ~vms_per_node:0 ());
+      ("max_int VMs per node", rejects ~vms_per_node:max_int ());
+      ( "product past the VM total",
+        rejects ~nodes:Cluster.Topology.max_hosts
+          ~vms_per_node:Cluster.Topology.max_vms_per_host () );
+      ("fraction above 1", rejects ~inplace_fraction:1.5 ());
+      ("negative fraction", rejects ~inplace_fraction:(-0.1) ());
+      ("NaN fraction", rejects ~inplace_fraction:Float.nan ());
+      ("mix short of 1", rejects ~workload_mix:[ (Vmstate.Vm.Wl_idle, 0.5) ] ());
+      ( "NaN mix share",
+        rejects ~workload_mix:[ (Vmstate.Vm.Wl_idle, Float.nan) ] () );
+      ( "negative mix share",
+        rejects
+          ~workload_mix:
+            [ (Vmstate.Vm.Wl_idle, 1.5); (Vmstate.Vm.Wl_streaming, -0.5) ]
+          () );
+    ]
+
 let test_model_workload_mix () =
   let m = paper_model () in
   let count kind =
@@ -330,8 +369,12 @@ let test_libvirt_survives_transplant () =
 
 (* --- Fleet timeline --- *)
 
+let flat_topology hosts vms_per_host =
+  Cluster.Topology.uniform ~regions:1 ~hosts ~vms_per_host ()
+
 let test_fleet_timeline () =
-  let o = Cluster.Fleet.simulate ~hosts:3 ~vms_per_host:2 ~window_days:2
+  let o =
+    Cluster.Fleet.simulate ~topology:(flat_topology 3 2) ~window_days:2
       ~cve_id:"CVE-2016-6258" ()
   in
   checki "two transplants per host" 6 o.Cluster.Fleet.transplants;
@@ -454,13 +497,17 @@ let test_fleet_rejects_medium () =
        false
      with Hypertp.Error.Error e -> e.Hypertp.Error.site = "Fleet.simulate")
 
-(* Flat counts past the topology bounds are rejected up front: an
-   allocation sized by [max_int] would raise Invalid_argument instead. *)
+(* Counts past the topology bounds are rejected up front, as a
+   structured error: an allocation sized by [max_int] would raise
+   Invalid_argument instead. *)
 let test_fleet_rejects_huge_counts () =
   let rejects ?(vms_per_host = 4) hosts =
-    match Cluster.Fleet.simulate ~hosts ~vms_per_host ~cve_id:"CVE-2016-6258" () with
+    match
+      Cluster.Fleet.simulate ~topology:(flat_topology hosts vms_per_host)
+        ~cve_id:"CVE-2016-6258" ()
+    with
     | _ -> false
-    | exception Hypertp.Error.Error e -> e.Hypertp.Error.site = "Fleet.simulate"
+    | exception Hypertp.Error.Error e -> e.Hypertp.Error.site = "Topology"
   in
   checkb "max_int hosts" true (rejects max_int);
   checkb "one host past the bound" true (rejects (Cluster.Topology.max_hosts + 1));
@@ -495,7 +542,7 @@ let test_fleet_incremental_exposure_qcheck () =
   in
   let prop (hosts, (vms_per_host, stagger_s)) =
     let o =
-      Cluster.Fleet.simulate ~hosts ~vms_per_host
+      Cluster.Fleet.simulate ~topology:(flat_topology hosts vms_per_host)
         ~stagger:(Sim.Time.sec stagger_s) ~cve_id:"CVE-2016-6258" ()
     in
     let integral = fleet_integral o in
@@ -516,6 +563,8 @@ let suites =
         Alcotest.test_case "inplace fraction" `Quick test_model_inplace_fraction;
         Alcotest.test_case "capacity ops" `Quick test_model_capacity;
         Alcotest.test_case "workload mix" `Quick test_model_workload_mix;
+        Alcotest.test_case "rejects bad inputs" `Quick
+          test_model_rejects_bad_inputs;
       ] );
     ( "cluster.btrplace",
       [

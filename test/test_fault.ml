@@ -1,6 +1,6 @@
 (* Tests for the fault-injection DSL and the transactional/recovery
-   semantics it drives through InPlaceTP, MigrationTP and the cluster
-   upgrade executor. *)
+   semantics it drives through InPlaceTP, MigrationTP and the campaign
+   controller's host-crash sweeps. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -387,56 +387,70 @@ let test_aborted_wire_bytes_include_overhead () =
   checki "framing included (divisible by page+overhead)" 0
     (v.Hypertp.Migrate.wire_bytes mod per_page)
 
-(* --- cluster: fallback + sweep --- *)
+(* --- cluster: host-crash sweeps on the campaign controller --- *)
 
-let test_sweep_faulty_monotone_and_accounted () =
-  let sweep =
-    Cluster.Upgrade.sweep_faulty ~probabilities:[ 0.0; 0.25; 0.5; 1.0 ] ()
-  in
-  let totals =
-    List.map
-      (fun (_, (t : Cluster.Upgrade.faulty_timing)) ->
-        Sim.Time.to_sec_f t.Cluster.Upgrade.total_with_faults)
-      sweep
-  in
+module C = Cluster.Campaign
+
+(* A host failed when any attempt on it manifested a fault. *)
+let failed_hosts (r : C.report) =
+  List.filter_map
+    (fun h -> if h.C.hr_manifestations <> [] then Some h.C.hr_node else None)
+    r.C.hosts
+
+let test_sweep_monotone_and_accounted () =
+  let sweep = C.sweep ~probabilities:[ 0.0; 0.25; 0.5; 1.0 ] () in
+  let walls = List.map (fun (_, r) -> r.C.wall_clock) sweep in
   let rec strictly_increasing = function
-    | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
+    | a :: (b :: _ as rest) ->
+      Sim.Time.compare a b < 0 && strictly_increasing rest
     | [ _ ] | [] -> true
   in
-  checkb "wall-clock strictly increasing" true (strictly_increasing totals);
+  checkb "wall-clock strictly increasing" true (strictly_increasing walls);
   List.iter
-    (fun (p, (t : Cluster.Upgrade.faulty_timing)) ->
+    (fun (p, r) ->
       checki
         (Printf.sprintf "all VMs accounted at p=%.2f" p)
-        t.Cluster.Upgrade.base.Cluster.Upgrade.inplace_vm_count
-        (Cluster.Upgrade.vms_accounted t))
+        r.C.vms_total (C.vms_accounted r))
     sweep;
   (match sweep with
-  | (_, t0) :: _ ->
-    checki "no failures at p=0" 0 (List.length t0.Cluster.Upgrade.failures)
+  | (_, r0) :: _ -> checki "no failures at p=0" 0 (List.length (failed_hosts r0))
   | [] -> Alcotest.fail "empty sweep");
-  (match List.rev sweep with
-  | (_, t1) :: _ ->
-    checki "every host fails at p=1" 10
-      (List.length t1.Cluster.Upgrade.failures)
-  | [] -> assert false)
+  match List.rev sweep with
+  | (_, r1) :: _ ->
+    checki "every host fails at p=1" 10 (List.length (failed_hosts r1))
+  | [] -> assert false
 
-let test_sweep_faulty_failed_hosts_nested () =
+let nested lo hi = List.for_all (fun n -> List.mem n hi) lo
+
+let test_sweep_failed_hosts_nested () =
   (* Same seed: the hosts failing at p are a subset of those at p'>p. *)
-  let sweep = Cluster.Upgrade.sweep_faulty ~probabilities:[ 0.3; 0.8 ] () in
-  match sweep with
+  match C.sweep ~probabilities:[ 0.3; 0.8 ] () with
   | [ (_, lo); (_, hi) ] ->
-    let nodes (t : Cluster.Upgrade.faulty_timing) =
-      List.map
-        (fun (f : Cluster.Upgrade.host_failure) ->
-          f.Cluster.Upgrade.failed_node)
-        t.Cluster.Upgrade.failures
-    in
-    checkb "nested failure sets" true
-      (List.for_all (fun n -> List.mem n (nodes hi)) (nodes lo));
-    checkb "strictly more failures" true
-      (List.length (nodes hi) > List.length (nodes lo))
+    let lo = failed_hosts lo and hi = failed_hosts hi in
+    checkb "nested failure sets" true (nested lo hi);
+    checkb "strictly more failures" true (List.length hi > List.length lo)
   | _ -> Alcotest.fail "expected two sweep points"
+
+(* Nesting holds for any shared seed and at serial or parallel
+   admission: every admission consults the same sites in the same
+   order, so raising p only adds fired hits. *)
+let prop_failed_hosts_nested =
+  let grid = [| 0.0; 0.1; 0.25; 0.3; 0.5; 0.75; 0.8; 1.0 |] in
+  QCheck.Test.make ~count:20 ~name:"campaign failed hosts nested across p"
+    QCheck.(
+      quad (int_range 1 1_000_000) bool (int_range 0 7) (int_range 0 7))
+    (fun (seed, serial, i, j) ->
+      let lo = grid.(Stdlib.min i j) and hi = grid.(Stdlib.max i j) in
+      let config =
+        { C.default_config with
+          C.concurrency = (if serial then 1 else 4);
+          seed = Int64.of_int seed }
+      in
+      match
+        C.sweep ~config ~seed:(Int64.of_int seed) ~probabilities:[ lo; hi ] ()
+      with
+      | [ (_, a); (_, b) ] -> nested (failed_hosts a) (failed_hosts b)
+      | _ -> false)
 
 let suites =
   [
@@ -483,8 +497,9 @@ let suites =
     ( "fault.cluster",
       [
         Alcotest.test_case "sweep monotone, zero unaccounted" `Quick
-          test_sweep_faulty_monotone_and_accounted;
+          test_sweep_monotone_and_accounted;
         Alcotest.test_case "failed hosts nested across p" `Quick
-          test_sweep_faulty_failed_hosts_nested;
+          test_sweep_failed_hosts_nested;
+        qtest prop_failed_hosts_nested;
       ] );
   ]

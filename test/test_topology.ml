@@ -26,8 +26,10 @@ let test_uniform () =
   checks "default names" "r2" rs.(2).T.rg_name;
   checkb "uniform validates" true (Result.is_ok (T.validate t))
 
+(* One region holding the whole fleet: the shape [Fleet.simulate]
+   defaults to. *)
 let test_flat () =
-  let t = T.flat ~hosts:6 ~vms_per_host:2 in
+  let t = T.uniform ~regions:1 ~hosts:6 ~vms_per_host:2 () in
   checki "one region" 1 (T.n_regions t);
   checki "hosts" 6 (T.hosts t);
   checks "name" "r0" (T.regions t).(0).T.rg_name
