@@ -5,7 +5,8 @@
    Usage:
      dune exec bench/main.exe            # everything, paper order
      dune exec bench/main.exe -- table4 fig6 fig13
-     dune exec bench/main.exe -- --list *)
+     dune exec bench/main.exe -- --list
+     dune exec bench/main.exe -- --help  # the single-size run flags *)
 
 let targets : (string * string * (unit -> unit)) list =
   [
@@ -57,126 +58,106 @@ let default_order =
 let run_target name =
   match List.find_opt (fun (n, _, _) -> String.equal n name) targets with
   | Some (_, _, f) -> f ()
-  | None ->
-    Format.eprintf "unknown target %s; try --list@." name;
-    exit 1
+  | None -> assert false (* the TARGET converter admits listed names only *)
 
-(* A run with flags is a single-size (CI or probe) run: it writes only
-   to an explicit --out, never over the committed trajectory, which the
-   flag-free full run alone regenerates. *)
-let require_out target = function
-  | Some path -> path
-  | None ->
-    Format.eprintf
-      "%s: a run with flags needs --out PATH (only the flag-free run \
-       rewrites BENCH_%s.json)@."
-      target target;
-    exit 1
+open Cmdliner
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  match args with
-  | [ "--list" ] ->
-    List.iter (fun (n, d, _) -> Format.printf "%-8s %s@." n d) targets
-  | "scale" :: (_ :: _ as rest) ->
-    (* Single-size mode for CI:
-       bench scale --hosts 1000 --mode parallel:4x4 --out PATH *)
-    let sizes, mode, out =
-      let rec parse sizes mode out = function
-        | [] -> (sizes, mode, out)
-        | "--hosts" :: v :: tl -> (
-          match int_of_string_opt v with
-          | Some h when h >= 2 -> parse (Some [ h ]) mode out tl
-          | _ ->
-            Format.eprintf "scale: --hosts expects an integer >= 2@.";
-            exit 1)
-        | "--mode" :: v :: tl -> (
-          match Sim.Shard.of_string v with
-          | Ok m -> parse sizes (Some m) out tl
-          | Error e ->
-            Format.eprintf "scale: --mode: %s@." e;
-            exit 1)
-        | "--out" :: v :: tl -> parse sizes mode (Some v) tl
-        | arg :: _ ->
-          Format.eprintf
-            "usage: scale [--hosts N] [--mode seq|rotated:K|parallel:SxD] \
-             --out PATH (got %s)@."
-            arg;
-          exit 1
-      in
-      parse None None None rest
-    in
-    Bench_scale.run ?sizes ?mode ~out:(require_out "scale" out) ()
-  | "cvestream" :: (_ :: _ as rest) ->
-    (* Small mode for CI:
-       bench cvestream --hosts 36 --conc 2 --tempo 16000 --out PATH *)
-    let knobs, out =
-      let rec parse (k, out) = function
-        | [] -> (k, out)
-        | "--out" :: v :: tl -> parse (k, Some v) tl
-        | "--hosts" :: v :: tl -> (
-          match int_of_string_opt v with
-          | Some h when h >= 2 ->
-            parse ({ k with Bench_cvestream.k_hosts = h }, out) tl
-          | _ ->
-            Format.eprintf "cvestream: --hosts expects an integer >= 2@.";
-            exit 1)
-        | "--conc" :: v :: tl -> (
-          match int_of_string_opt v with
-          | Some c when c >= 1 -> parse ({ k with Bench_cvestream.k_conc = c }, out) tl
-          | _ ->
-            Format.eprintf "cvestream: --conc expects a positive integer@.";
-            exit 1)
-        | "--tempo" :: v :: tl -> (
-          match float_of_string_opt v with
-          | Some t when t > 0.0 ->
-            parse ({ k with Bench_cvestream.k_tempo = t }, out) tl
-          | _ ->
-            Format.eprintf "cvestream: --tempo expects a positive float@.";
-            exit 1)
-        | "--rate" :: v :: tl -> (
-          match float_of_string_opt v with
-          | Some r when r > 0.0 ->
-            parse ({ k with Bench_cvestream.k_rate = r }, out) tl
-          | _ ->
-            Format.eprintf "cvestream: --rate expects a positive float@.";
-            exit 1)
-        | "--years" :: v :: tl -> (
-          match float_of_string_opt v with
-          | Some y when y > 0.0 ->
-            parse ({ k with Bench_cvestream.k_years = y }, out) tl
-          | _ ->
-            Format.eprintf "cvestream: --years expects a positive float@.";
-            exit 1)
-        | arg :: _ ->
-          Format.eprintf
-            "usage: cvestream [--hosts N] [--conc N] [--tempo F] [--rate F] \
-             [--years F] --out PATH (got %s)@."
-            arg;
-          exit 1
-      in
-      parse (Bench_cvestream.default_knobs, None) rest
-    in
-    Bench_cvestream.run ~knobs ~out:(require_out "cvestream" out) ()
-  | "shadow" :: (_ :: _ as rest) ->
-    (* Single-size mode for CI: bench shadow --hosts 200 --out PATH *)
-    let rec parse hosts out = function
-      | [] -> (hosts, out)
-      | "--hosts" :: n :: tl -> (
-        match int_of_string_opt n with
-        | Some h when h >= 2 -> parse (Some h) out tl
-        | _ ->
-          Format.eprintf "shadow: --hosts expects an integer >= 2@.";
-          exit 1)
-      | "--out" :: v :: tl -> parse hosts (Some v) tl
-      | _ ->
-        Format.eprintf "usage: shadow [--hosts N] --out PATH@.";
-        exit 1
-    in
-    let hosts, out = parse None None rest in
-    Bench_shadow.run ?hosts ~out:(require_out "shadow" out) ()
-  | [] ->
+(* A run with flags is a single-size (CI or probe) run of one target:
+     bench scale --hosts 1000 --mode parallel:4x4 --out PATH
+     bench cvestream --hosts 36 --conc 2 --tempo 16000 --out PATH
+     bench shadow --hosts 200 --out PATH
+   It writes only to its explicit --out, never over the committed
+   trajectory, which the flag-free run alone regenerates. *)
+let flags_of =
+  [ ("scale", [ "hosts"; "mode" ]); ("shadow", [ "hosts" ]);
+    ("cvestream", [ "hosts"; "conc"; "tempo"; "rate"; "years" ]) ]
+
+let run list names hosts mode conc tempo rate years out =
+  let given =
+    List.filter_map
+      (fun (flag, set) -> if set then Some flag else None)
+      [ ("hosts", hosts <> None); ("mode", mode <> None); ("conc", conc <> None);
+        ("tempo", tempo <> None); ("rate", rate <> None); ("years", years <> None) ]
+  in
+  let flagged = given <> [] || out <> None in
+  match names with
+  | _ when list ->
+    List.iter (fun (n, d, _) -> Format.printf "%-8s %s@." n d) targets;
+    `Ok ()
+  | [] when not flagged ->
     Format.printf
       "HyperTP evaluation harness: regenerating every table and figure@.";
-    List.iter run_target default_order
-  | names -> List.iter run_target names
+    List.iter run_target default_order;
+    `Ok ()
+  | _ when not flagged ->
+    List.iter run_target names;
+    `Ok ()
+  | [ target ] when List.mem_assoc target flags_of -> (
+    let takes f = List.mem f (List.assoc target flags_of) in
+    match (List.find_opt (fun f -> not (takes f)) given, out) with
+    | Some f, _ -> `Error (true, Printf.sprintf "%s does not take --%s" target f)
+    | None, None ->
+      `Error
+        ( false,
+          Printf.sprintf
+            "%s: a run with flags needs --out PATH (only the flag-free run \
+             rewrites BENCH_%s.json)"
+            target target )
+    | None, Some out ->
+      (match target with
+      | "scale" ->
+        Bench_scale.run ?sizes:(Option.map (fun h -> [ h ]) hosts) ?mode ~out ()
+      | "shadow" -> Bench_shadow.run ?hosts ~out ()
+      | _ ->
+        let d = Bench_cvestream.default_knobs in
+        let ( |? ) v default = Option.value v ~default in
+        Bench_cvestream.run ~out
+          ~knobs:
+            { d with
+              Bench_cvestream.k_hosts = hosts |? d.k_hosts;
+              k_conc = conc |? d.k_conc;
+              k_tempo = tempo |? d.k_tempo;
+              k_rate = rate |? d.k_rate;
+              k_years = years |? d.k_years }
+          ());
+      `Ok ())
+  | _ -> `Error (true, "flags take exactly one target: scale, shadow or cvestream")
+
+let () =
+  let names =
+    Arg.(value & pos_all (enum (List.map (fun (n, _, _) -> (n, n)) targets)) []
+         & info [] ~docv:"TARGET"
+             ~doc:"Targets to run, in order (default: all, in paper order).")
+  in
+  let list = Arg.(value & flag & info [ "list" ] ~doc:"List the targets.") in
+  let hosts =
+    Flags.int_opt ~flag:"hosts" 2 Cluster.Topology.max_hosts
+      ~doc:"Fleet size of a single-size scale, shadow or cvestream run."
+  in
+  let mode =
+    Arg.(value & opt (some Flags.shard_mode) None
+         & info [ "mode" ] ~docv:"MODE"
+             ~doc:"Shard schedule of a single-size scale run: $(b,seq), \
+                   $(b,rotated:K) or $(b,parallel:SxD).")
+  in
+  let conc =
+    Flags.int_opt ~flag:"conc" 1 Cluster.Topology.max_hosts
+      ~doc:"Campaign concurrency (cvestream)."
+  in
+  let positive flag doc = Flags.positive_opt ~flag ~docv:"X" ~doc in
+  let out =
+    Arg.(value & opt (some string) None
+         & info [ "out" ] ~docv:"PATH"
+             ~doc:"Where a run with flags writes its JSON (required with \
+                   flags).")
+  in
+  Flags.eval
+    (Cmd.v
+       (Cmd.info "bench"
+          ~doc:"Regenerate every table and figure of the paper's evaluation")
+       Term.(ret
+               (const run $ list $ names $ hosts $ mode $ conc
+               $ positive "tempo" "Operational stretch (cvestream)."
+               $ positive "rate" "Mean CVE arrivals per year (cvestream)."
+               $ positive "years" "Virtual years of traffic (cvestream)."
+               $ out)))

@@ -1,107 +1,64 @@
 (* hypertp-cli: drive the HyperTP simulator from the command line.
 
    Subcommands:
-     cve       - query the vulnerability study and the transplant policy
-     inplace   - run an InPlaceTP transplant on a simulated host
-     migrate   - run a MigrationTP (or homogeneous) live migration
-     memsep    - show the memory-separation classification of a host
-     cluster   - plan and time a rolling cluster upgrade
-     respond   - the one-click CVE response flow *)
+     cve            - query the vulnerability study and the transplant policy
+     inplace        - run an InPlaceTP transplant on a simulated host
+     migrate        - run a MigrationTP (or homogeneous) live migration
+     shadow         - run a shadow-host MigrationTP with its abort ladder
+     audit          - run an audited InPlaceTP and report residual state
+     memsep         - show the memory-separation classification of a host
+     cluster        - plan and time a rolling cluster upgrade
+     campaign       - run a supervised rolling campaign, or a sharded fleet
+     controlplane   - run the replicated hierarchical control plane
+     respond        - the one-click CVE response flow
+     fleet          - simulate the Fig. 1 vulnerability-window timeline
+     serve          - run the CVE-stream campaign service
+     snapshot       - suspend a VM to a file, resume it under any hypervisor
+     fault-campaign - one transplant per fault-injection site
+     verify         - run the salvage decoder over a UISR blob
+     fuzz           - corruption-fuzz the salvage decoder
+
+   The flags shared across subcommands, and their checks, live in [Flags]. *)
 
 open Cmdliner
 
-(* --- shared argument converters --- *)
-
-let machine_conv =
-  let parse = function
-    | "m1" | "M1" -> Ok (Hw.Machine.m1 ())
-    | "m2" | "M2" -> Ok (Hw.Machine.m2 ())
-    | "g5k" | "G5K" -> Ok (Hw.Machine.g5k_node ())
-    | s -> Error (`Msg (Printf.sprintf "unknown machine %S (m1|m2|g5k)" s))
-  in
-  let print fmt (m : Hw.Machine.t) = Format.pp_print_string fmt m.name in
-  Arg.conv (parse, print)
-
-let hv_conv =
-  let parse s =
-    match Hv.Kind.of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg (Printf.sprintf "unknown hypervisor %S (xen|kvm)" s))
-  in
-  Arg.conv (parse, Hv.Kind.pp)
-
-let machine_arg =
-  Arg.(value & opt machine_conv (Hw.Machine.m1 ())
-       & info [ "machine" ] ~docv:"MACHINE" ~doc:"Host machine model (m1|m2|g5k).")
-
-let source_arg =
-  Arg.(value & opt hv_conv Hv.Kind.Xen
-       & info [ "source" ] ~docv:"HV" ~doc:"Hypervisor the host starts on.")
+(* --- arguments only this executable uses --- *)
 
 let target_arg =
-  Arg.(value & opt hv_conv Hv.Kind.Kvm
+  Arg.(value & opt Flags.hypervisor Hv.Kind.Kvm
        & info [ "target" ] ~docv:"HV" ~doc:"Hypervisor to transplant onto.")
 
-let vms_arg =
-  Arg.(value & opt int 1 & info [ "vms" ] ~docv:"N" ~doc:"Number of VMs.")
-
-let vcpus_arg =
-  Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"vCPUs per VM.")
-
-let gib_arg =
-  Arg.(value & opt int 1 & info [ "gib" ] ~docv:"N" ~doc:"GiB of RAM per VM.")
-
-let seed_arg =
-  Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
-
-let fault_conv =
-  let parse s =
-    match Fault.parse_spec s with Ok sp -> Ok sp | Error e -> Error (`Msg e)
-  in
-  let print fmt (sp : Fault.spec) =
-    Format.fprintf fmt "%a:..." Fault.pp_site sp.Fault.spec_injection.Fault.site
-  in
-  Arg.conv (parse, print)
-
 let fault_arg =
-  Arg.(value & opt_all fault_conv []
-       & info [ "fault" ] ~docv:"SITE:TRIGGER[,seed=N]"
-           ~doc:"Arm a fault injection, e.g. $(b,kexec_jump:1) (fire on the \
-                 first hit), $(b,vm_restore:vm=vm0) (fire for that VM), or \
-                 $(b,migration_link_drop:p=0.1,seed=7) (fire with probability \
-                 0.1, RNG seeded with 7).  Repeatable.")
-
-let fault_of_specs = function [] -> None | specs -> Some (Fault.of_specs specs)
-
-let topology_conv =
-  let parse s =
-    match Cluster.Topology.of_spec s with
-    | Ok t -> Ok t
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt t = Format.pp_print_string fmt (Cluster.Topology.spec t) in
-  Arg.conv (parse, print)
+  let of_specs = function [] -> None | specs -> Some (Fault.of_specs specs) in
+  Term.(const of_specs
+        $ Arg.(value & opt_all Flags.fault_spec []
+               & info [ "fault" ] ~docv:"SITE:TRIGGER[,seed=N]"
+                   ~doc:"Arm a fault injection, e.g. $(b,kexec_jump:1) (fire on \
+                         the first hit), $(b,vm_restore:vm=vm0) (fire for that \
+                         VM), or $(b,migration_link_drop:p=0.1,seed=7) (fire \
+                         with probability 0.1, RNG seeded with 7).  \
+                         Repeatable."))
 
 let topology_arg ~doc =
-  Arg.(value & opt (some topology_conv) None
+  Arg.(value & opt (some Flags.topology) None
        & info [ "topology" ] ~docv:"SPEC" ~doc)
 
-let shard_mode_conv =
-  let parse s =
-    match Sim.Shard.of_string s with Ok m -> Ok m | Error e -> Error (`Msg e)
-  in
-  let print fmt m = Format.pp_print_string fmt (Sim.Shard.to_string m) in
-  Arg.conv (parse, print)
+let path_arg name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc)
 
-let audit_flag =
-  Arg.(value & flag
-       & info [ "audit" ]
-           ~doc:"Arm the post-commit residual audit: sweep the target world \
-                 against a fresh-boot reference after the transplant, \
-                 scrub-and-recheck on findings.")
+let audit_arg =
+  Term.(const (fun armed -> if armed then Some Hypertp.Inplace.Scrub else None)
+        $ Arg.(value & flag
+               & info [ "audit" ]
+                   ~doc:"Arm the post-commit residual audit: sweep the target \
+                         world against a fresh-boot reference after the \
+                         transplant, scrub-and-recheck on findings."))
 
-let audit_of_flag armed =
-  if armed then Some Hypertp.Inplace.Scrub else None
+let require_distinct (h : Flags.host) target =
+  if Hv.Kind.equal h.source target then begin
+    Format.eprintf "source and target hypervisors must differ@.";
+    exit 1
+  end
 
 let print_fault_trace = function
   | None -> ()
@@ -124,48 +81,57 @@ let verbose_arg =
                          narrates each workflow step, $(b,-v -v) adds \
                          span-level debug detail."))
 
+(* --- files: journals, bundles, reports, snapshots --- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+(* Write [contents] and say so on stdout: "<what> written to <path>". *)
+let save path contents what =
+  write_file path contents;
+  Format.printf "%s written to %s@." what path
+
+let resume ~of_string path =
+  match of_string (read_file path) with
+  | Ok j -> j
+  | Error e ->
+    Format.eprintf "cannot resume: %s@." e;
+    exit 1
+
 (* --- observability plumbing shared by inplace/migrate/campaign --- *)
 
-let trace_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-out" ] ~docv:"PATH"
-           ~doc:"Write a Chrome trace_event JSON recording of the run here \
-                 (open in Perfetto or chrome://tracing).")
+type obs = {
+  trace_out : string option;
+  metrics_out : string option;
+  tracer : Obs.Tracer.t option;
+  metrics : Obs.Metrics.t option;
+}
 
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-out" ] ~docv:"PATH"
-           ~doc:"Write an OpenMetrics text snapshot of the run's counters, \
-                 gauges and histograms here.")
-
-let obs_of_paths trace_out metrics_out =
-  ( Option.map (fun _ -> Obs.Tracer.create ()) trace_out,
-    Option.map (fun _ -> Obs.Metrics.create ()) metrics_out )
-
-let write_obs trace_out metrics_out obs metrics =
-  let write path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
+let obs_arg =
+  let make trace_out metrics_out =
+    { trace_out; metrics_out;
+      tracer = Option.map (fun _ -> Obs.Tracer.create ()) trace_out;
+      metrics = Option.map (fun _ -> Obs.Metrics.create ()) metrics_out }
   in
-  (match (trace_out, obs) with
+  Term.(const make
+        $ path_arg "trace-out"
+            ~doc:"Write a Chrome trace_event JSON recording of the run here \
+                  (open in Perfetto or chrome://tracing)."
+        $ path_arg "metrics-out"
+            ~doc:"Write an OpenMetrics text snapshot of the run's counters, \
+                  gauges and histograms here.")
+
+let write_obs o =
+  (match (o.trace_out, o.tracer) with
   | Some path, Some tr ->
-    write path (Obs.Export.chrome_trace tr);
-    Format.printf "trace (%d spans) written to %s@." (Obs.Tracer.count tr) path
+    save path (Obs.Export.chrome_trace tr)
+      (Printf.sprintf "trace (%d spans)" (Obs.Tracer.count tr))
   | _ -> ());
-  match (metrics_out, metrics) with
-  | Some path, Some m ->
-    write path (Obs.Export.open_metrics m);
-    Format.printf "metrics written to %s@." path
+  match (o.metrics_out, o.metrics) with
+  | Some path, Some m -> save path (Obs.Export.open_metrics m) "metrics"
   | _ -> ()
-
-let provision ~machine ~hv ~vms ~vcpus ~gib ~seed =
-  let configs =
-    List.init vms (fun i ->
-        Vmstate.Vm.config ~name:(Printf.sprintf "vm%d" i) ~vcpus
-          ~ram:(Hw.Units.gib gib) ())
-  in
-  Hypertp.Api.provision ~seed ~name:"cli-host" ~machine ~hv configs
 
 (* --- cve --- *)
 
@@ -209,68 +175,53 @@ let cve_cmd =
 (* --- inplace --- *)
 
 let inplace_cmd =
-  let run () machine source target vms vcpus gib seed fault_specs audit
-      trace_out metrics_out =
-    if Hv.Kind.equal source target then begin
-      Format.eprintf "source and target hypervisors must differ@.";
-      exit 1
-    end;
-    let host = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
-    let fault = fault_of_specs fault_specs in
-    let obs, metrics = obs_of_paths trace_out metrics_out in
+  let run () (h : Flags.host) target fault audit o =
+    require_distinct h target;
+    let host = Flags.provision h in
     let report =
-      Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create seed) ?fault ?obs
-        ?metrics ?audit:(audit_of_flag audit) ~host ~target ()
+      Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create h.seed) ?fault
+        ?obs:o.tracer ?metrics:o.metrics ?audit ~host ~target ()
     in
     Format.printf "%a@." Hypertp.Inplace.pp_report report;
     Format.printf "fixups:@.";
     List.iter
       (fun (vm, fixes) -> Format.printf "  %s: %a@." vm Uisr.Fixup.pp_list fixes)
       report.fixups;
-    (match report.Hypertp.Inplace.audit with
-    | Some a -> Format.printf "%a@." Audit.pp_report a
-    | None -> ());
+    Option.iter (Format.printf "%a@." Audit.pp_report) report.Hypertp.Inplace.audit;
     print_fault_trace fault;
-    write_obs trace_out metrics_out obs metrics;
+    write_obs o;
     if not (Hypertp.Inplace.all_ok report.checks) then exit 2
   in
   Cmd.v
     (Cmd.info "inplace" ~doc:"Run an InPlaceTP micro-reboot transplant")
-    Term.(const run $ verbose_arg $ machine_arg $ source_arg $ target_arg
-          $ vms_arg $ vcpus_arg $ gib_arg $ seed_arg $ fault_arg $ audit_flag
-          $ trace_out_arg $ metrics_out_arg)
+    Term.(const run $ verbose_arg $ Flags.host $ target_arg $ fault_arg
+          $ audit_arg $ obs_arg)
 
 (* --- migrate --- *)
 
 let migrate_cmd =
-  let run () machine source target vms vcpus gib seed fault_specs audit
-      trace_out metrics_out =
-    let src = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
+  let run () (h : Flags.host) target fault audit o =
+    let src = Flags.provision h in
     let dst =
-      Hypertp.Api.provision ~seed:(Int64.add seed 1L) ~name:"cli-dst" ~machine
-        ~hv:target []
+      Hypertp.Api.provision ~seed:(Int64.add h.seed 1L) ~name:"cli-dst"
+        ~machine:h.machine ~hv:target []
     in
-    let fault = fault_of_specs fault_specs in
-    let obs, metrics = obs_of_paths trace_out metrics_out in
     let report =
-      Hypertp.Api.transplant_migration ~rng:(Sim.Rng.create seed) ?fault ?obs
-        ?metrics ?audit:(audit_of_flag audit) ~src ~dst ()
+      Hypertp.Api.transplant_migration ~rng:(Sim.Rng.create h.seed) ?fault
+        ?obs:o.tracer ?metrics:o.metrics ?audit ~src ~dst ()
     in
     Format.printf "%a@." Hypertp.Migrate.pp_report report;
-    (match report.Hypertp.Migrate.audit with
-    | Some a -> Format.printf "%a@." Audit.pp_report a
-    | None -> ());
+    Option.iter (Format.printf "%a@." Audit.pp_report) report.Hypertp.Migrate.audit;
     print_fault_trace fault;
-    write_obs trace_out metrics_out obs metrics;
+    write_obs o;
     if not report.Hypertp.Migrate.checks.Hypertp.Migrate.residual_clean then
       exit 2
   in
   Cmd.v
     (Cmd.info "migrate"
        ~doc:"Run a MigrationTP (heterogeneous) or homogeneous live migration")
-    Term.(const run $ verbose_arg $ machine_arg $ source_arg $ target_arg
-          $ vms_arg $ vcpus_arg $ gib_arg $ seed_arg $ fault_arg $ audit_flag
-          $ trace_out_arg $ metrics_out_arg)
+    Term.(const run $ verbose_arg $ Flags.host $ target_arg $ fault_arg
+          $ audit_arg $ obs_arg)
 
 (* --- shadow --- *)
 
@@ -288,24 +239,22 @@ let shadow_cmd =
              ~doc:"Also run classic MigrationTP on an identical pair and \
                    print the downtime ratio.")
   in
-  let run () machine source target vms vcpus gib seed fault_specs no_ladder
-      compare trace_out metrics_out =
-    let src = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
-    let spare = Hv.Host.create ~name:"cli-spare" machine in
-    let fault = fault_of_specs fault_specs in
-    let obs, metrics = obs_of_paths trace_out metrics_out in
+  let run () (h : Flags.host) target fault no_ladder compare o =
+    let src = Flags.provision h in
+    let spare = Hv.Host.create ~name:"cli-spare" h.machine in
     let r =
-      Hypertp.Api.transplant_shadow ~rng:(Sim.Rng.create seed) ?fault ?obs
-        ?metrics ~ladder:(not no_ladder) ~src ~spare ~target ()
+      Hypertp.Api.transplant_shadow ~rng:(Sim.Rng.create h.seed) ?fault
+        ?obs:o.tracer ?metrics:o.metrics ~ladder:(not no_ladder) ~src ~spare
+        ~target ()
     in
     Format.printf "%a@." Hypertp.Migrate.pp_shadow_report r;
     if compare then begin
-      let csrc = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
-      let cspare = Hv.Host.create ~name:"cli-spare" machine in
+      let csrc = Flags.provision h in
+      let cspare = Hv.Host.create ~name:"cli-spare" h.machine in
       Hv.Host.boot_hypervisor cspare (Hypertp.Api.hypervisor_of target);
       let classic =
-        Hypertp.Api.transplant_migration ~rng:(Sim.Rng.create seed) ~src:csrc
-          ~dst:cspare ()
+        Hypertp.Api.transplant_migration ~rng:(Sim.Rng.create h.seed)
+          ~src:csrc ~dst:cspare ()
       in
       let classic_downtime =
         List.fold_left
@@ -321,7 +270,7 @@ let shadow_cmd =
         /. Sim.Time.to_sec_f classic_downtime)
     end;
     print_fault_trace fault;
-    write_obs trace_out metrics_out obs metrics;
+    write_obs o;
     if not r.Hypertp.Migrate.sh_source_intact then exit 2
   in
   Cmd.v
@@ -330,9 +279,8 @@ let shadow_cmd =
              spare, stream and converge while the source serves, swap \
              identities atomically; pre-swap faults abort with the source \
              verified intact and walk the degradation ladder")
-    Term.(const run $ verbose_arg $ machine_arg $ source_arg $ target_arg
-          $ vms_arg $ vcpus_arg $ gib_arg $ seed_arg $ fault_arg $ no_ladder
-          $ compare_flag $ trace_out_arg $ metrics_out_arg)
+    Term.(const run $ verbose_arg $ Flags.host $ target_arg $ fault_arg
+          $ no_ladder $ compare_flag $ obs_arg)
 
 (* --- audit --- *)
 
@@ -343,21 +291,15 @@ let audit_cmd =
              ~doc:"Report findings without remediating them.")
   in
   let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"Write the serialized audit report here (deterministic for \
-                   a fixed seed; the CI golden diffs against it).")
+    path_arg "out"
+      ~doc:"Write the serialized audit report here (deterministic for a \
+            fixed seed; the CI golden diffs against it)."
   in
-  let run () machine source target vms vcpus gib seed fault_specs no_scrub
-      out =
-    if Hv.Kind.equal source target then begin
-      Format.eprintf "source and target hypervisors must differ@.";
-      exit 1
-    end;
-    let host = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
-    let fault = fault_of_specs fault_specs in
+  let run () (h : Flags.host) target fault no_scrub out =
+    require_distinct h target;
+    let host = Flags.provision h in
     let report =
-      Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create seed) ?fault
+      Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create h.seed) ?fault
         ~audit:(if no_scrub then Hypertp.Inplace.Report_only else Scrub)
         ~host ~target ()
     in
@@ -368,13 +310,7 @@ let audit_cmd =
     in
     Format.printf "%a@.outcome: %a@." Audit.pp_report a
       Hypertp.Inplace.pp_outcome report.Hypertp.Inplace.outcome;
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Audit.to_string a);
-      close_out oc;
-      Format.printf "report written to %s@." path
-    | None -> ());
+    Option.iter (fun path -> save path (Audit.to_string a) "report") out;
     print_fault_trace fault;
     (* Exit discipline mirrors the severity ladder on the FINAL world:
        2 = exploitable residue left, 1 = fingerprintable residue left. *)
@@ -386,38 +322,37 @@ let audit_cmd =
        ~doc:"Run an audited InPlaceTP transplant and report residual \
              source-hypervisor state (exit 2 if an exploitable finding is \
              left in the final world)")
-    Term.(const run $ verbose_arg $ machine_arg $ source_arg $ target_arg
-          $ vms_arg $ vcpus_arg $ gib_arg $ seed_arg $ fault_arg $ no_scrub
-          $ out)
+    Term.(const run $ verbose_arg $ Flags.host $ target_arg $ fault_arg
+          $ no_scrub $ out)
 
 (* --- memsep --- *)
 
 let memsep_cmd =
-  let run machine source vms vcpus gib seed =
-    let host = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
+  let run h =
+    let host = Flags.provision h in
     Format.printf "%a@.%a@." Hv.Host.pp host Hypertp.Memsep.pp
       (Hypertp.Memsep.of_host host)
   in
   Cmd.v
     (Cmd.info "memsep"
        ~doc:"Show the Fig. 2 memory-separation classification of a host")
-    Term.(const run $ machine_arg $ source_arg $ vms_arg $ vcpus_arg $ gib_arg
-          $ seed_arg)
+    Term.(const run $ Flags.host)
 
 (* --- cluster --- *)
 
+(* The cluster shape of [cluster] and [campaign]. *)
+let nodes_arg =
+  Arg.(value & opt int 10 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
+
+let vms_per_node_arg =
+  Arg.(value & opt int 10 & info [ "vms-per-node" ] ~docv:"N" ~doc:"VMs per node.")
+
+let fraction_arg default =
+  Arg.(value & opt float default
+       & info [ "inplace-fraction" ] ~docv:"F"
+           ~doc:"Share of VMs tolerating InPlaceTP downtime.")
+
 let cluster_cmd =
-  let nodes =
-    Arg.(value & opt int 10 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
-  in
-  let per_node =
-    Arg.(value & opt int 10 & info [ "vms-per-node" ] ~docv:"N" ~doc:"VMs per node.")
-  in
-  let fraction =
-    Arg.(value & opt float 0.8
-         & info [ "inplace-fraction" ] ~docv:"F"
-             ~doc:"Share of VMs tolerating InPlaceTP downtime.")
-  in
   let run nodes vms_per_node fraction =
     let sweep =
       Cluster.Upgrade.sweep ~nodes ~vms_per_node ~fractions:[ 0.0; fraction ] ()
@@ -436,7 +371,7 @@ let cluster_cmd =
   in
   Cmd.v
     (Cmd.info "cluster" ~doc:"Plan and time a rolling cluster upgrade (Fig. 13)")
-    Term.(const run $ nodes $ per_node $ fraction)
+    Term.(const run $ nodes_arg $ vms_per_node_arg $ fraction_arg 0.8)
 
 (* --- respond --- *)
 
@@ -448,8 +383,8 @@ let respond_cmd =
   let apply =
     Arg.(value & flag & info [ "apply" ] ~doc:"Actually run the transplant.")
   in
-  let run machine source vms vcpus gib seed id apply =
-    let host = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
+  let run h id apply =
+    let host = Flags.provision h in
     let mode = if apply then `Apply else `Advise in
     let r = Hypertp.Api.respond_to_cve ~host ~cve_id:id ~mode () in
     Format.printf "advice: %a@." Cve.Window.pp_advice r.advice;
@@ -464,8 +399,7 @@ let respond_cmd =
   in
   Cmd.v
     (Cmd.info "respond" ~doc:"One-click CVE response (Fig. 1b)")
-    Term.(const run $ machine_arg $ source_arg $ vms_arg $ vcpus_arg $ gib_arg
-          $ seed_arg $ id $ apply)
+    Term.(const run $ Flags.host $ id $ apply)
 
 (* --- snapshot --- *)
 
@@ -478,32 +412,25 @@ let snapshot_cmd =
     Arg.(value & pos 0 (enum [ ("save", `Save); ("restore", `Restore) ]) `Save
          & info [] ~docv:"ACTION" ~doc:"save | restore")
   in
-  let run action file machine source target vms vcpus gib seed =
+  let run action file (h : Flags.host) target =
     match action with
     | `Save ->
-      let host = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
+      let host = Flags.provision h in
       let snap = Hypertp.Snapshot.capture host "vm0" in
       let blob = Hypertp.Snapshot.to_bytes snap in
-      let oc = open_out_bin file in
-      output_bytes oc blob;
-      close_out oc;
+      write_file file (Bytes.to_string blob);
       Format.printf "saved %s (%d bytes, %d bytes of guest memory) to %s@."
         (Hypertp.Snapshot.vm_name snap) (Bytes.length blob)
         (Hypertp.Snapshot.memory_bytes snap) file
     | `Restore -> (
-      let ic = open_in_bin file in
-      let len = in_channel_length ic in
-      let blob = Bytes.create len in
-      really_input ic blob 0 len;
-      close_in ic;
-      match Hypertp.Snapshot.of_bytes blob with
+      match Hypertp.Snapshot.of_bytes (Bytes.of_string (read_file file)) with
       | Error e ->
         Format.eprintf "cannot restore: %s@." e;
         exit 1
       | Ok snap ->
         let host =
-          Hypertp.Api.provision ~seed ~name:"restore-host" ~machine ~hv:target
-            []
+          Hypertp.Api.provision ~seed:h.seed ~name:"restore-host"
+            ~machine:h.machine ~hv:target []
         in
         let fixups = Hypertp.Snapshot.restore snap host in
         Format.printf
@@ -515,8 +442,7 @@ let snapshot_cmd =
   Cmd.v
     (Cmd.info "snapshot"
        ~doc:"Suspend a VM to a file and resume it under any hypervisor")
-    Term.(const run $ action $ file $ machine_arg $ source_arg $ target_arg
-          $ vms_arg $ vcpus_arg $ gib_arg $ seed_arg)
+    Term.(const run $ action $ file $ Flags.host $ target_arg)
 
 (* --- fault-campaign --- *)
 
@@ -551,10 +477,7 @@ let fault_campaign_cmd =
     List.iter (row "controlplane") Fault.controlplane_sites;
     List.iter (row "stream") Fault.stream_sites
   in
-  let rec run machine source target vms vcpus gib seed list =
-    if list then list_sites ()
-    else run_campaign machine source target vms vcpus gib seed
-  and run_campaign machine source target vms vcpus gib seed =
+  let run_sites (h : Flags.host) target =
     (* One run per engine-level injection site, fault fired on its first
        hit: the exhaustive deterministic campaign.  Cluster-level sites
        are listed separately — they are consulted by the campaign
@@ -564,19 +487,18 @@ let fault_campaign_cmd =
     List.iter
       (fun site ->
         let fault =
-          Fault.make ~seed
-            [ { Fault.site; trigger = Fault.Nth_hit 1 } ]
+          Fault.make ~seed:h.seed [ { Fault.site; trigger = Fault.Nth_hit 1 } ]
         in
         match site with
         | Fault.Migration_link_drop | Fault.Migration_link_degrade ->
-          let src = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
+          let src = Flags.provision h in
           let dst =
-            Hypertp.Api.provision ~seed:(Int64.add seed 1L) ~name:"c-dst"
-              ~machine ~hv:target []
+            Hypertp.Api.provision ~seed:(Int64.add h.seed 1L) ~name:"c-dst"
+              ~machine:h.machine ~hv:target []
           in
           let r =
-            Hypertp.Api.transplant_migration ~rng:(Sim.Rng.create seed) ~fault
-              ~src ~dst ()
+            Hypertp.Api.transplant_migration ~rng:(Sim.Rng.create h.seed)
+              ~fault ~src ~dst ()
           in
           let alive = Hv.Host.vm_count src + Hv.Host.vm_count dst in
           let outcome =
@@ -590,16 +512,16 @@ let fault_campaign_cmd =
               r.Hypertp.Migrate.per_vm
           in
           Format.printf "%-24s %-12s %d/%-8d %s@."
-            (Fault.site_to_string site) "migration" alive vms outcome
+            (Fault.site_to_string site) "migration" alive h.vms outcome
         | _ ->
-          let host = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
+          let host = Flags.provision h in
           let r =
-            Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create seed) ~fault
+            Hypertp.Api.transplant_inplace ~rng:(Sim.Rng.create h.seed) ~fault
               ~host ~target ()
           in
           let alive = Hv.Host.vm_count host in
           Format.printf "%-24s %-12s %d/%-8d %a@."
-            (Fault.site_to_string site) "inplace" alive vms
+            (Fault.site_to_string site) "inplace" alive h.vms
             Hypertp.Inplace.pp_outcome r.Hypertp.Inplace.outcome)
       Fault.engine_sites;
     (* Shadow sites, against the shadow-host engine: every one is
@@ -608,17 +530,17 @@ let fault_campaign_cmd =
     List.iter
       (fun site ->
         let fault =
-          Fault.make ~seed [ { Fault.site; trigger = Fault.Nth_hit 1 } ]
+          Fault.make ~seed:h.seed [ { Fault.site; trigger = Fault.Nth_hit 1 } ]
         in
-        let src = provision ~machine ~hv:source ~vms ~vcpus ~gib ~seed in
-        let spare = Hv.Host.create ~name:"c-spare" machine in
+        let src = Flags.provision h in
+        let spare = Hv.Host.create ~name:"c-spare" h.machine in
         let r =
-          Hypertp.Api.transplant_shadow ~rng:(Sim.Rng.create seed) ~fault
+          Hypertp.Api.transplant_shadow ~rng:(Sim.Rng.create h.seed) ~fault
             ~src ~spare ~target ()
         in
         let alive = Hv.Host.vm_count src + Hv.Host.vm_count spare in
         Format.printf "%-24s %-12s %d/%-8d %a%s@."
-          (Fault.site_to_string site) "shadow" alive vms
+          (Fault.site_to_string site) "shadow" alive h.vms
           Hypertp.Migrate.pp_shadow_strategy r.Hypertp.Migrate.sh_strategy
           (if r.Hypertp.Migrate.sh_source_intact then ""
            else " [SOURCE DAMAGED]"))
@@ -637,55 +559,20 @@ let fault_campaign_cmd =
        campaign service): %s@."
       (String.concat ", " (List.map Fault.site_to_string Fault.stream_sites))
   in
+  let run h target list = if list then list_sites () else run_sites h target in
   Cmd.v
     (Cmd.info "fault-campaign"
        ~doc:"Exhaustive fault-injection campaign: one transplant per \
              injection site, printing the outcome and VM survival")
-    Term.(const run $ machine_arg $ source_arg $ target_arg $ vms_arg
-          $ vcpus_arg $ gib_arg $ seed_arg $ list_flag)
+    Term.(const run $ Flags.host $ target_arg $ list_flag)
 
 (* --- campaign --- *)
 
 let campaign_cmd =
-  let nodes =
-    Arg.(value & opt int 10 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
-  in
-  let per_node =
-    Arg.(value & opt int 10
-         & info [ "vms-per-node" ] ~docv:"N" ~doc:"VMs per node.")
-  in
-  let fraction =
-    Arg.(value & opt float 1.0
-         & info [ "inplace-fraction" ] ~docv:"F"
-             ~doc:"Share of VMs tolerating InPlaceTP downtime.")
-  in
   let concurrency =
     Arg.(value & opt int Cluster.Campaign.default_config.Cluster.Campaign.concurrency
          & info [ "concurrency" ] ~docv:"N"
              ~doc:"Hosts upgraded in parallel (clamped by spare capacity).")
-  in
-  let straggler =
-    Arg.(value & opt float
-           Cluster.Campaign.default_config.Cluster.Campaign.straggler_factor
-         & info [ "straggler-factor" ] ~docv:"F"
-             ~doc:"Escalate a host attempt after F x its expected duration.")
-  in
-  let breaker_window =
-    Arg.(value & opt int
-           Cluster.Campaign.default_config.Cluster.Campaign.breaker_window
-         & info [ "breaker-window" ] ~docv:"K"
-             ~doc:"Circuit-breaker rolling window (last K attempts).")
-  in
-  let breaker_threshold =
-    Arg.(value & opt float
-           Cluster.Campaign.default_config.Cluster.Campaign.breaker_threshold
-         & info [ "breaker-threshold" ] ~docv:"F"
-             ~doc:"Trip when failures/K reaches F.")
-  in
-  let breaker_cooldown =
-    Arg.(value & opt float 120.0
-         & info [ "breaker-cooldown" ] ~docv:"SECONDS"
-             ~doc:"Pause admission for this long after a trip.")
   in
   let shadow_spares =
     Arg.(value & opt int
@@ -705,25 +592,21 @@ let campaign_cmd =
             the concatenated per-region journals."
   in
   let shard_mode =
-    Arg.(value & opt (some shard_mode_conv) None
+    Arg.(value & opt (some Flags.shard_mode) None
          & info [ "mode"; "shards" ] ~docv:"MODE"
              ~doc:"Shard schedule for $(b,--topology): $(b,seq), \
                    $(b,rotated:K) or $(b,parallel:SxD) (S shards on D \
                    domains, D at most 128).  Results are byte-identical \
-                   across modes; only \
-                   wall-clock changes.")
+                   across modes; only wall-clock changes.")
   in
   let journal_file =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Write the campaign journal here (crash or success).")
+    path_arg "journal" ~doc:"Write the campaign journal here (crash or success)."
   in
   let resume_from =
-    Arg.(value & opt (some string) None
-         & info [ "resume-from" ] ~docv:"PATH"
-             ~doc:"Resume a crashed campaign from this journal (cluster \
-                   shape and knobs come from the journal; pass the same \
-                   $(b,--fault) specs as the original run).")
+    path_arg "resume-from"
+      ~doc:"Resume a crashed campaign from this journal (cluster shape and \
+            knobs come from the journal; pass the same $(b,--fault) specs as \
+            the original run)."
   in
   let sweep =
     Arg.(value & opt (some (list float)) None
@@ -731,34 +614,21 @@ let campaign_cmd =
              ~doc:"Run one campaign per host-crash probability instead of a \
                    single campaign.")
   in
-  let run () nodes vms_per_node fraction concurrency straggler breaker_window
-      breaker_threshold breaker_cooldown shadow_spares topology shard_mode
-      seed specs journal_file resume_from sweep trace_out metrics_out =
+  let run () nodes vms_per_node inplace_fraction concurrency knobs
+      shadow_spares topology shard_mode seed fault journal_file resume_from
+      sweep o =
     let config =
-      {
-        Cluster.Campaign.default_config with
-        Cluster.Campaign.nodes;
-        vms_per_node;
-        inplace_fraction = fraction;
-        concurrency;
-        straggler_factor = straggler;
-        breaker_window;
-        breaker_threshold;
-        breaker_cooldown = Sim.Time.of_sec_f breaker_cooldown;
-        shadow_spares;
-        seed;
-      }
+      { knobs with
+        Cluster.Campaign.nodes; vms_per_node; inplace_fraction; concurrency;
+        shadow_spares; seed }
     in
-    let fault = fault_of_specs specs in
     let write_journal j =
-      match journal_file with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Cluster.Campaign.journal_to_string j);
-        close_out oc;
-        Format.printf "journal (%d entries) written to %s@."
-          (Cluster.Campaign.journal_length j) path
+      Option.iter
+        (fun path ->
+          save path (Cluster.Campaign.journal_to_string j)
+            (Printf.sprintf "journal (%d entries)"
+               (Cluster.Campaign.journal_length j)))
+        journal_file
     in
     match topology with
     | Some tp ->
@@ -773,13 +643,11 @@ let campaign_cmd =
           config
       in
       Format.printf "%a@." Cluster.Campaign.pp_fleet fr;
-      (match journal_file with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Cluster.Campaign.fleet_journals_to_string fr);
-        close_out oc;
-        Format.printf "fleet journals written to %s@." path)
+      Option.iter
+        (fun path ->
+          save path (Cluster.Campaign.fleet_journals_to_string fr)
+            "fleet journals")
+        journal_file
     | None -> (
       if shard_mode <> None then begin
         Format.eprintf "campaign: --mode requires --topology@.";
@@ -810,20 +678,13 @@ let campaign_cmd =
             (count Cluster.Campaign.Deferred_exposed))
         results
     | None -> (
-      let obs, metrics = obs_of_paths trace_out metrics_out in
       let result =
         match resume_from with
         | Some path ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let raw = really_input_string ic len in
-          close_in ic;
-          (match Cluster.Campaign.journal_of_string raw with
-          | Ok j -> Cluster.Campaign.resume ?fault ?obs ?metrics j
-          | Error e ->
-            Format.eprintf "cannot resume: %s@." e;
-            exit 1)
-        | None -> Cluster.Campaign.run ?fault ?obs ?metrics config
+          Cluster.Campaign.resume ?fault ?obs:o.tracer ?metrics:o.metrics
+            (resume ~of_string:Cluster.Campaign.journal_of_string path)
+        | None ->
+          Cluster.Campaign.run ?fault ?obs:o.tracer ?metrics:o.metrics config
       in
       match result with
       | Cluster.Campaign.Finished (r, j) ->
@@ -832,44 +693,43 @@ let campaign_cmd =
           (fun h -> Format.printf "  %a@." Cluster.Campaign.pp_host_record h)
           r.Cluster.Campaign.hosts;
         write_journal j;
-        write_obs trace_out metrics_out obs metrics
+        write_obs o
       | Cluster.Campaign.Crashed j ->
         Format.printf
           "controller crashed after %d journaled events; resume with \
            --resume-from@."
           (Cluster.Campaign.journal_length j);
         write_journal j;
-        write_obs trace_out metrics_out obs metrics))
+        write_obs o))
   in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:"Run a supervised rolling-transplant campaign on the event \
              engine: admission control, straggler deadlines, degradation \
              ladder, circuit breaker, checkpoint/resume")
-    Term.(const run $ verbose_arg $ nodes $ per_node $ fraction $ concurrency
-          $ straggler $ breaker_window $ breaker_threshold $ breaker_cooldown
-          $ shadow_spares $ topology $ shard_mode $ seed_arg $ fault_arg
-          $ journal_file $ resume_from $ sweep $ trace_out_arg
-          $ metrics_out_arg)
+    Term.(const run $ verbose_arg $ nodes_arg $ vms_per_node_arg
+          $ fraction_arg Cluster.Campaign.default_config.inplace_fraction $ concurrency
+          $ Flags.campaign_knobs $ shadow_spares $ topology $ shard_mode
+          $ Flags.seed $ fault_arg $ journal_file $ resume_from $ sweep
+          $ obs_arg)
 
 (* --- controlplane --- *)
 
 let controlplane_cmd =
   let module CP = Cluster.Controlplane in
   let d = CP.default_config in
-  let regions =
-    Arg.(value & opt int d.CP.regions
-         & info [ "regions" ] ~docv:"N"
-             ~doc:"Regions, each run by its own sub-controller.")
-  in
-  let hosts_per_region =
-    Arg.(value & opt int d.CP.hosts_per_region
-         & info [ "hosts-per-region" ] ~docv:"N" ~doc:"Hosts per region.")
-  in
-  let vms_per_host =
-    Arg.(value & opt int d.CP.vms_per_host
-         & info [ "vms-per-host" ] ~docv:"N"
-             ~doc:"VMs riding through each in-place upgrade.")
+  let topology =
+    let default =
+      Cluster.Topology.uniform ~regions:d.CP.regions
+        ~hosts:(d.CP.regions * d.CP.hosts_per_region)
+        ~vms_per_host:d.CP.vms_per_host ()
+    in
+    Arg.(value & opt Flags.topology default
+         & info [ "topology" ] ~docv:"SPEC"
+             ~doc:"Region grid: $(b,RxHxV) (R regions, each run by its own \
+                   sub-controller, of H hosts x V VMs) or \
+                   $(b,name:hosts:vms;...).  Must be uniform: every region \
+                   the same hosts x VMs.")
   in
   let concurrency =
     Arg.(value & opt int d.CP.global_concurrency
@@ -877,66 +737,32 @@ let controlplane_cmd =
              ~doc:"Fleet-wide admission budget, split across regions and \
                    reallocated as regions finish.")
   in
-  let straggler =
-    Arg.(value & opt float d.CP.straggler_factor
-         & info [ "straggler-factor" ] ~docv:"F"
-             ~doc:"Escalate a host attempt after F x its expected duration.")
-  in
-  let breaker_window =
-    Arg.(value & opt int d.CP.breaker_window
-         & info [ "breaker-window" ] ~docv:"K"
-             ~doc:"Per-region circuit-breaker rolling window.")
-  in
-  let breaker_threshold =
-    Arg.(value & opt float d.CP.breaker_threshold
-         & info [ "breaker-threshold" ] ~docv:"F"
-             ~doc:"Trip a region's breaker when failures/K reaches F.")
-  in
-  let breaker_cooldown =
-    Arg.(value & opt float (Sim.Time.to_sec_f d.CP.breaker_cooldown)
-         & info [ "breaker-cooldown" ] ~docv:"SECONDS"
-             ~doc:"Pause a region's admission for this long after a trip.")
-  in
   let hb_every =
-    Arg.(value & opt float (Sim.Time.to_sec_f d.CP.heartbeat_every)
-         & info [ "hb-every" ] ~docv:"SECONDS"
-             ~doc:"Sub-controller heartbeat period.")
+    Flags.seconds ~flag:"hb-every" ~default:d.CP.heartbeat_every
+      ~doc:"Sub-controller heartbeat period."
   in
   let hb_timeout =
-    Arg.(value & opt float (Sim.Time.to_sec_f d.CP.heartbeat_timeout)
-         & info [ "hb-timeout" ] ~docv:"SECONDS"
-             ~doc:"The root fences a sub-controller after this much \
-                   heartbeat silence and rebuilds it from its journal.")
+    Flags.seconds ~flag:"hb-timeout" ~default:d.CP.heartbeat_timeout
+      ~doc:"The root fences a sub-controller after this much heartbeat \
+            silence and rebuilds it from its journal."
   in
   let realloc_lag =
-    Arg.(value & opt float (Sim.Time.to_sec_f d.CP.realloc_lag)
-         & info [ "realloc-lag" ] ~docv:"SECONDS"
-             ~doc:"Lease delay before a finished region's admission slots \
-                   take effect elsewhere; must be at least hb-timeout + 2 x \
-                   hb-every.")
-  in
-  let topology =
-    topology_arg
-      ~doc:"Take the region grid from this topology spec ($(b,RxHxV) or \
-            $(b,name:hosts:vms;...)) instead of \
-            $(b,--regions)/$(b,--hosts-per-region)/$(b,--vms-per-host).  \
-            Must be uniform: every region the same hosts x VMs."
+    Flags.seconds ~flag:"realloc-lag" ~default:d.CP.realloc_lag
+      ~doc:"Lease delay before a finished region's admission slots take \
+            effect elsewhere; must be at least hb-timeout + 2 x hb-every."
   in
   let bundle_file =
-    Arg.(value & opt (some string) None
-         & info [ "bundle" ] ~docv:"PATH"
-             ~doc:"Write the region journals (the leader-handoff bundle) \
-                   here, on success or on a root crash.")
+    path_arg "bundle"
+      ~doc:"Write the region journals (the leader-handoff bundle) here, on \
+            success or on a root crash."
   in
   let resume_from =
-    Arg.(value & opt (some string) None
-         & info [ "resume-from" ] ~docv:"PATH"
-             ~doc:"Leader handoff: rebuild the global view from this bundle \
-                   and drive the campaign to completion.  Pass the same \
-                   host-site $(b,--fault) specs (and seed) as the crashed \
-                   run; control-plane triggers (root_crash, ...) are not \
-                   cursor-tracked and may be dropped so the new leader does \
-                   not die the same death.")
+    path_arg "resume-from"
+      ~doc:"Leader handoff: rebuild the global view from this bundle and \
+            drive the campaign to completion.  Pass the same host-site \
+            $(b,--fault) specs (and seed) as the crashed run; control-plane \
+            triggers (root_crash, ...) are not cursor-tracked and may be \
+            dropped so the new leader does not die the same death."
   in
   let timeline =
     Arg.(value & flag
@@ -944,72 +770,47 @@ let controlplane_cmd =
              ~doc:"Print the merged journal (all regions, one line per \
                    entry) after the run.")
   in
-  let run () regions hosts_per_region vms_per_host concurrency straggler
-      breaker_window breaker_threshold breaker_cooldown hb_every hb_timeout
-      realloc_lag topology seed specs bundle_file resume_from timeline
-      trace_out metrics_out =
+  let run () topology global_concurrency (k : Cluster.Campaign.config)
+      heartbeat_every heartbeat_timeout realloc_lag seed fault bundle_file
+      resume_from timeline o =
     let config =
-      {
-        CP.regions;
-        hosts_per_region;
-        vms_per_host;
-        global_concurrency = concurrency;
-        straggler_factor = straggler;
-        breaker_window;
-        breaker_threshold;
-        breaker_cooldown = Sim.Time.of_sec_f breaker_cooldown;
-        jitter_pct = d.CP.jitter_pct;
-        drain_flakiness = d.CP.drain_flakiness;
-        heartbeat_every = Sim.Time.of_sec_f hb_every;
-        heartbeat_timeout = Sim.Time.of_sec_f hb_timeout;
-        realloc_lag = Sim.Time.of_sec_f realloc_lag;
-        seed;
-      }
+      CP.config_of_topology topology
+        { d with
+          CP.global_concurrency;
+          straggler_factor = k.straggler_factor;
+          breaker_window = k.breaker_window;
+          breaker_threshold = k.breaker_threshold;
+          breaker_cooldown = k.breaker_cooldown;
+          heartbeat_every; heartbeat_timeout; realloc_lag; seed }
     in
-    let config =
-      match topology with
-      | Some tp -> CP.config_of_topology tp config
-      | None -> config
-    in
-    let fault = fault_of_specs specs in
-    let obs, metrics = obs_of_paths trace_out metrics_out in
     let write_bundle b =
-      match bundle_file with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (CP.bundle_to_string b);
-        close_out oc;
-        Format.printf "bundle (%d entries across %d regions) written to %s@."
-          (CP.bundle_length b) (CP.bundle_config b).CP.regions path
+      Option.iter
+        (fun path ->
+          save path (CP.bundle_to_string b)
+            (Printf.sprintf "bundle (%d entries across %d regions)"
+               (CP.bundle_length b) (CP.bundle_config b).CP.regions))
+        bundle_file
     in
     let result =
       match resume_from with
       | Some path ->
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let raw = really_input_string ic len in
-        close_in ic;
-        (match CP.bundle_of_string raw with
-        | Ok b -> CP.resume ?fault ?obs ?metrics b
-        | Error e ->
-          Format.eprintf "cannot resume: %s@." e;
-          exit 1)
-      | None -> CP.run ?fault ?obs ?metrics config
+        CP.resume ?fault ?obs:o.tracer ?metrics:o.metrics
+          (resume ~of_string:CP.bundle_of_string path)
+      | None -> CP.run ?fault ?obs:o.tracer ?metrics:o.metrics config
     in
     match result with
     | CP.Finished (r, b) ->
       print_string (CP.summary r);
       if timeline then print_string (CP.merged_to_string b);
       write_bundle b;
-      write_obs trace_out metrics_out obs metrics
+      write_obs o
     | CP.Crashed b ->
       Format.printf
         "root supervisor died with %d journaled events; hand off with \
          --resume-from@."
         (CP.bundle_length b);
       write_bundle b;
-      write_obs trace_out metrics_out obs metrics;
+      write_obs o;
       exit 2
   in
   Cmd.v
@@ -1020,11 +821,10 @@ let controlplane_cmd =
              survives sub-controller crashes, supervision partitions, root \
              crashes and crashes during resume with a byte-identical final \
              report")
-    Term.(const run $ verbose_arg $ regions $ hosts_per_region $ vms_per_host
-          $ concurrency $ straggler $ breaker_window $ breaker_threshold
-          $ breaker_cooldown $ hb_every $ hb_timeout $ realloc_lag $ topology
-          $ seed_arg $ fault_arg $ bundle_file $ resume_from $ timeline
-          $ trace_out_arg $ metrics_out_arg)
+    Term.(const run $ verbose_arg $ topology $ concurrency
+          $ Flags.campaign_knobs $ hb_every $ hb_timeout $ realloc_lag
+          $ Flags.seed $ fault_arg $ bundle_file $ resume_from $ timeline
+          $ obs_arg)
 
 (* --- serve --- *)
 
@@ -1037,9 +837,12 @@ let serve_cmd =
              ~doc:"Virtual years of CVE traffic to serve.")
   in
   let hosts =
-    Arg.(value & opt int (d.S.mix.S.xen_hosts + d.S.mix.S.kvm_hosts)
-         & info [ "hosts" ] ~docv:"N"
-             ~doc:"Xen+KVM fleet size, split evenly (Xen gets the odd host).")
+    (* Checked before the split: [hosts + 1] wraps at [max_int]. *)
+    Term.(const (Flags.int_in ~flag:"hosts" 0 Cluster.Topology.max_hosts)
+          $ Arg.(value & opt int (d.S.mix.S.xen_hosts + d.S.mix.S.kvm_hosts)
+                 & info [ "hosts" ] ~docv:"N"
+                     ~doc:"Xen+KVM fleet size, split evenly (Xen gets the \
+                           odd host)."))
   in
   let bhyve_hosts =
     Arg.(value & opt int d.S.mix.S.bhyve_hosts
@@ -1057,22 +860,11 @@ let serve_cmd =
          & info [ "rate" ] ~docv:"R"
              ~doc:"Mean CVE arrivals per year across the taxonomy classes.")
   in
-  let policy_conv =
-    let parse s =
-      match Stream.Policy.kind_of_string s with
-      | Some k -> Ok k
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown policy %S (expected %s)" s
-                (String.concat "|"
-                   (List.map Stream.Policy.kind_to_string
-                      Stream.Policy.all_kinds))))
-    in
-    Arg.conv (parse, Stream.Policy.pp_kind)
-  in
   let policy =
-    Arg.(value & opt policy_conv d.S.policy
+    let kinds =
+      List.map (fun k -> (Stream.Policy.kind_to_string k, k)) Stream.Policy.all_kinds
+    in
+    Arg.(value & opt (enum kinds) d.S.policy
          & info [ "policy" ] ~docv:"KIND"
              ~doc:"Mitigation policy: $(b,cost-aware), $(b,transplant-all) \
                    or $(b,defer-all).")
@@ -1110,30 +902,22 @@ let serve_cmd =
             (the VM density comes from the first region)."
   in
   let journal_file =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Write the service journal here (crash or success).")
+    path_arg "journal" ~doc:"Write the service journal here (crash or success)."
   in
   let resume_from =
-    Arg.(value & opt (some string) None
-         & info [ "resume-from" ] ~docv:"PATH"
-             ~doc:"Resume a crashed service from this journal (config and \
-                   seed come from the journal; pass the same $(b,--fault) \
-                   specs as the original run).")
+    path_arg "resume-from"
+      ~doc:"Resume a crashed service from this journal (config and seed come \
+            from the journal; pass the same $(b,--fault) specs as the \
+            original run)."
   in
   let run () years hosts bhyve_hosts vms_per_host topology rate policy tempo
-      concurrency batch_days preempt seed specs journal_file resume_from
-      trace_out metrics_out =
+      concurrency batch_days preempt seed fault journal_file resume_from o =
     let mix, vms_per_host =
       match topology with
       | Some tp ->
         ( S.mix_of_topology tp,
           (Cluster.Topology.regions tp).(0).Cluster.Topology.rg_vms_per_host )
       | None ->
-        (* Checked before the split: [hosts + 1] wraps at [max_int]. *)
-        if hosts < 0 || hosts > Cluster.Topology.max_hosts then
-          Hypertp.Error.raise_errorf ~site:"serve"
-            "--hosts must be in [0, %d] (got %d)" Cluster.Topology.max_hosts hosts;
         ( { S.xen_hosts = (hosts + 1) / 2;
             kvm_hosts = hosts / 2;
             bhyve_hosts },
@@ -1154,37 +938,25 @@ let serve_cmd =
         seed;
       }
     in
-    let fault = fault_of_specs specs in
-    let obs, metrics = obs_of_paths trace_out metrics_out in
     let write_journal j =
-      match journal_file with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (S.journal_to_string j);
-        close_out oc;
-        Format.printf "journal (%d entries) written to %s@."
-          (S.journal_length j) path
+      Option.iter
+        (fun path ->
+          save path (S.journal_to_string j)
+            (Printf.sprintf "journal (%d entries)" (S.journal_length j)))
+        journal_file
     in
     let result =
       match resume_from with
       | Some path ->
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let raw = really_input_string ic len in
-        close_in ic;
-        (match S.journal_of_string raw with
-        | Ok j -> S.resume ?fault ?obs ?metrics j
-        | Error e ->
-          Format.eprintf "cannot resume: %s@." e;
-          exit 1)
-      | None -> S.run ?fault ?obs ?metrics config
+        S.resume ?fault ?obs:o.tracer ?metrics:o.metrics
+          (resume ~of_string:S.journal_of_string path)
+      | None -> S.run ?fault ?obs:o.tracer ?metrics:o.metrics config
     in
     match result with
     | S.Finished (r, j) ->
       Format.printf "%a@." S.pp_report r;
       write_journal j;
-      write_obs trace_out metrics_out obs metrics;
+      write_obs o;
       if r.S.uncovered_critical > 0 then begin
         Format.eprintf
           "serve: %d critical windows stayed uncovered though a campaign \
@@ -1198,7 +970,7 @@ let serve_cmd =
          --resume-from@."
         (S.journal_length j);
       write_journal j;
-      write_obs trace_out metrics_out obs metrics;
+      write_obs o;
       exit 3
   in
   Cmd.v
@@ -1211,8 +983,8 @@ let serve_cmd =
              cheaper, 3 on a controller crash)")
     Term.(const run $ verbose_arg $ years $ hosts $ bhyve_hosts
           $ vms_per_host $ topology $ rate $ policy $ tempo $ concurrency
-          $ batch_days $ preempt $ seed_arg $ fault_arg $ journal_file
-          $ resume_from $ trace_out_arg $ metrics_out_arg)
+          $ batch_days $ preempt $ Flags.seed $ fault_arg $ journal_file
+          $ resume_from $ obs_arg)
 
 (* --- fleet --- *)
 
@@ -1272,13 +1044,7 @@ let verify_cmd =
   let run file corrupt seed =
     let blob =
       match file with
-      | Some path ->
-        let ic = open_in_bin path in
-        let len = in_channel_length ic in
-        let b = Bytes.create len in
-        really_input ic b 0 len;
-        close_in ic;
-        b
+      | Some path -> Bytes.of_string (read_file path)
       | None -> Integrity.Gen.blob ~seed ()
     in
     let blob =
@@ -1296,7 +1062,7 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Run the salvage decoder over a UISR blob and print its \
              integrity report (exit 1 on a quarantine verdict)")
-    Term.(const run $ file $ corrupt $ seed_arg)
+    Term.(const run $ file $ corrupt $ Flags.seed)
 
 (* --- fuzz --- *)
 
@@ -1314,23 +1080,14 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Seeded corruption campaign against the salvage decoder (exit 1 \
              if any mutant raises or is accepted as pristine)")
-    Term.(const run $ cases $ vcpus_arg $ seed_arg)
+    Term.(const run $ cases $ Flags.vcpus $ Flags.seed)
 
 let () =
-  let info =
-    Cmd.info "hypertp-cli" ~version:"1.0.0"
-      ~doc:"HyperTP: hypervisor transplant simulator (EuroSys'21 reproduction)"
-  in
-  (* ~catch:false so structured simulator errors reach our handler and
-     render uniformly instead of as cmdliner backtraces. *)
-  try
-    exit
-      (Cmd.eval ~catch:false
-         (Cmd.group info
-            [ cve_cmd; inplace_cmd; migrate_cmd; shadow_cmd; audit_cmd;
-              memsep_cmd; cluster_cmd; campaign_cmd; controlplane_cmd;
-              respond_cmd; fleet_cmd; serve_cmd; snapshot_cmd; fault_campaign_cmd;
-              verify_cmd; fuzz_cmd ]))
-  with Hypertp.Error.Error e ->
-    Format.eprintf "hypertp-cli: %s@." (Hypertp.Error.to_string e);
-    exit 3
+  Flags.eval
+    (Cmd.group
+       (Cmd.info "hypertp-cli" ~version:"1.0.0"
+          ~doc:"HyperTP: hypervisor transplant simulator (EuroSys'21 \
+                reproduction)")
+       [ cve_cmd; inplace_cmd; migrate_cmd; shadow_cmd; audit_cmd; memsep_cmd;
+         cluster_cmd; campaign_cmd; controlplane_cmd; respond_cmd; fleet_cmd;
+         serve_cmd; snapshot_cmd; fault_campaign_cmd; verify_cmd; fuzz_cmd ])

@@ -10,10 +10,18 @@ let us n = ns (n * 1_000)
 let ms n = ns (n * 1_000_000)
 let sec n = ns (n * 1_000_000_000)
 
+(* [Float.of_int max_int] rounds up to the power of two just past
+   [max_int], so every float below it converts without wrapping. *)
+let max_ns_f = Float.of_int max_int
+let fits_sec_f s = Float.is_finite s && 0.0 <= s && s *. 1e9 < max_ns_f
+
 let of_sec_f s =
   if not (Float.is_finite s) || s < 0.0 then
     invalid_arg "Time.of_sec_f: negative or non-finite";
-  int_of_float (Float.round (s *. 1e9))
+  let ns = s *. 1e9 in
+  if not (ns < max_ns_f) then
+    invalid_arg "Time.of_sec_f: above the int nanosecond range";
+  int_of_float (Float.round ns)
 
 let to_sec_f t = float_of_int t /. 1e9
 let to_ms_f t = float_of_int t /. 1e6

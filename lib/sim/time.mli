@@ -17,10 +17,15 @@ val us : int -> t
 val ms : int -> t
 val sec : int -> t
 
+val fits_sec_f : float -> bool
+(** [fits_sec_f s] holds when [s] is a finite, non-negative second count
+    whose nanoseconds fit in an [int] (below about 4.6e9 s). *)
+
 val of_sec_f : float -> t
 (** [of_sec_f s] converts a non-negative float second count, rounding to
-    the nearest nanosecond. Raises [Invalid_argument] on negative or
-    non-finite input. *)
+    the nearest nanosecond. Raises [Invalid_argument] unless
+    [fits_sec_f s]: on negative or non-finite input, and on input whose
+    nanoseconds would wrap. *)
 
 val to_sec_f : t -> float
 val to_ms_f : t -> float

@@ -45,19 +45,21 @@ type event = {
 let site = "Stream.Gen"
 
 let validate c =
+  (* Written so that NaN fails every check. *)
   let bad fmt = Hypertp_error.raise_errorf ~site fmt in
-  if c.years <= 0.0 then bad "years must be positive";
-  if c.rate_per_year <= 0.0 then bad "rate_per_year must be positive";
-  if c.critical_fraction < 0.0 || c.critical_fraction > 1.0 then
+  let within lo hi x = lo <= x && x <= hi in
+  if not (0.0 < c.years) then bad "years must be positive";
+  if not (0.0 < c.rate_per_year) then bad "rate_per_year must be positive";
+  if not (within 0.0 1.0 c.critical_fraction) then
     bad "critical_fraction outside [0, 1]";
-  if c.coordinated_fraction < 0.0 || c.coordinated_fraction > 1.0 then
+  if not (within 0.0 1.0 c.coordinated_fraction) then
     bad "coordinated_fraction outside [0, 1]";
   if c.class_mix = [] then bad "class_mix is empty";
   List.iter
-    (fun (_, w) -> if w < 0.0 then bad "class_mix weight is negative")
+    (fun (_, w) -> if not (0.0 <= w) then bad "class_mix weight is negative")
     c.class_mix;
-  if List.fold_left (fun acc (_, w) -> acc +. w) 0.0 c.class_mix <= 0.0 then
-    bad "class_mix weights sum to zero"
+  if not (0.0 < List.fold_left (fun acc (_, w) -> acc +. w) 0.0 c.class_mix)
+  then bad "class_mix weights sum to zero"
 
 let weight_of mix tax =
   List.fold_left

@@ -95,18 +95,20 @@ type run_result = Finished of report * journal | Crashed of journal
 let site = "Stream.Service"
 
 let validate cfg =
+  (* Written so that NaN fails every float check. *)
   let bad fmt = Hypertp_error.raise_errorf ~site fmt in
-  if cfg.years <= 0.0 then bad "years must be positive";
+  let within lo hi x = lo <= x && x <= hi in
+  if not (0.0 < cfg.years) then bad "years must be positive";
   if cfg.vms_per_host < 1 then bad "vms_per_host must be at least 1";
-  if cfg.rate_per_year <= 0.0 then bad "rate_per_year must be positive";
-  if cfg.tempo <= 0.0 then bad "tempo must be positive";
+  if not (0.0 < cfg.rate_per_year) then bad "rate_per_year must be positive";
+  if not (0.0 < cfg.tempo) then bad "tempo must be positive";
   if cfg.concurrency < 1 then bad "concurrency must be at least 1";
-  if cfg.batch_days <= 0.0 then bad "batch_days must be positive";
-  if cfg.inplace_fraction < 0.0 || cfg.inplace_fraction > 1.0 then
+  if not (0.0 < cfg.batch_days) then bad "batch_days must be positive";
+  if not (within 0.0 1.0 cfg.inplace_fraction) then
     bad "inplace_fraction outside [0, 1]";
-  if cfg.critical_fraction < 0.0 || cfg.critical_fraction > 1.0 then
+  if not (within 0.0 1.0 cfg.critical_fraction) then
     bad "critical_fraction outside [0, 1]";
-  if cfg.coordinated_fraction < 0.0 || cfg.coordinated_fraction > 1.0 then
+  if not (within 0.0 1.0 cfg.coordinated_fraction) then
     bad "coordinated_fraction outside [0, 1]";
   List.iter
     (fun n ->

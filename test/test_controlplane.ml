@@ -66,6 +66,15 @@ let test_clean_run_pinned () =
   checks "bundle deterministic" (CP.bundle_to_string b)
     (CP.bundle_to_string b')
 
+(* [controlplane --topology] defaults to 4x25x8, its only fleet-shape
+   flag: the default run must be the default config. *)
+let test_default_topology_is_default_config () =
+  match Cluster.Topology.of_spec "4x25x8" with
+  | Error e -> Alcotest.fail e
+  | Ok tp ->
+    checkb "4x25x8 is default_config" true
+      (CP.config_of_topology tp CP.default_config = CP.default_config)
+
 let test_config_validation () =
   let bad msg cfg =
     checkb msg true
@@ -407,6 +416,8 @@ let suites =
         Alcotest.test_case "clean run (pinned + deterministic)" `Quick
           test_clean_run_pinned;
         Alcotest.test_case "config validation" `Quick test_config_validation;
+        Alcotest.test_case "default topology = default config" `Quick
+          test_default_topology_is_default_config;
         Alcotest.test_case "reallocation grants journaled" `Quick
           test_reallocation_observable;
         Alcotest.test_case "host faults manifest" `Quick

@@ -11,4 +11,5 @@ let () =
    @ Test_hypertp.suites
    @ Test_cluster.suites @ Test_campaign.suites @ Test_controlplane.suites
    @ Test_topology.suites @ Test_journal.suites
-   @ Test_extras.suites @ Test_obs.suites @ Test_stream.suites)
+   @ Test_extras.suites @ Test_obs.suites @ Test_stream.suites
+   @ Test_flags.suites)

@@ -37,6 +37,24 @@ let test_time_invalid () =
     (Invalid_argument "Time.of_sec_f: negative or non-finite") (fun () ->
       ignore (Sim.Time.of_sec_f (-0.1)))
 
+(* 2^62 ns is about 4.6e9 s: anything at or past it used to wrap to a
+   garbage (often zero) duration. *)
+let test_time_of_sec_f_overflow () =
+  List.iter
+    (fun s ->
+      checkb (Printf.sprintf "%g does not fit" s) false (Sim.Time.fits_sec_f s);
+      Alcotest.check_raises (Printf.sprintf "%g raises" s)
+        (Invalid_argument "Time.of_sec_f: above the int nanosecond range")
+        (fun () -> ignore (Sim.Time.of_sec_f s)))
+    [ 4.62e9; 1e10; 1e12; 1e300 ];
+  List.iter
+    (fun s -> checkb (Printf.sprintf "%g does not fit" s) false (Sim.Time.fits_sec_f s))
+    [ Float.nan; Float.infinity; -1.0 ];
+  checkb "4.6e9 fits" true (Sim.Time.fits_sec_f 4.6e9);
+  checki "4.6e9 s converts exactly" 4_600_000_000_000_000_000
+    (Sim.Time.to_ns (Sim.Time.of_sec_f 4.6e9));
+  checki "1e-300 s rounds to 0" 0 (Sim.Time.to_ns (Sim.Time.of_sec_f 1e-300))
+
 let test_time_pp () =
   check Alcotest.string "seconds" "1.700s"
     (Sim.Time.to_string (Sim.Time.ms 1_700));
@@ -353,6 +371,7 @@ let suites =
         Alcotest.test_case "units" `Quick test_time_units;
         Alcotest.test_case "arithmetic" `Quick test_time_arith;
         Alcotest.test_case "invalid inputs" `Quick test_time_invalid;
+        Alcotest.test_case "of_sec_f overflow" `Quick test_time_of_sec_f_overflow;
         Alcotest.test_case "pretty printing" `Quick test_time_pp;
         qtest prop_time_of_to_sec;
       ] );

@@ -80,6 +80,18 @@ let test_gen_validation () =
   expect_error { Stream.Gen.default with Stream.Gen.years = 0.0 };
   expect_error { Stream.Gen.default with Stream.Gen.rate_per_year = -1.0 };
   expect_error { Stream.Gen.default with Stream.Gen.critical_fraction = 1.5 };
+  (* NaN fails every float check. *)
+  expect_error { Stream.Gen.default with Stream.Gen.years = Float.nan };
+  expect_error { Stream.Gen.default with Stream.Gen.rate_per_year = Float.nan };
+  expect_error
+    { Stream.Gen.default with Stream.Gen.critical_fraction = Float.nan };
+  expect_error
+    { Stream.Gen.default with Stream.Gen.coordinated_fraction = Float.nan };
+  expect_error
+    {
+      Stream.Gen.default with
+      Stream.Gen.class_mix = [ (Cve.Nvd.Cross_domain, Float.nan) ];
+    };
   expect_error { Stream.Gen.default with Stream.Gen.class_mix = [] };
   expect_error
     {
@@ -430,7 +442,17 @@ let test_service_validation () =
     };
   expect_error { small_config with Stream.Service.tempo = 0.0 };
   expect_error { small_config with Stream.Service.batch_days = -1.0 };
-  expect_error { small_config with Stream.Service.concurrency = 0 }
+  expect_error { small_config with Stream.Service.concurrency = 0 };
+  (* NaN fails every float check (it used to pass them and hang). *)
+  let nan = Float.nan in
+  List.iter expect_error
+    [ { small_config with Stream.Service.years = nan };
+      { small_config with Stream.Service.rate_per_year = nan };
+      { small_config with Stream.Service.tempo = nan };
+      { small_config with Stream.Service.batch_days = nan };
+      { small_config with Stream.Service.inplace_fraction = nan };
+      { small_config with Stream.Service.critical_fraction = nan };
+      { small_config with Stream.Service.coordinated_fraction = nan } ]
 
 (* A population past the fleet bound fails on the bound, not on the
    sign check an overflowed count would trip. *)
