@@ -214,11 +214,16 @@ let migrate_cmd =
     Option.iter (Format.printf "%a@." Audit.pp_report) report.Hypertp.Migrate.audit;
     print_fault_trace fault;
     write_obs o;
-    if not report.Hypertp.Migrate.checks.Hypertp.Migrate.residual_clean then
-      exit 2
+    if not (Hypertp.Migrate.all_ok report.checks) then exit 2
   in
   Cmd.v
     (Cmd.info "migrate"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:"a landed VM failed a check on the checks line: memory, \
+                  connections, management state, platform, devices, or \
+                  residue with $(b,--audit)."
+         :: Cmd.Exit.defaults)
        ~doc:"Run a MigrationTP (heterogeneous) or homogeneous live migration")
     Term.(const run $ verbose_arg $ Flags.host $ target_arg $ fault_arg
           $ audit_arg $ obs_arg)
@@ -271,10 +276,23 @@ let shadow_cmd =
     end;
     print_fault_trace fault;
     write_obs o;
-    if not r.Hypertp.Migrate.sh_source_intact then exit 2
+    let landed =
+      List.for_all Hypertp.Migrate.all_ok
+        (Option.to_list r.sh_checks
+        @ List.map (fun (c : Hypertp.Migrate.report) -> c.checks)
+            (Option.to_list r.sh_classic))
+    in
+    if not (r.sh_source_intact && landed) then exit 2
   in
   Cmd.v
     (Cmd.info "shadow"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:"an abort left the source damaged, or a landed VM failed a \
+                  check on a checks line (the cutover's, or the classic \
+                  fallback's): memory, connections, management state, \
+                  platform or devices."
+         :: Cmd.Exit.defaults)
        ~doc:"Run a shadow-host MigrationTP: pre-stage the target on a \
              spare, stream and converge while the source serves, swap \
              identities atomically; pre-swap faults abort with the source \

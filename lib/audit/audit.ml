@@ -307,83 +307,37 @@ let run ~reference ?source w =
           f_frame = None; f_tag = None; f_reason = reason })
       w.w_staging
   in
+  (* Guest-visible fingerprints: the PIT and device differences of the
+     guest view against the pre-transplant capture. *)
   let vm_findings =
     List.concat_map
-      (fun (name, (base : Uisr.Vm_state.t)) ->
+      (fun (name, base) ->
         match Hv.Host.find_vm host name with
         | None -> []
         | Some vm ->
-          let salvaged = List.mem name w.w_salvaged in
-          let pit_ok =
-            Vmstate.Pit.equal vm.Vmstate.Vm.pit base.Uisr.Vm_state.pit
-            (* a salvaged VM's PIT was replaced with power-on defaults —
-               regenerated state, not residue *)
-            || (salvaged
-               && Vmstate.Pit.equal vm.Vmstate.Vm.pit
-                    Uisr.Integrity.default_pit)
-          in
-          let clock =
-            if pit_ok then []
-            else
-              [ { f_kind = Clock_skew; f_severity = Fingerprintable;
-                  f_subject = name; f_frame = None; f_tag = None;
-                  f_reason =
-                    Printf.sprintf
-                      "PIT state diverged from the pre-transplant capture \
-                       (guest timers are frozen across the modeled %.6fs \
-                       downtime)"
-                      (Sim.Time.to_sec_f w.w_downtime) } ]
-          in
-          let devices =
-            let current = Array.to_list vm.Vmstate.Vm.devices in
-            let missing_or_changed =
-              List.filter_map
-                (fun (s : Uisr.Vm_state.device_snapshot) ->
-                  match
-                    List.find_opt
-                      (fun (d : Vmstate.Device.t) -> d.id = s.dev_id)
-                      current
-                  with
-                  | None ->
-                    Some
-                      (Printf.sprintf "device %d vanished during re-enumeration"
-                         s.dev_id)
-                  | Some d when d.kind <> s.dev_kind ->
-                    Some
-                      (Printf.sprintf "device %d changed kind on re-enumeration"
-                         s.dev_id)
-                  | Some d when d.tcp_connections <> s.dev_tcp_connections ->
-                    Some
-                      (Printf.sprintf
-                         "device %d TCP connections changed (%d -> %d)"
-                         s.dev_id s.dev_tcp_connections d.tcp_connections)
-                  | Some _ -> None)
-                base.Uisr.Vm_state.devices
-            in
-            let extra =
-              List.filter_map
-                (fun (d : Vmstate.Device.t) ->
-                  if
-                    List.exists
-                      (fun (s : Uisr.Vm_state.device_snapshot) ->
-                        s.dev_id = d.id)
-                      base.Uisr.Vm_state.devices
-                  then None
-                  else
-                    Some
-                      (Printf.sprintf
-                         "device %d appeared out of nowhere on re-enumeration"
-                         d.id))
-                current
-            in
-            List.map
-              (fun reason ->
-                { f_kind = Device_mismatch; f_severity = Fingerprintable;
-                  f_subject = name; f_frame = None; f_tag = None;
-                  f_reason = reason })
-              (missing_or_changed @ extra)
-          in
-          clock @ devices)
+          List.filter_map
+            (fun (d : Uisr.Guest_view.difference) ->
+              let finding kind reason =
+                Some
+                  { f_kind = kind; f_severity = Fingerprintable;
+                    f_subject = name; f_frame = None; f_tag = None;
+                    f_reason = reason }
+              in
+              match d with
+              | Pit_changed ->
+                finding Clock_skew
+                  (Printf.sprintf
+                     "PIT state diverged from the pre-transplant capture \
+                      (guest timers are frozen across the modeled %.6fs \
+                      downtime)"
+                     (Sim.Time.to_sec_f w.w_downtime))
+              | d when Uisr.Guest_view.is_device d ->
+                finding Device_mismatch
+                  (Format.asprintf "%a" Uisr.Guest_view.pp_difference d)
+              | _ -> None)
+            (Uisr.Guest_view.diff
+               ~salvaged:(List.mem name w.w_salvaged)
+               (Uisr.Guest_view.of_state base) (Uisr.Guest_view.of_vm vm)))
       w.w_baseline
   in
   let mgmt_findings =

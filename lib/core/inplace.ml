@@ -46,58 +46,6 @@ type report = {
   audit : Audit.report option;
 }
 
-(* Platform state must survive modulo recorded fixups: vCPUs and PIT
-   exactly; the IOAPIC up to the pin count both sides share; MSRs minus
-   the recorded drops. *)
-let platform_preserved ~(before : Uisr.Vm_state.t) ~(after : Uisr.Vm_state.t)
-    ~fixups =
-  let dropped_msrs =
-    List.filter_map
-      (function Uisr.Fixup.Msr_dropped i -> Some i | _ -> None)
-      fixups
-  in
-  let strip_msrs (v : Vmstate.Vcpu.t) =
-    {
-      v with
-      regs =
-        {
-          v.regs with
-          msrs =
-            List.filter
-              (fun (m : Vmstate.Regs.msr) -> not (List.mem m.index dropped_msrs))
-              v.regs.msrs;
-        };
-    }
-  in
-  let vcpus_ok =
-    List.length before.vcpus = List.length after.vcpus
-    && List.for_all2
-         (fun b a -> Vmstate.Vcpu.equal (strip_msrs b) a)
-         before.vcpus after.vcpus
-  in
-  let shared_pins =
-    Stdlib.min
-      (Vmstate.Ioapic.pin_count before.ioapic)
-      (Vmstate.Ioapic.pin_count after.ioapic)
-  in
-  let ioapic_ok =
-    let truncate io =
-      fst (Vmstate.Ioapic.truncate io ~pins:shared_pins)
-    in
-    Vmstate.Ioapic.equal (truncate before.ioapic) (truncate after.ioapic)
-  in
-  let pit_ok = Vmstate.Pit.equal before.pit after.pit in
-  vcpus_ok && ioapic_ok && pit_ok
-
-let devices_preserved ~(before : Uisr.Vm_state.t) (vm : Vmstate.Vm.t) =
-  List.length before.devices = Array.length vm.devices
-  && List.for_all2
-       (fun (s : Uisr.Vm_state.device_snapshot) (d : Vmstate.Device.t) ->
-         s.dev_id = d.id && s.dev_kind = d.kind
-         && s.dev_tcp_connections = d.tcp_connections)
-       before.devices
-       (Array.to_list vm.devices)
-
 (* Transplant aborted before the point-of-no-return: unwind staging and
    resume on the source hypervisor. *)
 exception Rollback of Fault.site
@@ -120,6 +68,63 @@ let restore_retry_seconds = 0.5
 let quarantine_triage_seconds = 0.1
 let salvage_repair_seconds = 0.05
 let full_reboot_seconds = 60.0
+
+type audit_outcome =
+  | Audit_clean
+  | Audit_reported
+  | Audit_scrub_failed
+  | Audit_scrubbed of int
+
+type audit_result = {
+  audit_report : Audit.report;
+  audit_found : int;
+  audit_outcome : audit_outcome;
+}
+
+let audit_rung ~mode ~what ~fire ~charge ~source ~target ?victim world =
+  let host = world.Audit.w_host in
+  let machine = host.Hv.Host.machine in
+  let reference = Audit.reference_of_fresh_boot ~machine target in
+  let source = Audit.reference_of_fresh_boot ~machine source in
+  let world =
+    if fire Fault.Residual_leak then
+      (* The transplant left residue behind: orphaned PRAM, source heap
+         frames, a stale kernel frame and a retained staged blob.  The
+         sweep below must catch all of it. *)
+      Audit.Plant.apply ~reference ~source world
+        ([ Audit.Plant.Pram_page; Audit.Plant.Hv_frames 2;
+           Audit.Plant.Kexec_frame ]
+        @ match victim with Some v -> [ Audit.Plant.Stale_blob v ] | None -> [])
+    else world
+  in
+  let sweep w =
+    let r = Audit.run ~reference ~source w in
+    charge "audit"
+      [ ("findings", string_of_int (List.length r.Audit.r_findings)) ]
+      (Costs.audit_sweep_seconds machine ~frames_swept:r.Audit.r_frames_swept
+         ~vms:(List.length (Hv.Host.vms host)));
+    r
+  in
+  let first = sweep world in
+  let found = List.length first.Audit.r_findings in
+  let result report outcome =
+    { audit_report = report; audit_found = found; audit_outcome = outcome }
+  in
+  if found = 0 then result first Audit_clean
+  else begin
+    Log.warn (fun m -> m "%s audit: %d residual finding(s)" what found);
+    match mode with
+    | Report_only -> result first Audit_reported
+    | Scrub when fire Fault.Scrub_fail -> result first Audit_scrub_failed
+    | Scrub ->
+      let sc = Audit.scrub world first in
+      charge "scrub"
+        [ ("freed", string_of_int sc.Audit.sc_frames_freed) ]
+        (Costs.scrub_seconds machine ~frames_freed:sc.Audit.sc_frames_freed
+           ~findings:found);
+      let second = sweep sc.Audit.sc_world in
+      result second (Audit_scrubbed (List.length second.Audit.r_findings))
+  end
 
 (* Replay the finished run's timeline into an optional tracer and roll
    the phase durations into the metrics registry.  Phase spans are laid
@@ -221,23 +226,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
   in
   let obs = Option.map Otrace.attach obs in
   let jit () = Sim.Rng.jitter rng 0.02 in
-  let fire ?vm site =
-    match fault with
-    | Some f ->
-      let fired = Fault.fire f ?vm site in
-      if fired then begin
-        Log.warn (fun m ->
-            m "fault injected at %a%s" Fault.pp_site site
-              (match vm with Some v -> " (" ^ v ^ ")" | None -> ""));
-        Otrace.count metrics
-          ~labels:
-            [ ("engine", "inplace");
-              ("site", Format.asprintf "%a" Fault.pp_site site) ]
-          "hypertp_faults_total"
-      end;
-      fired
-    | None -> false
-  in
+  let fire ?vm site = Otrace.fire fault metrics ~engine:"inplace" ?vm site in
   Log.info (fun m ->
       m "InPlaceTP %s -> %s on %s: %d VMs, options %a" S.name T.name
         machine.Hw.Machine.name (List.length vm_names) Options.pp options);
@@ -514,7 +503,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
             in
             match attempt 1 with
             | None -> quarantine "restore retries exhausted"
-            | Some fixups -> Some (n, before, fixups, roundtrip, salvage)
+            | Some fixups -> Some (n, u, fixups, roundtrip, salvage)
           in
           if List.mem n !pram_damaged then
             quarantine "PRAM file-info page failed its CRC; frames not re-reserved"
@@ -603,88 +592,43 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
        if the scrub fails — a world with known residue must not report
        Committed.  Audit and scrub time are charged as recovery rungs,
        so the obs spans and the downtime model both see them. *)
-    let audit_report = ref None in
-    let audit_residue = ref false in
-    let audit_findings = ref 0 in
-    let audit_scrubbed = ref 0 in
-    (match audit with
-    | None -> ()
-    | Some mode ->
-      let reference =
-        Audit.reference_of_fresh_boot ~machine (module T : Hv.Intf.S)
-      in
-      let source_ref =
-        Audit.reference_of_fresh_boot ~machine (module S : Hv.Intf.S)
-      in
-      let downtime =
-        Sim.Time.of_sec_f
-          (translation_seconds +. reboot_seconds +. restoration_seconds
-          +. !recovery_seconds)
-      in
-      let world =
-        Audit.world
-          ~baseline:(List.map (fun (n, u, _) -> (n, u)) blobs)
-          ~downtime
-          ~salvaged:(List.map fst !salvaged)
-          host
-      in
-      let world =
-        if fire Fault.Residual_leak then begin
-          (* The transplant left residue behind: orphaned PRAM, source
-             heap frames, a stale kernel frame and a retained staged
-             blob.  The audit below must catch all of it. *)
-          note Fault.Residual_leak;
-          let victim = fst (List.hd vms) in
-          Audit.Plant.apply ~reference ~source:source_ref world
-            [ Audit.Plant.Pram_page; Audit.Plant.Hv_frames 2;
-              Audit.Plant.Kexec_frame; Audit.Plant.Stale_blob victim ]
-        end
-        else world
-      in
-      let sweep w =
-        let r = Audit.run ~reference ~source:source_ref w in
-        rung "audit"
-          [ ("findings", string_of_int (List.length r.Audit.r_findings)) ]
-          (Costs.audit_sweep_seconds machine
-             ~frames_swept:r.Audit.r_frames_swept
-             ~vms:(List.length (Hv.Host.vms host)));
-        r
-      in
-      let first = sweep world in
-      audit_report := Some first;
-      audit_findings := List.length first.Audit.r_findings;
-      if not (Audit.clean first) then begin
-        audit_residue := true;
-        Log.warn (fun m ->
-            m "post-commit audit: %d residual finding(s)" !audit_findings);
-        if mode = Report_only then ()
-        else if fire Fault.Scrub_fail then begin
-          note Fault.Scrub_fail;
+    let audit_result =
+      Option.map
+        (fun mode ->
+          let downtime =
+            Sim.Time.of_sec_f
+              (translation_seconds +. reboot_seconds +. restoration_seconds
+              +. !recovery_seconds)
+          in
+          audit_rung ~mode ~what:"post-commit"
+            ~fire:(fun site -> fire site && (note site; true))
+            ~charge:rung ~source:(module S : Hv.Intf.S)
+            ~target:(module T : Hv.Intf.S) ~victim:(fst (List.hd vms))
+            (Audit.world
+               ~baseline:(List.map (fun (n, u, _) -> (n, u)) blobs)
+               ~downtime ~salvaged:(List.map fst !salvaged) host))
+        audit
+    in
+    let audit_found, audit_scrubbed =
+      match audit_result with
+      | None -> (0, 0)
+      | Some a ->
+        let reboot cause msg =
           full_reboot := true;
-          rung "full_reboot" [ ("cause", "scrub_fail") ] full_reboot_seconds;
-          Log.warn (fun m -> m "scrub failed: full-reboot fallback")
-        end
-        else begin
-          let sc = Audit.scrub world first in
-          rung "scrub"
-            [ ("freed", string_of_int sc.Audit.sc_frames_freed) ]
-            (Costs.scrub_seconds machine
-               ~frames_freed:sc.Audit.sc_frames_freed
-               ~findings:!audit_findings);
-          let second = sweep sc.Audit.sc_world in
-          audit_report := Some second;
-          audit_scrubbed :=
-            !audit_findings - List.length second.Audit.r_findings;
-          if not (Audit.clean second) then begin
-            full_reboot := true;
-            rung "full_reboot" [ ("cause", "residual_state") ]
-              full_reboot_seconds;
-            Log.warn (fun m ->
-                m "scrub left %d finding(s): full-reboot fallback"
-                  (List.length second.Audit.r_findings))
-          end
-        end
-      end);
+          rung "full_reboot" [ ("cause", cause) ] full_reboot_seconds;
+          Log.warn (fun m -> m "%s: full-reboot fallback" msg)
+        in
+        match a.audit_outcome with
+        | Audit_clean | Audit_reported -> (a.audit_found, 0)
+        | Audit_scrub_failed ->
+          reboot "scrub_fail" "scrub failed";
+          (a.audit_found, 0)
+        | Audit_scrubbed left ->
+          if left > 0 then
+            reboot "residual_state"
+              (Printf.sprintf "scrub left %d finding(s)" left);
+          (a.audit_found, a.audit_found - left)
+    in
 
     (* Checks, over the VMs that survived (quarantined ones are the
        recovery report's business, not the invariants'). *)
@@ -711,22 +655,15 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
           && vm.Vmstate.Vm.mem == vm0.Vmstate.Vm.mem (* literally in place *))
         surviving_vms
     in
-    (* Salvaged VMs run on substituted defaults: the preservation checks
-       only bind the VMs restored from intact state. *)
-    let intact_results =
-      List.filter (fun (_, _, _, _, salvage) -> salvage = None) restore_results
-    in
-    let platform_ok =
-      List.for_all
-        (fun (n, before, fixups, _, _) ->
-          platform_preserved ~before ~after:(List.assoc n after_uisrs) ~fixups)
-        intact_results
-    in
-    let devices_ok =
-      List.for_all
-        (fun (n, before, _, _, _) ->
-          devices_preserved ~before (Option.get (Hv.Host.find_vm host n)))
-        intact_results
+    (* Every restored VM must land with the platform it was captured
+       with; a salvaged one may have its PIT at reset defaults. *)
+    let diffs =
+      List.concat_map
+        (fun (n, u, fixups, _, salvage) ->
+          Uisr.Guest_view.diff ~fixups ~salvaged:(salvage <> None)
+            (Uisr.Guest_view.of_state u)
+            (Uisr.Guest_view.of_state (List.assoc n after_uisrs)))
+        restore_results
     in
     let checks =
       {
@@ -735,18 +672,20 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
         (* A full-reboot fallback reloads the target from scratch and
            does not depend on the (possibly clobbered) staged image. *)
         kexec_image_intact = jump.Kexec.image_intact || !full_reboot;
+        (* A salvaged blob is not expected to decode to its source. *)
         uisr_roundtrip_ok =
-          List.for_all (fun (_, _, _, ok, _) -> ok) intact_results;
+          List.for_all (fun (_, _, _, ok, salvage) -> ok || salvage <> None)
+            restore_results;
         management_consistent = Hv.Host.management_consistent host;
-        platform_preserved = platform_ok;
-        devices_preserved = devices_ok;
+        platform_preserved = Uisr.Guest_view.platform_preserved diffs;
+        devices_preserved = Uisr.Guest_view.devices_preserved diffs;
       }
     in
     let outcome =
       if
         !recovery_faults = [] && !restore_retries = 0 && !quarantined = []
         && !salvaged = [] && !mgmt_rebuilds = 0
-        && not !full_reboot && not !audit_residue
+        && not !full_reboot && audit_found = 0
       then Committed
       else
         Recovered
@@ -758,8 +697,8 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
             mgmt_rebuilds = !mgmt_rebuilds;
             full_reboot = !full_reboot;
             recovery_time = Sim.Time.of_sec_f !recovery_seconds;
-            audit_findings = !audit_findings;
-            audit_scrubbed = !audit_scrubbed;
+            audit_findings = audit_found;
+            audit_scrubbed;
           }
     in
     let phases =
@@ -796,7 +735,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
       frames_wiped = jump.Kexec.frames_wiped;
       checks;
       outcome;
-      audit = !audit_report;
+      audit = Option.map (fun a -> a.audit_report) audit_result;
     }
   with Rollback site ->
     (* Abort cleanly: discard staging, resume every VM on the source

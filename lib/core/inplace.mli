@@ -24,11 +24,17 @@ type checks = {
       (** per-page checksums identical before/after; backing unclobbered *)
   pram_parse_ok : bool;
   kexec_image_intact : bool;
-  uisr_roundtrip_ok : bool;   (** every UISR blob decoded to its source *)
+  uisr_roundtrip_ok : bool;
+      (** every intact UISR blob decoded to its source (a salvaged one
+          cannot) *)
   management_consistent : bool;
-  platform_preserved : bool;  (** vCPU/PIT state identical modulo fixups *)
-  devices_preserved : bool;   (** guest-visible device state (incl. TCP
-                                  connections) survived unplug/rescan *)
+  platform_preserved : bool;
+      (** every restored VM's vCPUs, IOAPIC and PIT match its
+          pre-transplant capture, up to the allowances of
+          {!Uisr.Guest_view} (salvaged VMs included) *)
+  devices_preserved : bool;
+      (** every restored VM's devices match its capture by id, kind and
+          TCP connections ({!Uisr.Guest_view.devices_preserved}) *)
 }
 
 val all_ok : checks -> bool
@@ -126,6 +132,37 @@ val run :
     [Recovered] even if every other step was calm, and audit/scrub time
     is charged as [rung:audit] / [rung:scrub] recovery rungs, visible
     in both the phase accounting and the obs trace. *)
+
+(** {1 The residual-audit rung}
+
+    One rung for both engines: {!run} and {!Migrate.run} call it after
+    the guests resume and map its outcome onto their own escalation. *)
+
+type audit_outcome =
+  | Audit_clean  (** the first sweep found nothing *)
+  | Audit_reported  (** [Report_only]: the findings stay in place *)
+  | Audit_scrub_failed  (** the [scrub_fail] site fired; nothing scrubbed *)
+  | Audit_scrubbed of int
+      (** the scrub ran; this many findings survived the recheck *)
+
+type audit_result = {
+  audit_report : Audit.report;
+      (** the recheck when a scrub ran, the first sweep otherwise *)
+  audit_found : int;  (** findings of the first sweep *)
+  audit_outcome : audit_outcome;
+}
+
+val audit_rung :
+  mode:audit -> what:string -> fire:(Fault.site -> bool) ->
+  charge:(string -> (string * string) list -> float -> unit) ->
+  source:(module Hv.Intf.S) -> target:(module Hv.Intf.S) -> ?victim:string ->
+  Audit.world -> audit_result
+(** Sweep [world] against fresh-boot references of [target] and
+    [source]; on findings, log ["<what> audit: N residual finding(s)"]
+    and scrub-and-recheck under [Scrub].  [fire] consults the fault
+    plan: [residual_leak] plants residue before the sweep (a stale
+    blob of [victim] among it), [scrub_fail] stops the scrub.  Each
+    sweep and scrub is [charge]d as [(name, attrs, seconds)]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

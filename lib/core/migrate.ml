@@ -35,7 +35,18 @@ type checks = {
   connections_preserved : bool;
   management_consistent : bool;
   residual_clean : bool;
+  platform_preserved : bool;
+  devices_preserved : bool;
 }
+
+let all_ok c =
+  c.memory_equal && c.connections_preserved && c.management_consistent
+  && c.residual_clean && c.platform_preserved && c.devices_preserved
+
+let all_true =
+  { memory_equal = true; connections_preserved = true;
+    management_consistent = true; residual_clean = true;
+    platform_preserved = true; devices_preserved = true }
 
 type report = {
   kind : [ `Migration_tp | `Homogeneous ];
@@ -200,6 +211,59 @@ let emit_vm_obs obs metrics ~(plan : Migration.Precopy.plan) ~dropped
     "hypertp_downtime_seconds"
     (Sim.Time.to_sec_f r.downtime)
 
+(* One VM's landing, shared by [run] and [run_shadow]: pre-copy its
+   memory live into fresh memory on [dst], pause it, capture and encode
+   its state, and let [admit] vet the blob.  A refusal discards the copy
+   and resumes the VM on [src].  Otherwise the state is restored on
+   [dst], the VM resumes there, and [checks] loses every field the
+   landing fails: memory, connections, and what the guest sees
+   ({!Uisr.Guest_view}) against the capture. *)
+let land_vm ~precopy ~rng ~src ~dst ~admit ~checks (vm : Vmstate.Vm.t) =
+  let n = vm.config.name and cfg = vm.config in
+  let dst_mem =
+    Vmstate.Guest_mem.create ~pmem:dst.Hv.Host.pmem ~rng:dst.Hv.Host.rng
+      ~bytes:cfg.ram ~page_kind:cfg.page_kind ()
+  in
+  let live =
+    Migration.Precopy.run_live precopy ~src:vm.mem ~dst:dst_mem
+      ~dirty_pages_per_sec:
+        (Workload.Profile.dirty_pages_per_sec cfg.workload ~ram:cfg.ram
+           ~page_kind:cfg.page_kind)
+      ~rng
+  in
+  assert live.Migration.Precopy.memory_equal;
+  Hv.Host.pause_vm src n;
+  let src_checksum = Vmstate.Guest_mem.checksum vm.mem in
+  let src_conns = Vmstate.Vm.total_tcp_connections vm in
+  let uisr = Hv.Host.to_uisr src n in
+  match admit (Uisr.Codec.encode uisr) with
+  | Error _ as refused ->
+    Vmstate.Guest_mem.free dst_mem;
+    Hv.Host.resume_vm src n;
+    refused
+  | Ok admitted ->
+    let fixups = Hv.Host.restore_from_uisr dst ~mem:dst_mem uisr in
+    Hv.Host.resume_vm dst n;
+    let dst_vm = Option.get (Hv.Host.find_vm dst n) in
+    let diffs =
+      Uisr.Guest_view.diff ~fixups (Uisr.Guest_view.of_state uisr)
+        (Uisr.Guest_view.of_vm dst_vm)
+    in
+    let c = !checks in
+    checks :=
+      { c with
+        memory_equal =
+          c.memory_equal
+          && Int64.equal (Vmstate.Guest_mem.checksum dst_vm.mem) src_checksum;
+        connections_preserved =
+          c.connections_preserved
+          && Vmstate.Vm.total_tcp_connections dst_vm = src_conns;
+        platform_preserved =
+          c.platform_preserved && Uisr.Guest_view.platform_preserved diffs;
+        devices_preserved =
+          c.devices_preserved && Uisr.Guest_view.devices_preserved diffs };
+    Ok (admitted, uisr, fixups)
+
 let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
     ~(src : Hv.Host.t) ~(dst : Hv.Host.t) ?vm_names () =
   let rng = match rng with Some r -> r | None -> Sim.Rng.create 0x3C4DL in
@@ -231,21 +295,7 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
   let page_wire_bytes =
     Hw.Units.page_size_4k + params.Migration.Precopy.page_overhead_bytes
   in
-  let fire ~vm site =
-    match fault with
-    | Some f ->
-      let fired = Fault.fire f ~vm site in
-      if fired then begin
-        Log.warn (fun m -> m "fault injected at %a (%s)" Fault.pp_site site vm);
-        Otrace.count metrics
-          ~labels:
-            [ ("engine", "migrate");
-              ("site", Format.asprintf "%a" Fault.pp_site site) ]
-          "hypertp_faults_total"
-      end;
-      fired
-    | None -> false
-  in
+  let fire ?vm site = Otrace.fire fault metrics ~engine:"migrate" ?vm site in
 
   (* Pre-copy plans (VMs still running, degraded). *)
   let plans =
@@ -269,8 +319,7 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
   (* Stop-and-copy: pause, capture state, copy memory, restore on the
      destination.  The receive queue serialises on Xen (Fig. 8). *)
   let receiver_busy = ref Sim.Time.zero in
-  let checks_memory = ref true in
-  let checks_conns = ref true in
+  let checks = ref all_true in
   (* Landed VMs with the exact state blob that crossed the wire — the
      baseline for the optional post-migration residual audit. *)
   let migrated_uisrs = ref [] in
@@ -283,7 +332,10 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
            the attempt budget runs out. *)
         let dropped = ref [] in
         let rec go attempt ~retry_wait ~wasted_time ~wasted_bytes =
-          match attempt_precopy ~fire ~vm:n ~page_wire_bytes plan with
+          match
+            attempt_precopy ~fire:(fun ~vm -> fire ~vm) ~vm:n ~page_wire_bytes
+              plan
+          with
           | Link_dropped (round, w_time, w_bytes) ->
             let wasted_time = Sim.Time.add wasted_time w_time in
             let wasted_bytes = wasted_bytes + w_bytes in
@@ -323,69 +375,64 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
                 ~retry_wait:(Sim.Time.add retry_wait backoff)
                 ~wasted_time ~wasted_bytes
             end
-          | Link_ok degrade_extra ->
+          | Link_ok degrade_extra -> (
             (* The live data path: multi-round pre-copy over the VM's
                actual dirty bits while it still runs (timings are
                reported from the calibrated analytic plan; the live
                rounds carry the data and verify convergence on real
-               state). *)
-            let dst_mem =
-              Vmstate.Guest_mem.create ~pmem:dst.Hv.Host.pmem
-                ~rng:dst.Hv.Host.rng ~bytes:vm.Vmstate.Vm.config.ram
-                ~page_kind:vm.Vmstate.Vm.config.page_kind ()
-            in
-            let live =
-              Migration.Precopy.run_live params ~src:vm.Vmstate.Vm.mem
-                ~dst:dst_mem
-                ~dirty_pages_per_sec:
-                  (Workload.Profile.dirty_pages_per_sec
-                     vm.Vmstate.Vm.config.workload
-                     ~ram:vm.Vmstate.Vm.config.ram
-                     ~page_kind:vm.Vmstate.Vm.config.page_kind)
-                ~rng
-            in
-            assert live.Migration.Precopy.memory_equal;
-            Hv.Host.pause_vm src n;
-            let src_checksum = Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem in
-            let src_conns = Vmstate.Vm.total_tcp_connections vm in
-            let uisr = Hv.Host.to_uisr src n in
-            let state_blob = Uisr.Codec.encode uisr in
-            let state_bytes = Bytes.length state_blob in
-            let state_transfer =
-              Hw.Nic.transfer_time nic ~streams state_bytes
-            in
-            (* Receiver-side verification: the destination proxy checks
-               the blob's envelope and per-section CRCs before acking.
-               A corrupt chunk is retransmitted from the source's
-               still-intact copy — the pre-copied memory is not resent —
-               bounded by the same attempt budget as the link loop. *)
-            let rec transmit k =
-              let wire_blob =
-                if fire ~vm:n Fault.Uisr_corrupt then begin
-                  Log.warn (fun m ->
-                      m "%s: state chunk corrupted in flight" n);
-                  Uisr.Codec.corrupt_section ~tag:Uisr.Codec.tag_vcpu
-                    state_blob
-                end
-                else state_blob
+               state).  Receiver-side verification: the destination
+               proxy checks the blob's envelope and per-section CRCs
+               before acking.  A corrupt chunk is retransmitted from the
+               source's still-intact copy — the pre-copied memory is not
+               resent — bounded by the same attempt budget as the link
+               loop. *)
+            let admit state_blob =
+              let state_bytes = Bytes.length state_blob in
+              let state_transfer =
+                Hw.Nic.transfer_time nic ~streams state_bytes
               in
-              match
-                (Uisr.Codec.decode_verified wire_blob).Uisr.Integrity.verdict
-              with
-              | Uisr.Integrity.Intact -> Ok (k - 1) (* retransmits *)
-              | Uisr.Integrity.Salvaged _ | Uisr.Integrity.Rejected _ ->
-                if k >= retry.max_attempts then Error k
-                else begin
-                  Log.warn (fun m ->
-                      m
-                        "%s: receiver rejected state chunk; retransmitting \
-                         (attempt %d/%d)"
-                        n (k + 1) retry.max_attempts);
-                  transmit (k + 1)
-                end
+              let rec transmit k =
+                let wire_blob =
+                  if fire ~vm:n Fault.Uisr_corrupt then begin
+                    Log.warn (fun m ->
+                        m "%s: state chunk corrupted in flight" n);
+                    Uisr.Codec.corrupt_section ~tag:Uisr.Codec.tag_vcpu
+                      state_blob
+                  end
+                  else state_blob
+                in
+                match
+                  (Uisr.Codec.decode_verified wire_blob).Uisr.Integrity.verdict
+                with
+                | Uisr.Integrity.Intact ->
+                  (* Proxy translation cost: a fraction of a full local
+                     save, paid inside the stop phase. *)
+                  let proxy_cost =
+                    let (Hv.Host.Packed ((module S'), shv, table)) =
+                      Hv.Host.running_exn src
+                    in
+                    match Hashtbl.find_opt table n with
+                    | None -> assert false
+                    | Some dom -> Sim.Time.scale 0.05 (S'.save_cost shv dom)
+                  in
+                  Ok (k - 1 (* retransmits *), state_bytes, state_transfer,
+                      proxy_cost)
+                | Uisr.Integrity.Salvaged _ | Uisr.Integrity.Rejected _ ->
+                  if k >= retry.max_attempts then
+                    Error (k, state_bytes, state_transfer)
+                  else begin
+                    Log.warn (fun m ->
+                        m
+                          "%s: receiver rejected state chunk; retransmitting \
+                           (attempt %d/%d)"
+                          n (k + 1) retry.max_attempts);
+                    transmit (k + 1)
+                  end
+              in
+              transmit 1
             in
-            (match transmit 1 with
-            | Error attempts ->
+            match land_vm ~precopy:params ~rng ~src ~dst ~admit ~checks vm with
+            | Error (attempts, state_bytes, state_transfer) ->
               (* Every transmission arrived corrupt: abort without
                  touching the source.  The VM resumes where it paused;
                  the destination discards its half-built copy. *)
@@ -393,8 +440,6 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
                   m "%s: state verification failed after %d transmissions; \
                      aborting"
                     n attempts);
-              Vmstate.Guest_mem.free dst_mem;
-              Hv.Host.resume_vm src n;
               let retransmit_waste =
                 Sim.Time.scale (float_of_int attempts) state_transfer
               in
@@ -425,28 +470,9 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
                 fixups = [];
                 outcome = Aborted_state_corruption attempts;
               }
-            | Ok state_retransmits ->
-            (* Proxy translation cost: a fraction of a full local save,
-               paid inside the stop phase. *)
-            let proxy_cost =
-              let (Hv.Host.Packed ((module S'), shv, table)) =
-                Hv.Host.running_exn src
-              in
-              match Hashtbl.find_opt table n with
-              | None -> assert false
-              | Some dom -> Sim.Time.scale 0.05 (S'.save_cost shv dom)
-            in
-            let fixups = Hv.Host.restore_from_uisr dst ~mem:dst_mem uisr in
-            Hv.Host.resume_vm dst n;
-            let dst_vm = Option.get (Hv.Host.find_vm dst n) in
-            if
-              not
-                (Int64.equal
-                   (Vmstate.Guest_mem.checksum dst_vm.Vmstate.Vm.mem)
-                   src_checksum)
-            then checks_memory := false;
-            if Vmstate.Vm.total_tcp_connections dst_vm <> src_conns then
-              checks_conns := false;
+            | Ok
+                ( (state_retransmits, state_bytes, state_transfer, proxy_cost),
+                  uisr, fixups ) ->
             Hv.Host.destroy_vm src n;
             migrated_uisrs := (n, uisr) :: !migrated_uisrs;
             (* Timing: retransmitted state chunks stretch the downtime —
@@ -524,99 +550,44 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
      [residual_clean] check.  Audit/scrub time extends the reported
      total and is laid as spans after the last VM lands, so the trace
      reconciles with [audit_time] exactly. *)
-  let audit_report = ref None in
   let audit_time = ref Sim.Time.zero in
-  let residual_clean = ref true in
-  (match audit with
-  | None -> ()
-  | Some mode ->
-    let machine = dst.Hv.Host.machine in
-    let fire_host site =
-      match fault with
-      | Some f ->
-        let fired = Fault.fire f site in
-        if fired then begin
-          Log.warn (fun m -> m "fault injected at %a" Fault.pp_site site);
-          Otrace.count metrics
-            ~labels:
-              [ ("engine", "migrate");
-                ("site", Format.asprintf "%a" Fault.pp_site site) ]
-            "hypertp_faults_total"
-        end;
-        fired
-      | None -> false
-    in
-    let reference =
-      Audit.reference_of_fresh_boot ~machine (module D : Hv.Intf.S)
-    in
-    let source_ref =
-      Audit.reference_of_fresh_boot ~machine (module S : Hv.Intf.S)
-    in
-    let max_downtime =
-      List.fold_left
-        (fun acc (r : vm_report) -> Sim.Time.max acc r.downtime)
-        Sim.Time.zero per_vm
-    in
-    let world =
-      Audit.world
-        ~baseline:(List.rev !migrated_uisrs)
-        ~downtime:max_downtime dst
-    in
-    let world =
-      if fire_host Fault.Residual_leak then
-        let plants =
-          [ Audit.Plant.Pram_page; Audit.Plant.Hv_frames 2;
-            Audit.Plant.Kexec_frame ]
-          @
-          match !migrated_uisrs with
-          | (n, _) :: _ -> [ Audit.Plant.Stale_blob n ]
-          | [] -> []
+  let audit_result =
+    Option.map
+      (fun mode ->
+        let charge name attrs secs =
+          let d = Sim.Time.of_sec_f secs in
+          ignore
+            (Otrace.span obs
+               ~at:(Sim.Time.add total_time !audit_time)
+               ~until:(Sim.Time.add total_time (Sim.Time.add !audit_time d))
+               ~track:("host:" ^ dst.Hv.Host.host_name)
+               ~attrs:(("engine", "migrate") :: attrs)
+               name);
+          audit_time := Sim.Time.add !audit_time d
         in
-        Audit.Plant.apply ~reference ~source:source_ref world plants
-      else world
-    in
-    let charge name attrs secs =
-      let d = Sim.Time.of_sec_f secs in
-      ignore
-        (Otrace.span obs
-           ~at:(Sim.Time.add total_time !audit_time)
-           ~until:(Sim.Time.add total_time (Sim.Time.add !audit_time d))
-           ~track:("host:" ^ dst.Hv.Host.host_name)
-           ~attrs:(("engine", "migrate") :: attrs)
-           name);
-      audit_time := Sim.Time.add !audit_time d
-    in
-    let sweep w =
-      let r = Audit.run ~reference ~source:source_ref w in
-      charge "audit"
-        [ ("findings", string_of_int (List.length r.Audit.r_findings)) ]
-        (Costs.audit_sweep_seconds machine
-           ~frames_swept:r.Audit.r_frames_swept
-           ~vms:(List.length (Hv.Host.vms dst)));
-      r
-    in
-    let first = sweep world in
-    audit_report := Some first;
-    if not (Audit.clean first) then begin
-      let findings = List.length first.Audit.r_findings in
-      Log.warn (fun m ->
-          m "post-migration audit: %d residual finding(s)" findings);
-      if mode = Inplace.Report_only then residual_clean := false
-      else if fire_host Fault.Scrub_fail then begin
-        residual_clean := false;
-        Log.warn (fun m -> m "scrub failed: destination retains residue")
-      end
-      else begin
-        let sc = Audit.scrub world first in
-        charge "scrub"
-          [ ("freed", string_of_int sc.Audit.sc_frames_freed) ]
-          (Costs.scrub_seconds machine
-             ~frames_freed:sc.Audit.sc_frames_freed ~findings);
-        let second = sweep sc.Audit.sc_world in
-        audit_report := Some second;
-        if not (Audit.clean second) then residual_clean := false
-      end
-    end);
+        let max_downtime =
+          List.fold_left
+            (fun acc (r : vm_report) -> Sim.Time.max acc r.downtime)
+            Sim.Time.zero per_vm
+        in
+        Inplace.audit_rung ~mode ~what:"post-migration" ~fire ~charge
+          ~source:(module S : Hv.Intf.S) ~target:(module D : Hv.Intf.S)
+          ?victim:(Option.map fst (List.nth_opt !migrated_uisrs 0))
+          (Audit.world ~baseline:(List.rev !migrated_uisrs)
+             ~downtime:max_downtime dst))
+      audit
+  in
+  let residual_clean =
+    match audit_result with
+    | None -> true
+    | Some a -> (
+      match a.Inplace.audit_outcome with
+      | Inplace.Audit_clean | Inplace.Audit_scrubbed 0 -> true
+      | Inplace.Audit_scrub_failed ->
+        Log.warn (fun m -> m "scrub failed: destination retains residue");
+        false
+      | Inplace.Audit_reported | Inplace.Audit_scrubbed _ -> false)
+  in
   {
     kind;
     src_hv = S.name;
@@ -624,13 +595,10 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
     per_vm;
     total_time = Sim.Time.add total_time !audit_time;
     checks =
-      {
-        memory_equal = !checks_memory;
-        connections_preserved = !checks_conns;
+      { !checks with
         management_consistent = Hv.Host.management_consistent dst;
-        residual_clean = !residual_clean;
-      };
-    audit = !audit_report;
+        residual_clean };
+    audit = Option.map (fun a -> a.Inplace.audit_report) audit_result;
     audit_time = !audit_time;
   }
 
@@ -1015,48 +983,25 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
        partition detected during the handshake aborts with the source
        still authoritative. *)
     if fire Fault.Swap_partition then raise (Shadow_abort Fault.Swap_partition);
-    let checks_memory = ref true in
-    let checks_conns = ref true in
+    let checks = ref all_true in
     per_vm :=
       List.map
         (fun sv ->
           let n = sv.sv_name in
           let vm = Option.get (Hv.Host.find_vm src n) in
-          let cfg = vm.Vmstate.Vm.config in
           let plan = Option.get sv.sv_plan in
           (* The data path: replay over the VM's actual dirty bits
              lands the shadow copy, then the flip moves only the final
              dirty set and the platform state. *)
-          let dst_mem =
-            Vmstate.Guest_mem.create ~pmem:spare.Hv.Host.pmem
-              ~rng:spare.Hv.Host.rng ~bytes:cfg.Vmstate.Vm.ram
-              ~page_kind:cfg.Vmstate.Vm.page_kind ()
+          let state_bytes =
+            match
+              land_vm ~precopy:sparams.Migration.Shadow.precopy ~rng ~src
+                ~dst:spare ~checks vm
+                ~admit:(fun blob -> Ok (Bytes.length blob))
+            with
+            | Ok (state_bytes, _, _) -> state_bytes
+            | Error () -> assert false (* the admission above never refuses *)
           in
-          let live =
-            Migration.Precopy.run_live sparams.Migration.Shadow.precopy
-              ~src:vm.Vmstate.Vm.mem ~dst:dst_mem
-              ~dirty_pages_per_sec:
-                (Workload.Profile.dirty_pages_per_sec cfg.Vmstate.Vm.workload
-                   ~ram:cfg.Vmstate.Vm.ram ~page_kind:cfg.Vmstate.Vm.page_kind)
-              ~rng
-          in
-          assert live.Migration.Precopy.memory_equal;
-          Hv.Host.pause_vm src n;
-          let src_checksum = Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem in
-          let src_conns = Vmstate.Vm.total_tcp_connections vm in
-          let uisr = Hv.Host.to_uisr src n in
-          let state_bytes = Bytes.length (Uisr.Codec.encode uisr) in
-          ignore (Hv.Host.restore_from_uisr spare ~mem:dst_mem uisr);
-          Hv.Host.resume_vm spare n;
-          let dst_vm = Option.get (Hv.Host.find_vm spare n) in
-          if
-            not
-              (Int64.equal
-                 (Vmstate.Guest_mem.checksum dst_vm.Vmstate.Vm.mem)
-                 src_checksum)
-          then checks_memory := false;
-          if Vmstate.Vm.total_tcp_connections dst_vm <> src_conns then
-            checks_conns := false;
           let vm_downtime =
             Sim.Time.scale (Sim.Rng.jitter rng 0.03)
               (Sim.Time.add plan.Migration.Shadow.cutover_downtime
@@ -1077,14 +1022,10 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
         (Sim.Time.of_sec_f (Costs.shadow_reclaim_seconds ~vms:streams));
     cutover_checks :=
       Some
-        {
-          memory_equal = !checks_memory;
-          connections_preserved = !checks_conns;
+        { !checks with
           management_consistent =
             Hv.Host.management_consistent src
-            && Hv.Host.management_consistent spare;
-          residual_clean = true;
-        };
+            && Hv.Host.management_consistent spare };
     finish Shadow_cutover ~intact:true
   with Shadow_abort site ->
     (* Every abort fires strictly before the identity swap: nothing
@@ -1144,8 +1085,10 @@ let pp_shadow_report fmt r =
     r.sh_watchdog_cancels;
   (match r.sh_checks with
   | Some ck ->
-    Format.fprintf fmt "@,  checks: memory=%b conns=%b mgmt=%b"
+    Format.fprintf fmt
+      "@,  checks: memory=%b conns=%b mgmt=%b platform=%b devices=%b"
       ck.memory_equal ck.connections_preserved ck.management_consistent
+      ck.platform_preserved ck.devices_preserved
   | None -> ());
   Format.fprintf fmt "@]"
 
@@ -1177,9 +1120,11 @@ let pp_report fmt r =
       (List.length a.Audit.r_findings)
       Sim.Time.pp r.audit_time
       (if r.checks.residual_clean then "" else " (RESIDUE LEFT)"));
-  Format.fprintf fmt "  checks: memory=%b conns=%b mgmt=%b%s@]"
+  Format.fprintf fmt
+    "  checks: memory=%b conns=%b mgmt=%b platform=%b devices=%b%s@]"
     r.checks.memory_equal r.checks.connections_preserved
-    r.checks.management_consistent
+    r.checks.management_consistent r.checks.platform_preserved
+    r.checks.devices_preserved
     (match r.audit with
     | None -> ""
     | Some _ -> Printf.sprintf " residual=%b" r.checks.residual_clean)

@@ -69,7 +69,22 @@ type checks = {
       (** the optional post-migration audit found nothing, or the scrub
           remediated everything it found; [true] when the audit was not
           armed *)
+  platform_preserved : bool;
+      (** every landed VM's vCPUs, IOAPIC and PIT match the state that
+          crossed the wire, up to the allowances of {!Uisr.Guest_view}
+          (MSRs a fixup dropped, IOAPIC pins the target lacks or adds) *)
+  devices_preserved : bool;
+      (** every landed VM's devices match the capture by id, kind and
+          TCP connections *)
 }
+(** What [run] and [run_shadow] verify about each VM they land: one
+    landing path fills every field but the audit's for both engines.
+    VMs that stay on the source (an aborted migration) are not
+    checked. *)
+
+val all_ok : checks -> bool
+(** Every field holds; the CLI's [migrate] and [shadow] exit 2
+    otherwise. *)
 
 type report = {
   kind : [ `Migration_tp | `Homogeneous ];

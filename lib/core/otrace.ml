@@ -53,3 +53,21 @@ let observe metrics ?(labels = []) ~buckets name v =
    spans the paper's sub-second phases up to a full-reboot fallback. *)
 let seconds_buckets =
   [ 0.01; 0.05; 0.1; 0.25; 0.5; 1.0; 2.0; 5.0; 10.0; 30.0; 60.0; 120.0 ]
+
+(* --- fault injection --- *)
+
+let fault_noted metrics ~engine ?vm site =
+  Log.warn (fun m ->
+      m "fault injected at %a%s" Fault.pp_site site
+        (match vm with Some v -> " (" ^ v ^ ")" | None -> ""));
+  count metrics
+    ~labels:[ ("engine", engine); ("site", Fault.site_to_string site) ]
+    "hypertp_faults_total"
+
+let fire fault metrics ~engine ?vm site =
+  match fault with
+  | None -> false
+  | Some f ->
+    let fired = Fault.fire f ?vm site in
+    if fired then fault_noted metrics ~engine ?vm site;
+    fired
