@@ -637,6 +637,7 @@ type shadow_vm = {
   sv_downtime : Sim.Time.t;
   sv_wire_bytes : Hw.Units.bytes_;
   sv_state_bytes : int;
+  sv_fixups : Uisr.Fixup.t list;
 }
 
 type shadow_report = {
@@ -927,7 +928,8 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
           per_vm :=
             !per_vm
             @ [ { sv_name = n; sv_plan = None; sv_downtime = Sim.Time.zero;
-                  sv_wire_bytes = wasted_bytes; sv_state_bytes = 0 } ];
+                  sv_wire_bytes = wasted_bytes; sv_state_bytes = 0;
+                  sv_fixups = [] } ];
           if !dropped = None then dropped := Some n
         | Migration.Shadow.Stream_ok p | Migration.Shadow.Stream_diverged p ->
           let rounds =
@@ -962,7 +964,7 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
             !per_vm
             @ [ { sv_name = n; sv_plan = Some p; sv_downtime = Sim.Time.zero;
                   sv_wire_bytes = p.Migration.Shadow.wire_bytes;
-                  sv_state_bytes = 0 } ];
+                  sv_state_bytes = 0; sv_fixups = [] } ];
           (match outcome with
           | Migration.Shadow.Stream_diverged _ ->
             (* A naturally convergent workload only diverges when the
@@ -993,13 +995,13 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
           (* The data path: replay over the VM's actual dirty bits
              lands the shadow copy, then the flip moves only the final
              dirty set and the platform state. *)
-          let state_bytes =
+          let state_bytes, fixups =
             match
               land_vm ~precopy:sparams.Migration.Shadow.precopy ~rng ~src
                 ~dst:spare ~checks vm
                 ~admit:(fun blob -> Ok (Bytes.length blob))
             with
-            | Ok (state_bytes, _, _) -> state_bytes
+            | Ok (state_bytes, _, fixups) -> (state_bytes, fixups)
             | Error () -> assert false (* the admission above never refuses *)
           in
           let vm_downtime =
@@ -1012,7 +1014,7 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
           wire := !wire + state_bytes;
           { sv with sv_downtime = vm_downtime;
             sv_wire_bytes = sv.sv_wire_bytes + state_bytes; sv_state_bytes =
-            state_bytes })
+            state_bytes; sv_fixups = fixups })
         !per_vm;
     (* --- reclaim: the spare is authoritative; tear the source copies
        down and verify both management planes. *)

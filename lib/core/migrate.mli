@@ -180,6 +180,7 @@ type shadow_vm = {
       (** checkpoint + replay + platform state; for an aborted stream,
           the bytes burnt before the drop *)
   sv_state_bytes : int;  (** UISR platform payload; 0 before the swap *)
+  sv_fixups : Uisr.Fixup.t list;  (** recorded at the swap; [] before it *)
 }
 
 type shadow_report = {

@@ -577,7 +577,9 @@ let decode_verified_v2 ?preserved ~outer_ok body =
      non-critical sections. *)
   let scan_diags =
     if p.p_pit = None then begin
-      p.p_pit <- Some Integrity.default_pit;
+      (* A copy: a VM's PIT channels are mutable, the default is shared. *)
+      let d = Integrity.default_pit in
+      p.p_pit <- Some { d with channels = Array.copy d.channels };
       scan_diags
       @ [ Integrity.diag ~section:"pit" ~fatal:false
             "PIT section unusable; substituted power-on defaults" ]

@@ -12,4 +12,4 @@ let () =
    @ Test_cluster.suites @ Test_campaign.suites @ Test_controlplane.suites
    @ Test_topology.suites @ Test_journal.suites
    @ Test_extras.suites @ Test_obs.suites @ Test_stream.suites
-   @ Test_flags.suites)
+   @ Test_flags.suites @ Test_guest_view.suites)
