@@ -177,7 +177,7 @@ let vmi_state_bytes _t dom =
 let management_state_bytes t =
   Ule.state_bytes t.rq + (List.length t.doms * 16_384) (* bhyve processes *)
 
-let hv_state_bytes _t = heap_frames * 4096
+let hv_state_bytes = heap_frames * 4096
 
 let rebuild_management_state t =
   check_alive t;

@@ -3,7 +3,32 @@ let hypervisor_of = function
   | Hv.Kind.Kvm -> (module Kvmhv.Kvm : Hv.Intf.S)
   | Hv.Kind.Bhyve -> (module Bhyvehv.Bhyve : Hv.Intf.S)
 
+let guest_capacity ~machine ~hv =
+  let module H = (val hypervisor_of hv) in
+  machine.Hw.Machine.ram - H.hv_state_bytes
+
+(* Memory comes in 2 MiB allocator chunks; a VM's nested page tables
+   are counted at twice their bare size (a hypervisor's metadata factor
+   is at most that), plus one shared page. *)
+let footprint (c : Vmstate.Vm.config) =
+  let chunks b =
+    let chunk = Hw.Units.mib 2 in
+    (b + chunk - 1) / chunk * chunk
+  in
+  let tables =
+    Hv.Npt.table_frames_needed
+      ~guest_frames:(Hw.Units.frames_of_bytes c.ram) ~page_kind:c.page_kind
+  in
+  chunks c.ram + chunks (((2 * tables) + 1) * Hw.Units.page_size_4k)
+
 let provision ?seed ~name ~machine ~hv configs =
+  let room = guest_capacity ~machine ~hv in
+  let need = List.fold_left (fun acc c -> acc + footprint c) 0 configs in
+  if need > room then
+    Error.raise_errorf ~site:"Api.provision"
+      "%d VMs need %a but %s running %a leaves %a for guests"
+      (List.length configs) Hw.Units.pp_bytes need machine.Hw.Machine.name
+      Hv.Kind.pp hv Hw.Units.pp_bytes room;
   let host = Hv.Host.create ?seed ~name machine in
   Hv.Host.boot_hypervisor host (hypervisor_of hv);
   List.iter (fun config -> ignore (Hv.Host.create_vm host config)) configs;

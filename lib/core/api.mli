@@ -6,12 +6,24 @@
     knob means the engine default. *)
 
 val hypervisor_of : Hv.Kind.t -> (module Hv.Intf.S)
-(** The HyperTP-compliant hypervisor repertoire (Xen and KVM). *)
+(** The HyperTP-compliant hypervisor repertoire (Xen, KVM and bhyve). *)
+
+val guest_capacity : machine:Hw.Machine.t -> hv:Hv.Kind.t -> Hw.Units.bytes_
+(** Host memory left for guests once [hv] has booted on [machine]: its
+    RAM less the hypervisor's own reservation
+    ({!Hv.Intf.S.hv_state_bytes}). *)
+
+val footprint : Vmstate.Vm.config -> Hw.Units.bytes_
+(** Host memory one VM takes: its RAM, its nested page tables and a
+    shared page, each rounded up to the allocator's 2 MiB chunks.
+    Arithmetic only. *)
 
 val provision :
   ?seed:int64 -> name:string -> machine:Hw.Machine.t -> hv:Hv.Kind.t ->
   Vmstate.Vm.config list -> Hv.Host.t
-(** Boot a host with the given hypervisor and create its VMs. *)
+(** Boot a host with the given hypervisor and create its VMs.  Raises
+    {!Error.Error} (site ["Api.provision"]) when the VMs' footprints
+    exceed the {!guest_capacity}. *)
 
 type outcome =
   [ `Applied of Inplace.report

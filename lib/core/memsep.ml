@@ -18,7 +18,7 @@ let of_host host =
     guest_state_bytes = guest;
     vmi_state_bytes = vmi;
     management_state_bytes = H.management_state_bytes hv;
-    hv_state_bytes = H.hv_state_bytes hv;
+    hv_state_bytes = H.hv_state_bytes;
   }
 
 let translated_fraction r =

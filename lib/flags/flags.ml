@@ -22,7 +22,7 @@ let machine =
 let hypervisor =
   let parse s =
     Option.to_result (Hv.Kind.of_string s)
-      ~none:(Printf.sprintf "unknown hypervisor %S (xen|kvm)" s)
+      ~none:(Printf.sprintf "unknown hypervisor %S (xen|kvm|bhyve)" s)
   in
   of_result parse Hv.Kind.pp
 
@@ -96,16 +96,24 @@ type host = {
   seed : int64;
 }
 
+let vm_config ~vcpus ~gib i =
+  Vmstate.Vm.config ~name:(Printf.sprintf "vm%d" i) ~vcpus ~ram:(Hw.Units.gib gib) ()
+
 let host =
   let make machine source vms vcpus gib seed =
-    (* Divide rather than multiply: [Hw.Units.gib] wraps for huge counts. *)
-    let ram_gib = machine.Hw.Machine.ram / Hw.Units.gib 1 in
-    if not (1 <= gib && gib <= ram_gib) then
-      reject ~flag:"gib" "expects 1 to %d GiB per VM, %s's RAM (got %d)"
-        ram_gib machine.Hw.Machine.name gib;
-    if not (1 <= vms && vms <= ram_gib / gib) then
-      reject ~flag:"vms" "expects 1 to %d VMs of %d GiB on %s (got %d)"
-        (ram_gib / gib) gib machine.Hw.Machine.name vms;
+    let room = Hypertp.Api.guest_capacity ~machine ~hv:source in
+    let footprint gib = Hypertp.Api.footprint (vm_config ~vcpus ~gib 0) in
+    (* Bound by the RAM first: [Hw.Units.gib] wraps for huge counts. *)
+    let rec max_gib g = if g < 1 || footprint g <= room then g else max_gib (g - 1) in
+    let max_gib = max_gib (machine.Hw.Machine.ram / Hw.Units.gib 1) in
+    let on = Format.asprintf "%s running %a" machine.Hw.Machine.name Hv.Kind.pp source in
+    if not (1 <= gib && gib <= max_gib) then
+      reject ~flag:"gib" "expects 1 to %d GiB per VM, what %s leaves for guests (got %d)"
+        max_gib on gib;
+    let max_vms = room / footprint gib in
+    if not (1 <= vms && vms <= max_vms) then
+      reject ~flag:"vms" "expects 1 to %d VMs of %d GiB on %s (got %d)" max_vms gib on
+        vms;
     { machine; source; vms; vcpus; gib; seed }
   in
   Term.(const make
@@ -120,11 +128,7 @@ let host =
         $ seed)
 
 let provision h =
-  let configs =
-    List.init h.vms (fun i ->
-        Vmstate.Vm.config ~name:(Printf.sprintf "vm%d" i) ~vcpus:h.vcpus
-          ~ram:(Hw.Units.gib h.gib) ())
-  in
+  let configs = List.init h.vms (vm_config ~vcpus:h.vcpus ~gib:h.gib) in
   Hypertp.Api.provision ~seed:h.seed ~name:"cli-host" ~machine:h.machine
     ~hv:h.source configs
 

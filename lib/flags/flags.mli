@@ -47,8 +47,10 @@ type host = {
 }
 
 val host : host Term.t
-(** [--machine --source --vms --vcpus --gib --seed].  [--gib] GiB must
-    fit the machine's RAM, and so must [--vms] VMs of that size. *)
+(** [--machine --source --vms --vcpus --gib --seed].  One VM of [--gib]
+    GiB, and [--vms] of them, must fit {!Hypertp.Api.guest_capacity} of
+    the machine running the source, counted by
+    {!Hypertp.Api.footprint}. *)
 
 val provision : host -> Hv.Host.t
 (** Host ["cli-host"] on [h.source], running VMs [vm0], [vm1], ... *)

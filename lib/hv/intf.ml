@@ -95,7 +95,9 @@ module type S = sig
 
   val vmi_state_bytes : t -> domain -> Hw.Units.bytes_
   val management_state_bytes : t -> Hw.Units.bytes_
-  val hv_state_bytes : t -> Hw.Units.bytes_
+  val hv_state_bytes : Hw.Units.bytes_
+  (** The HV State a boot reserves (heap, dom0 kernel): host memory no
+      guest can have. *)
 
   val rebuild_management_state : t -> Sim.Time.t
   (** Rebuild scheduler queues etc. from the current domain set (this

@@ -184,7 +184,7 @@ let vmi_state_bytes _t dom =
 let management_state_bytes t =
   Cfs.state_bytes t.rq + Kvmtool.state_bytes t.vmm
 
-let hv_state_bytes _t = host_heap_frames * 4096
+let hv_state_bytes = host_heap_frames * 4096
 
 let rebuild_management_state t =
   check_alive t;

@@ -259,7 +259,7 @@ let vmi_state_bytes _t dom =
 let management_state_bytes t =
   Credit.state_bytes t.sched + (Xenstore.entries t.store * 128)
 
-let hv_state_bytes _t = hv_heap_frames * 4096
+let hv_state_bytes = hv_heap_frames * 4096
 
 let rebuild_management_state t =
   check_alive t;

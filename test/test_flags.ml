@@ -1,7 +1,8 @@
 (* The shared flag terms: every numeric flag, fed extreme and random
    values through cmdliner, comes back in bounds and equal to what was
    typed, or is rejected by cmdliner or a Hypertp.Error.  Parsing and
-   validation only: nothing here provisions a host or runs a campaign. *)
+   validation only, except that the capacity test provisions the largest
+   host [--vms]/[--gib] accept; nothing here runs a campaign. *)
 
 open Cmdliner
 
@@ -65,7 +66,11 @@ let cases =
   let rate = Flags.positive_opt ~flag:"rate" ~docv:"X" ~doc:"" in
   [
     int_case h ~flag:"vms" (fun h -> h.Flags.vms) (fun h ->
-        within 1 ram_gib (h.Flags.vms * h.Flags.gib));
+        within 1 ram_gib (h.Flags.vms * h.Flags.gib)
+        && h.Flags.vms
+           * Hypertp.Api.footprint
+               (Vmstate.Vm.config ~name:"v" ~ram:(Hw.Units.gib h.Flags.gib) ())
+           <= Hypertp.Api.guest_capacity ~machine:h.Flags.machine ~hv:h.Flags.source);
     int_case h ~flag:"vcpus" (fun h -> h.Flags.vcpus) (fun h ->
         within 1 Flags.max_vcpus h.Flags.vcpus);
     int_case h ~flag:"gib" (fun h -> h.Flags.gib) (fun h -> within 1 ram_gib h.Flags.gib);
@@ -149,6 +154,45 @@ let test_defaults () =
     (probe Flags.campaign_knobs ~flag:"breaker-window" "5"
     = Some Cluster.Campaign.default_config)
 
+(* The host a [--vms]/[--gib] pair describes must be one provisioning
+   can build: the hypervisor's own reservation counts. *)
+let test_capacity () =
+  let host args =
+    match
+      Cmd.eval_value ~catch:false ~help:null ~err:null
+        ~argv:(Array.of_list ("probe" :: args))
+        (Cmd.v (Cmd.info "probe") Flags.host)
+    with
+    | Ok (`Ok h) -> Ok h
+    | Ok _ | Error _ -> Error "cmdliner"
+    | exception Hypertp.Error.Error e -> Error e.Hypertp.Error.site
+  in
+  List.iter
+    (fun (args, site) ->
+      checkb (String.concat " " args ^ " is rejected") true (host args = Error site))
+    [ ([ "--vms=16" ], "--vms"); ([ "--gib=16" ], "--gib");
+      ([ "--source=kvm"; "--vms=16" ], "--vms");
+      ([ "--machine=m2"; "--vms=64" ], "--vms") ];
+  (* The largest accepted host of each source provisions. *)
+  List.iter
+    (fun source ->
+      List.iter
+        (fun args ->
+          match host (("--source=" ^ source) :: args) with
+          | Ok h -> ignore (Flags.provision h)
+          | Error site ->
+            Alcotest.failf "%s %s rejected by %s" source (String.concat " " args)
+              site)
+        [ [ "--vms=15" ]; [ "--gib=15" ]; [ "--gib=7"; "--vms=2" ] ])
+    [ "xen"; "kvm"; "bhyve" ];
+  match
+    Hypertp.Api.provision ~name:"full" ~machine:(Hw.Machine.m1 ()) ~hv:Hv.Kind.Xen
+      (List.init 16 (fun i ->
+           Vmstate.Vm.config ~name:(Printf.sprintf "vm%d" i) ~ram:(Hw.Units.gib 1) ()))
+  with
+  | _ -> Alcotest.fail "16 GiB of guests provisioned on a 16 GiB host"
+  | exception Hypertp.Error.Error e -> checks "site" "Api.provision" e.Hypertp.Error.site
+
 let suites =
   [
     ( "flags",
@@ -157,5 +201,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_random_values;
         Alcotest.test_case "rejection names the flag" `Quick test_rejection_site;
         Alcotest.test_case "defaults" `Quick test_defaults;
+        Alcotest.test_case "capacity counts the hypervisor" `Quick test_capacity;
       ] );
   ]
