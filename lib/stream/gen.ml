@@ -44,12 +44,23 @@ type event = {
 
 let site = "Stream.Gen"
 
+let max_arrivals = 100_000
+
+let check_volume ~site ~years ~rate_per_year =
+  let bad fmt = Hypertp_error.raise_errorf ~site fmt in
+  if not (Sim.Time.fits_sec_f (years *. 365.0 *. 86400.0)) then
+    bad "years: a horizon of %g years overflows virtual time" years;
+  if not (rate_per_year *. years <= float_of_int max_arrivals) then
+    bad "rate_per_year x years expects %g arrivals, more than %d"
+      (rate_per_year *. years) max_arrivals
+
 let validate c =
   (* Written so that NaN fails every check. *)
   let bad fmt = Hypertp_error.raise_errorf ~site fmt in
   let within lo hi x = lo <= x && x <= hi in
   if not (0.0 < c.years) then bad "years must be positive";
   if not (0.0 < c.rate_per_year) then bad "rate_per_year must be positive";
+  check_volume ~site ~years:c.years ~rate_per_year:c.rate_per_year;
   if not (within 0.0 1.0 c.critical_fraction) then
     bad "critical_fraction outside [0, 1]";
   if not (within 0.0 1.0 c.coordinated_fraction) then

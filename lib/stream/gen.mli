@@ -32,6 +32,21 @@ type event = {
   subsystems : string list;  (** surface class plus the flawed subsystem *)
 }
 
+val max_arrivals : int
+(** 100,000: the most arrivals a config may expect ([rate_per_year] x
+    [years]).  More would run out of memory or time, not finish. *)
+
+val validate : config -> unit
+(** Raises [Hypertp_error.Error] (site ["Stream.Gen"]) unless [years]
+    and [rate_per_year] are positive, the horizon fits {!Sim.Time},
+    the expected arrivals are at most {!max_arrivals}, both fractions
+    lie in \[0, 1\] and [class_mix] has a positive total weight.
+    Arithmetic only; NaN fails every check. *)
+
+val check_volume : site:string -> years:float -> rate_per_year:float -> unit
+(** The horizon and arrival bounds of {!validate}, raised under [site];
+    {!Service.validate} shares them. *)
+
 val generate : ?fault:Fault.t -> config -> event list
 (** The full stream, chronological.  [fault] is consulted once per
     merged arrival at {!Fault.Cve_burst}: a firing compresses the next

@@ -94,6 +94,8 @@ type run_result = Finished of report * journal | Crashed of journal
 
 let site = "Stream.Service"
 
+let max_ticks = 10_000_000
+
 let validate cfg =
   (* Written so that NaN fails every float check. *)
   let bad fmt = Hypertp_error.raise_errorf ~site fmt in
@@ -101,9 +103,17 @@ let validate cfg =
   if not (0.0 < cfg.years) then bad "years must be positive";
   if cfg.vms_per_host < 1 then bad "vms_per_host must be at least 1";
   if not (0.0 < cfg.rate_per_year) then bad "rate_per_year must be positive";
+  Gen.check_volume ~site ~years:cfg.years ~rate_per_year:cfg.rate_per_year;
   if not (0.0 < cfg.tempo) then bad "tempo must be positive";
   if cfg.concurrency < 1 then bad "concurrency must be at least 1";
-  if not (0.0 < cfg.batch_days) then bad "batch_days must be positive";
+  (* The admission tick is a Sim.Time period: it must convert, not round
+     down to 0 ns, and not tick more than [max_ticks] times. *)
+  let tick = cfg.batch_days *. 86400.0 in
+  if not (Sim.Time.fits_sec_f tick && Sim.Time.(compare (of_sec_f tick) zero) > 0)
+  then bad "batch_days must convert to a positive virtual-time period";
+  if not (cfg.years *. 365.0 /. cfg.batch_days <= float_of_int max_ticks) then
+    bad "batch_days: %g admission ticks over the horizon, more than %d"
+      (cfg.years *. 365.0 /. cfg.batch_days) max_ticks;
   if not (within 0.0 1.0 cfg.inplace_fraction) then
     bad "inplace_fraction outside [0, 1]";
   if not (within 0.0 1.0 cfg.critical_fraction) then

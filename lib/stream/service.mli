@@ -59,6 +59,19 @@ val default_config : config
 (** 36 hosts (20 Xen + 16 KVM) x 4 VMs, 5 years at 14 CVEs/year,
     cost-aware, tempo 40, concurrency 4, 6-hour admission tick. *)
 
+val max_ticks : int
+(** 10,000,000: the most admission ticks ([years] x 365 / [batch_days])
+    a config may ask for. *)
+
+val validate : config -> unit
+(** Raises [Hypertp_error.Error] (site ["Stream.Service"]) on a config
+    {!run} would refuse: non-positive or NaN rates and counts,
+    fractions outside \[0, 1\], a population of 1 or past the fleet
+    bound, the horizon and arrival bounds of {!Gen.check_volume}, a
+    [batch_days] that does not convert to a positive {!Sim.Time}
+    period, or more than {!max_ticks} admission ticks.  Arithmetic
+    only. *)
+
 type booking = { b_episode : int; mutable b_start : float; mutable b_end : float }
 
 type report = {

@@ -454,6 +454,41 @@ let test_service_validation () =
       { small_config with Stream.Service.critical_fraction = nan };
       { small_config with Stream.Service.coordinated_fraction = nan } ]
 
+(* Inputs that are valid numbers but imply unbounded work: the
+   validators alone must refuse them (nothing here runs such a
+   config). *)
+let test_work_bounds () =
+  let reason validate cfg =
+    match validate cfg with
+    | exception Hypertp_error.Error e -> e.Hypertp_error.reason
+    | () -> "accepted"
+  in
+  let rejects what validate cfg =
+    checkb what true (reason validate cfg <> "accepted")
+  in
+  let g = Stream.Gen.default and s = small_config in
+  let gen = Stream.Gen.validate and svc = Stream.Service.validate in
+  rejects "gen: rate 1e300" gen { g with Stream.Gen.rate_per_year = 1e300 };
+  rejects "gen: years 1e300" gen { g with Stream.Gen.years = 1e300 };
+  rejects "gen: years inf" gen { g with Stream.Gen.years = Float.infinity };
+  rejects "service: rate 1e300" svc { s with Stream.Service.rate_per_year = 1e300 };
+  rejects "service: years 1e300" svc { s with Stream.Service.years = 1e300 };
+  rejects "service: batch 1e-300" svc { s with Stream.Service.batch_days = 1e-300 };
+  rejects "service: batch 1e-14 (1 ns ticks)" svc
+    { s with Stream.Service.batch_days = 1e-14 };
+  (* The bounds are tight: the expected arrivals may reach the cap. *)
+  let at_cap = float_of_int Stream.Gen.max_arrivals /. g.Stream.Gen.years in
+  checks "gen: at the arrival cap" "accepted"
+    (reason gen { g with Stream.Gen.rate_per_year = at_cap });
+  rejects "gen: past the arrival cap" gen
+    { g with Stream.Gen.rate_per_year = at_cap *. 1.001 };
+  checks "service: defaults" "accepted" (reason svc Stream.Service.default_config);
+  checks "service: at the tick cap" "accepted"
+    (reason svc
+       { s with
+         Stream.Service.batch_days =
+           s.Stream.Service.years *. 365.0 /. float_of_int Stream.Service.max_ticks })
+
 (* A population past the fleet bound fails on the bound, not on the
    sign check an overflowed count would trip. *)
 let test_service_population_bound () =
@@ -524,6 +559,7 @@ let suites =
           test_text_resume_non_round_config;
         Alcotest.test_case "config validation" `Quick test_service_validation;
         Alcotest.test_case "population bound" `Quick test_service_population_bound;
+        Alcotest.test_case "work bounds" `Quick test_work_bounds;
         Alcotest.test_case "metrics dashboard" `Quick test_metrics_dashboard;
         qtest prop_service_deterministic;
         qtest prop_policy_dominance;
