@@ -15,9 +15,12 @@
     - staged UISR blobs retained after commit (worse when still stamped
       with the source hypervisor's name),
     - management state copied verbatim instead of regenerated,
-    - guest-visible fingerprints: clock state diverging from the
-      pre-transplant capture beyond the modeled downtime, and device
-      re-enumeration mismatches.
+    - guest-visible fingerprints: the PIT and device differences
+      {!Uisr.Guest_view.diff} finds between each VM and its
+      pre-transplant capture (a [Clock_skew] finding per disallowed PIT
+      change, a [Device_mismatch] per device difference, worded by
+      {!Uisr.Guest_view.pp_difference}).  The same diff decides the
+      engines' [platform_preserved] and [devices_preserved] checks.
 
     Findings are severity-classified; {!scrub} remediates what can be
     remediated (its time is charged to the downtime model by the
@@ -129,7 +132,8 @@ type world = {
       findings *)
   w_salvaged : string list;
       (** VMs restored with substituted power-on defaults — their
-          default PIT is regenerated state, not residue *)
+          default PIT is regenerated state, not residue (the
+          [Pit_reset] allowance of {!Uisr.Guest_view}) *)
 }
 
 val world :
