@@ -9,14 +9,11 @@ val hypervisor_of : Hv.Kind.t -> (module Hv.Intf.S)
 (** The HyperTP-compliant hypervisor repertoire (Xen, KVM and bhyve). *)
 
 val guest_capacity : machine:Hw.Machine.t -> hv:Hv.Kind.t -> Hw.Units.bytes_
-(** Host memory left for guests once [hv] has booted on [machine]: its
-    RAM less the hypervisor's own reservation
-    ({!Hv.Intf.S.hv_state_bytes}). *)
+(** [machine]'s RAM less [hv]'s own reservation. *)
 
 val footprint : Vmstate.Vm.config -> Hw.Units.bytes_
-(** Host memory one VM takes: its RAM, its nested page tables and a
-    shared page, each rounded up to the allocator's 2 MiB chunks.
-    Arithmetic only. *)
+(** One VM's RAM, nested page tables and shared page, each in 2 MiB
+    allocator chunks. *)
 
 val provision :
   ?seed:int64 -> name:string -> machine:Hw.Machine.t -> hv:Hv.Kind.t ->

@@ -236,6 +236,15 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
   let checksums_before =
     List.map (fun (n, vm) -> (n, Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem)) vms
   in
+  let memory_intact =
+    List.for_all (fun (n, vm0) ->
+        let vm = Option.get (Hv.Host.find_vm host n) in
+        Vmstate.Guest_mem.verify_backing vm.Vmstate.Vm.mem = []
+        && Int64.equal
+             (Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem)
+             (List.assoc n checksums_before)
+        && vm.Vmstate.Vm.mem == vm0.Vmstate.Vm.mem (* literally in place *))
+  in
 
   (* Staging state, unwound transactionally if a pre-PNR fault fires. *)
   let staged_image = ref None in
@@ -353,6 +362,9 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
       if not (List.mem site !recovery_faults) then
         recovery_faults := site :: !recovery_faults
     in
+    (* After the point of no return every fired site is one to recover
+       from. *)
+    let fire_noted ?vm site = fire ?vm site && (note site; true) in
     let recovery_seconds = ref 0.0 in
     let full_reboot = ref false in
     (* Recovery-ladder rungs in firing order, each a (name, span attrs,
@@ -384,11 +396,10 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
       rung "full_reboot" [ ("cause", "kexec_clobber") ] full_reboot_seconds;
       Log.warn (fun m -> m "kexec image clobbered: full-reboot fallback")
     end;
-    if fire Fault.Host_crash then begin
+    if fire_noted Fault.Host_crash then begin
       (* The host crashes during the vulnerable window between jump and
          restoration: account a full reboot, then proceed to restore
          from the preserved PRAM + UISR staging. *)
-      note Fault.Host_crash;
       full_reboot := true;
       rung "full_reboot" [ ("cause", "host_crash") ] full_reboot_seconds
     end;
@@ -402,8 +413,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
        the per-page CRC added at build time can catch it. *)
     List.iteri
       (fun i (n, _) ->
-        if fire ~vm:n Fault.Pram_corrupt then begin
-          note Fault.Pram_corrupt;
+        if fire_noted ~vm:n Fault.Pram_corrupt then begin
           ignore (Pram.Build.corrupt_file pram_image ~index:i)
         end)
       vms;
@@ -462,8 +472,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
       List.filter_map
         (fun (n, u, blob) ->
           let blob =
-            if fire ~vm:n Fault.Uisr_decode then begin
-              note Fault.Uisr_decode;
+            if fire_noted ~vm:n Fault.Uisr_decode then begin
               (* Damage a mandatory section: the per-section CRC catches
                  it, but there is no salvaging a vCPU table. *)
               Uisr.Codec.corrupt_section ~tag:Uisr.Codec.tag_vcpu blob
@@ -471,8 +480,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
             else blob
           in
           let blob =
-            if fire ~vm:n Fault.Uisr_corrupt then begin
-              note Fault.Uisr_corrupt;
+            if fire_noted ~vm:n Fault.Uisr_corrupt then begin
               (* Damage a salvageable section: the decoder discards the
                  PIT and substitutes architectural reset defaults. *)
               Uisr.Codec.corrupt_section ~tag:Uisr.Codec.tag_pit blob
@@ -490,8 +498,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
             let roundtrip = Uisr.Vm_state.equal before u in
             let mem = (List.assoc n detached).Vmstate.Vm.mem in
             let rec attempt k =
-              if fire ~vm:n Fault.Vm_restore then begin
-                note Fault.Vm_restore;
+              if fire_noted ~vm:n Fault.Vm_restore then begin
                 rung "restore_retry" [ ("vm", n) ] restore_retry_seconds;
                 if k > options.Options.restore_retry_limit then None
                 else begin
@@ -548,8 +555,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
     let rebuild_cost = Sim.Time.to_sec_f (Hv.Host.rebuild_management_state host) in
     let mgmt_rebuilds = ref 0 in
     let rec mgmt_attempt k =
-      if fire Fault.Mgmt_rebuild then begin
-        note Fault.Mgmt_rebuild;
+      if fire_noted Fault.Mgmt_rebuild then begin
         if k >= 3 then begin
           full_reboot := true;
           rung "full_reboot" [ ("cause", "mgmt_rebuild") ] full_reboot_seconds
@@ -601,7 +607,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
               +. !recovery_seconds)
           in
           audit_rung ~mode ~what:"post-commit"
-            ~fire:(fun site -> fire site && (note site; true))
+            ~fire:fire_noted
             ~charge:rung ~source:(module S : Hv.Intf.S)
             ~target:(module T : Hv.Intf.S) ~victim:(fst (List.hd vms))
             (Audit.world
@@ -635,26 +641,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
     let surviving_vms =
       List.filter (fun (n, _) -> not (List.mem n !quarantined)) vms
     in
-    let after_uisrs =
-      List.map
-        (fun n ->
-          Hv.Host.pause_vm host n;
-          let u = Hv.Host.to_uisr host n in
-          Hv.Host.resume_vm host n;
-          (n, u))
-        (Hv.Host.vm_names host)
-    in
-    let guest_memory_intact =
-      List.for_all
-        (fun (n, vm0) ->
-          let vm = Option.get (Hv.Host.find_vm host n) in
-          Vmstate.Guest_mem.verify_backing vm.Vmstate.Vm.mem = []
-          && Int64.equal
-               (Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem)
-               (List.assoc n checksums_before)
-          && vm.Vmstate.Vm.mem == vm0.Vmstate.Vm.mem (* literally in place *))
-        surviving_vms
-    in
+    let guest_memory_intact = memory_intact surviving_vms in
     (* Every restored VM must land with the platform it was captured
        with; a salvaged one may have its PIT at reset defaults. *)
     let diffs =
@@ -662,7 +649,7 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
         (fun (n, u, fixups, _, salvage) ->
           Uisr.Guest_view.diff ~fixups ~salvaged:(salvage <> None)
             (Uisr.Guest_view.of_state u)
-            (Uisr.Guest_view.of_state (List.assoc n after_uisrs)))
+            (Uisr.Guest_view.of_vm (Option.get (Hv.Host.find_vm host n))))
         restore_results
     in
     let checks =
@@ -758,20 +745,9 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
     Log.warn (fun m ->
         m "transplant rolled back at %a: VMs resumed on %s" Fault.pp_site site
           S.name);
-    let guest_memory_intact =
-      List.for_all
-        (fun (n, vm0) ->
-          let vm = Option.get (Hv.Host.find_vm host n) in
-          Vmstate.Guest_mem.verify_backing vm.Vmstate.Vm.mem = []
-          && Int64.equal
-               (Vmstate.Guest_mem.checksum vm.Vmstate.Vm.mem)
-               (List.assoc n checksums_before)
-          && vm.Vmstate.Vm.mem == vm0.Vmstate.Vm.mem)
-        vms
-    in
     let checks =
       {
-        guest_memory_intact;
+        guest_memory_intact = memory_intact vms;
         (* The aborted steps never ran; their checks hold vacuously. *)
         pram_parse_ok = true;
         kexec_image_intact = true;

@@ -133,21 +133,14 @@ val run :
     is charged as [rung:audit] / [rung:scrub] recovery rungs, visible
     in both the phase accounting and the obs trace. *)
 
-(** {1 The residual-audit rung}
-
-    One rung for both engines: {!run} and {!Migrate.run} call it after
-    the guests resume and map its outcome onto their own escalation. *)
-
 type audit_outcome =
-  | Audit_clean  (** the first sweep found nothing *)
-  | Audit_reported  (** [Report_only]: the findings stay in place *)
-  | Audit_scrub_failed  (** the [scrub_fail] site fired; nothing scrubbed *)
-  | Audit_scrubbed of int
-      (** the scrub ran; this many findings survived the recheck *)
+  | Audit_clean
+  | Audit_reported  (** [Report_only] left the findings in place *)
+  | Audit_scrub_failed  (** the [scrub_fail] site fired *)
+  | Audit_scrubbed of int  (** findings left after the scrub's recheck *)
 
 type audit_result = {
-  audit_report : Audit.report;
-      (** the recheck when a scrub ran, the first sweep otherwise *)
+  audit_report : Audit.report;  (** the recheck if a scrub ran *)
   audit_found : int;  (** findings of the first sweep *)
   audit_outcome : audit_outcome;
 }
@@ -157,12 +150,13 @@ val audit_rung :
   charge:(string -> (string * string) list -> float -> unit) ->
   source:(module Hv.Intf.S) -> target:(module Hv.Intf.S) -> ?victim:string ->
   Audit.world -> audit_result
-(** Sweep [world] against fresh-boot references of [target] and
-    [source]; on findings, log ["<what> audit: N residual finding(s)"]
-    and scrub-and-recheck under [Scrub].  [fire] consults the fault
-    plan: [residual_leak] plants residue before the sweep (a stale
-    blob of [victim] among it), [scrub_fail] stops the scrub.  Each
-    sweep and scrub is [charge]d as [(name, attrs, seconds)]. *)
+(** The residual-audit rung {!run} and {!Migrate.run} share; each maps
+    the outcome onto its own escalation.  Sweeps [world] against
+    fresh-boot references of [target] and [source], logs ["<what>
+    audit: N residual finding(s)"], then scrubs and rechecks under
+    [Scrub].  [fire] gates the [residual_leak] plant (a stale blob of
+    [victim] among it) and [scrub_fail]; each sweep and scrub is
+    [charge]d as [(name, attrs, seconds)]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -79,8 +79,8 @@ type attempt_result =
   | Link_dropped of int * Sim.Time.t * Hw.Units.bytes_
       (* round index, time on the wire, bytes on the wire *)
 
-let attempt_precopy ~fire ~vm:n ~page_wire_bytes
-    (plan : Migration.Precopy.plan) =
+let attempt_precopy ~(fire : ?vm:string -> Fault.site -> bool) ~vm:n
+    ~page_wire_bytes (plan : Migration.Precopy.plan) =
   let rec walk i degrade_extra spent bytes = function
     | [] -> Link_ok degrade_extra
     | (r : Migration.Precopy.round) :: rest ->
@@ -218,6 +218,10 @@ let emit_vm_obs obs metrics ~(plan : Migration.Precopy.plan) ~dropped
    [dst], the VM resumes there, and [checks] loses every field the
    landing fails: memory, connections, and what the guest sees
    ({!Uisr.Guest_view}) against the capture. *)
+let dirty_rate (cfg : Vmstate.Vm.config) =
+  Workload.Profile.dirty_pages_per_sec cfg.workload ~ram:cfg.ram
+    ~page_kind:cfg.page_kind
+
 let land_vm ~precopy ~rng ~src ~dst ~admit ~checks (vm : Vmstate.Vm.t) =
   let n = vm.config.name and cfg = vm.config in
   let dst_mem =
@@ -226,10 +230,7 @@ let land_vm ~precopy ~rng ~src ~dst ~admit ~checks (vm : Vmstate.Vm.t) =
   in
   let live =
     Migration.Precopy.run_live precopy ~src:vm.mem ~dst:dst_mem
-      ~dirty_pages_per_sec:
-        (Workload.Profile.dirty_pages_per_sec cfg.workload ~ram:cfg.ram
-           ~page_kind:cfg.page_kind)
-      ~rng
+      ~dirty_pages_per_sec:(dirty_rate cfg) ~rng
   in
   assert live.Migration.Precopy.memory_equal;
   Hv.Host.pause_vm src n;
@@ -264,6 +265,16 @@ let land_vm ~precopy ~rng ~src ~dst ~admit ~checks (vm : Vmstate.Vm.t) =
           c.devices_preserved && Uisr.Guest_view.devices_preserved diffs };
     Ok (admitted, uisr, fixups)
 
+(* The VMs to move: the named ones (all by default), each on [src]. *)
+let vms_to_move ~fn src vm_names =
+  let vm_names = Option.value vm_names ~default:(Hv.Host.vm_names src) in
+  if vm_names = [] then invalid_arg (fn ^ ": no VMs");
+  List.iter
+    (fun n ->
+      if Hv.Host.find_vm src n = None then invalid_arg (fn ^ ": unknown VM " ^ n))
+    vm_names;
+  vm_names
+
 let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
     ~(src : Hv.Host.t) ~(dst : Hv.Host.t) ?vm_names () =
   let rng = match rng with Some r -> r | None -> Sim.Rng.create 0x3C4DL in
@@ -274,21 +285,13 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
   let kind =
     if Hv.Kind.equal S.kind D.kind then `Homogeneous else `Migration_tp
   in
-  let vm_names =
-    match vm_names with Some l -> l | None -> Hv.Host.vm_names src
-  in
-  if vm_names = [] then invalid_arg "Migrate.run: no VMs";
+  let vm_names = vms_to_move ~fn:"Migrate.run" src vm_names in
   Log.info (fun m ->
       m "%s %s -> %s: %d VMs"
         (match kind with
         | `Migration_tp -> "MigrationTP"
         | `Homogeneous -> "homogeneous migration")
         S.name D.name (List.length vm_names));
-  List.iter
-    (fun n ->
-      if Hv.Host.find_vm src n = None then
-        invalid_arg ("Migrate.run: unknown VM " ^ n))
-    vm_names;
   let streams = List.length vm_names in
   let nic = src.Hv.Host.machine.Hw.Machine.nic in
   let params = Migration.Precopy.default_params ~nic ~streams () in
@@ -307,12 +310,8 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
            guest's backing page size. *)
         let page_bytes = Hw.Units.page_size_4k in
         let total_pages = Hw.Units.frames_of_bytes cfg.ram in
-        let dirty =
-          Workload.Profile.dirty_pages_per_sec cfg.workload ~ram:cfg.ram
-            ~page_kind:cfg.page_kind
-        in
         (n, vm, Migration.Precopy.plan params ~page_bytes ~total_pages
-                  ~dirty_pages_per_sec:dirty))
+                  ~dirty_pages_per_sec:(dirty_rate cfg)))
       vm_names
   in
 
@@ -332,10 +331,7 @@ let run ?rng ?fault ?(retry = default_retry) ?obs ?metrics ?audit
            the attempt budget runs out. *)
         let dropped = ref [] in
         let rec go attempt ~retry_wait ~wasted_time ~wasted_bytes =
-          match
-            attempt_precopy ~fire:(fun ~vm -> fire ~vm) ~vm:n ~page_wire_bytes
-              plan
-          with
+          match attempt_precopy ~fire ~vm:n ~page_wire_bytes plan with
           | Link_dropped (round, w_time, w_bytes) ->
             let wasted_time = Sim.Time.add wasted_time w_time in
             let wasted_bytes = wasted_bytes + w_bytes in
@@ -667,15 +663,7 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
   let rng = match rng with Some r -> r | None -> Sim.Rng.create 0x5AD0L in
   let obs = Option.map Otrace.attach obs_arg in
   let (Hv.Host.Packed ((module S), _, _)) = Hv.Host.running_exn src in
-  let vm_names =
-    match vm_names with Some l -> l | None -> Hv.Host.vm_names src
-  in
-  if vm_names = [] then invalid_arg "Migrate.run_shadow: no VMs";
-  List.iter
-    (fun n ->
-      if Hv.Host.find_vm src n = None then
-        invalid_arg ("Migrate.run_shadow: unknown VM " ^ n))
-    vm_names;
+  let vm_names = vms_to_move ~fn:"Migrate.run_shadow" src vm_names in
   (match Hv.Host.hypervisor_kind spare with
   | Some k when not (Hv.Kind.equal k T.kind) ->
     invalid_arg "Migrate.run_shadow: spare runs a different hypervisor"
@@ -696,24 +684,8 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
   let per_page =
     Migration.Precopy.page_time sparams.Migration.Shadow.precopy ~page_bytes
   in
-  let note_fault ?vm site =
-    Log.warn (fun m ->
-        m "fault injected at %a%s" Fault.pp_site site
-          (match vm with Some n -> " (" ^ n ^ ")" | None -> ""));
-    Otrace.count metrics
-      ~labels:
-        [ ("engine", "shadow");
-          ("site", Format.asprintf "%a" Fault.pp_site site) ]
-      "hypertp_faults_total"
-  in
-  let fire ?vm site =
-    match fault with
-    | Some f ->
-      let fired = Fault.fire f ?vm site in
-      if fired then note_fault ?vm site;
-      fired
-    | None -> false
-  in
+  let note_fault ?vm site = Otrace.fault_noted metrics ~engine:"shadow" ?vm site in
+  let fire ?vm site = Otrace.fire fault metrics ~engine:"shadow" ?vm site in
   (* The watchdog engine: one private discrete-event engine for the
      whole run; the timer hook keeps the fire/cancel ledger the report
      exposes. *)
@@ -893,10 +865,7 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
           let vm = Option.get (Hv.Host.find_vm src n) in
           let cfg = vm.Vmstate.Vm.config in
           let total_pages = Hw.Units.frames_of_bytes cfg.Vmstate.Vm.ram in
-          let dirty =
-            Workload.Profile.dirty_pages_per_sec cfg.Vmstate.Vm.workload
-              ~ram:cfg.Vmstate.Vm.ram ~page_kind:cfg.Vmstate.Vm.page_kind
-          in
+          let dirty = dirty_rate cfg in
           let outcome =
             Migration.Shadow.attempt_stream sparams ?fault ~vm:n ~page_bytes
               ~total_pages ~dirty_pages_per_sec:dirty ()
@@ -941,24 +910,24 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
             | None -> []
           in
           let w = Migration.Shadow.run_watchdog sparams ~engine ~rounds in
-          (match (w, p.Migration.Shadow.verdict) with
-          | Migration.Shadow.Watchdog_passed wall, _ ->
-            (* Converging, or the replay budget ran dry with every
-               round still shrinking (no violator to trip on). *)
-            stream_t := Sim.Time.max !stream_t p.Migration.Shadow.stream_time;
-            converge_t :=
-              Sim.Time.max !converge_t (Sim.Time.sub wall stream_dur)
-          | ( Migration.Shadow.Watchdog_tripped { trip_round; wall },
-              Migration.Shadow.Diverging i ) ->
-            (* The engine watchdog and the analytic verdict agree on
-               the violating round. *)
-            assert (trip_round = i);
-            stream_t := Sim.Time.max !stream_t p.Migration.Shadow.stream_time;
-            converge_t :=
-              Sim.Time.max !converge_t (Sim.Time.sub wall stream_dur)
-          | Migration.Shadow.Watchdog_tripped _, Migration.Shadow.Converging
-            ->
-            assert false);
+          let wall =
+            match (w, p.Migration.Shadow.verdict) with
+            | Migration.Shadow.Watchdog_passed wall, _ ->
+              (* Converging, or the replay budget ran dry with every
+                 round still shrinking (no violator to trip on). *)
+              wall
+            | ( Migration.Shadow.Watchdog_tripped { trip_round; wall },
+                Migration.Shadow.Diverging i ) ->
+              (* The engine watchdog and the analytic verdict agree on
+                 the violating round. *)
+              assert (trip_round = i);
+              wall
+            | Migration.Shadow.Watchdog_tripped _, Migration.Shadow.Converging
+              ->
+              assert false
+          in
+          stream_t := Sim.Time.max !stream_t p.Migration.Shadow.stream_time;
+          converge_t := Sim.Time.max !converge_t (Sim.Time.sub wall stream_dur);
           wire := !wire + p.Migration.Shadow.wire_bytes;
           per_vm :=
             !per_vm
@@ -1052,6 +1021,13 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
       finish (Classic_fallback site) ~intact
     end
 
+(* The checks line; [residual=] only when an audit ran. *)
+let pp_checks ~residual fmt c =
+  Format.fprintf fmt "checks: memory=%b conns=%b mgmt=%b platform=%b devices=%b"
+    c.memory_equal c.connections_preserved c.management_consistent
+    c.platform_preserved c.devices_preserved;
+  if residual then Format.fprintf fmt " residual=%b" c.residual_clean
+
 let pp_shadow_report fmt r =
   Format.fprintf fmt "@[<v>shadow MigrationTP %s -> %s (spare %s): %a@,"
     r.sh_src_hv r.sh_target_hv r.sh_spare pp_shadow_strategy r.sh_strategy;
@@ -1085,13 +1061,7 @@ let pp_shadow_report fmt r =
     Sim.Time.pp r.sh_downtime Hw.Units.pp_bytes r.sh_wire_bytes Sim.Time.pp
     r.sh_total_time r.sh_source_intact r.sh_watchdog_trips
     r.sh_watchdog_cancels;
-  (match r.sh_checks with
-  | Some ck ->
-    Format.fprintf fmt
-      "@,  checks: memory=%b conns=%b mgmt=%b platform=%b devices=%b"
-      ck.memory_equal ck.connections_preserved ck.management_consistent
-      ck.platform_preserved ck.devices_preserved
-  | None -> ());
+  Option.iter (Format.fprintf fmt "@,  %a" (pp_checks ~residual:false)) r.sh_checks;
   Format.fprintf fmt "@]"
 
 let pp_report fmt r =
@@ -1122,11 +1092,4 @@ let pp_report fmt r =
       (List.length a.Audit.r_findings)
       Sim.Time.pp r.audit_time
       (if r.checks.residual_clean then "" else " (RESIDUE LEFT)"));
-  Format.fprintf fmt
-    "  checks: memory=%b conns=%b mgmt=%b platform=%b devices=%b%s@]"
-    r.checks.memory_equal r.checks.connections_preserved
-    r.checks.management_consistent r.checks.platform_preserved
-    r.checks.devices_preserved
-    (match r.audit with
-    | None -> ""
-    | Some _ -> Printf.sprintf " residual=%b" r.checks.residual_clean)
+  Format.fprintf fmt "  %a@]" (pp_checks ~residual:(r.audit <> None)) r.checks

@@ -77,14 +77,10 @@ type checks = {
       (** every landed VM's devices match the capture by id, kind and
           TCP connections *)
 }
-(** What [run] and [run_shadow] verify about each VM they land: one
-    landing path fills every field but the audit's for both engines.
-    VMs that stay on the source (an aborted migration) are not
-    checked. *)
+(** Filled for every VM [run] or [run_shadow] lands, by one landing
+    path; a VM left on the source is not checked. *)
 
 val all_ok : checks -> bool
-(** Every field holds; the CLI's [migrate] and [shadow] exit 2
-    otherwise. *)
 
 type report = {
   kind : [ `Migration_tp | `Homogeneous ];

@@ -50,19 +50,13 @@ val observe :
 val seconds_buckets : float list
 (** Shared histogram bounds (seconds) for phase/downtime durations. *)
 
-(** {1 Fault injection}
-
-    The engines' one way to consult an optional {!Fault} plan. *)
-
 val fire :
   Fault.t option -> Obs.Metrics.t option -> engine:string -> ?vm:string ->
   Fault.site -> bool
-(** [fire fault metrics ~engine ?vm site] records a hit of [site] and
-    returns whether it fires; [false] without a plan.  A fired site is
-    {!fault_noted}. *)
+(** The engines' one way to consult an optional fault plan: whether
+    [site] fires ([false] without a plan), {!fault_noted} if it does. *)
 
 val fault_noted :
   Obs.Metrics.t option -> engine:string -> ?vm:string -> Fault.site -> unit
 (** Log ["fault injected at SITE (VM)"] and count
-    [hypertp_faults_total{engine,site}]; for a site that fired inside a
-    callee that consults the plan itself. *)
+    [hypertp_faults_total{engine,site}]. *)

@@ -33,19 +33,16 @@ type event = {
 }
 
 val max_arrivals : int
-(** 100,000: the most arrivals a config may expect ([rate_per_year] x
-    [years]).  More would run out of memory or time, not finish. *)
-
-val validate : config -> unit
-(** Raises [Hypertp_error.Error] (site ["Stream.Gen"]) unless [years]
-    and [rate_per_year] are positive, the horizon fits {!Sim.Time},
-    the expected arrivals are at most {!max_arrivals}, both fractions
-    lie in \[0, 1\] and [class_mix] has a positive total weight.
-    Arithmetic only; NaN fails every check. *)
+(** 100,000: the most arrivals ([rate_per_year] x [years]) a config may
+    expect. *)
 
 val check_volume : site:string -> years:float -> rate_per_year:float -> unit
-(** The horizon and arrival bounds of {!validate}, raised under [site];
-    {!Service.validate} shares them. *)
+(** Raises [Hypertp_error.Error] under [site] unless the horizon fits
+    {!Sim.Time} and at most {!max_arrivals} arrivals are expected. *)
+
+val validate : config -> unit
+(** The config checks {!generate} runs, {!check_volume} among them
+    (site ["Stream.Gen"]).  Arithmetic only; NaN fails every check. *)
 
 val generate : ?fault:Fault.t -> config -> event list
 (** The full stream, chronological.  [fault] is consulted once per

@@ -60,16 +60,12 @@ val default_config : config
     cost-aware, tempo 40, concurrency 4, 6-hour admission tick. *)
 
 val max_ticks : int
-(** 10,000,000: the most admission ticks ([years] x 365 / [batch_days])
-    a config may ask for. *)
+(** 10,000,000: the most admission ticks ([years] x 365 / [batch_days]). *)
 
 val validate : config -> unit
-(** Raises [Hypertp_error.Error] (site ["Stream.Service"]) on a config
-    {!run} would refuse: non-positive or NaN rates and counts,
-    fractions outside \[0, 1\], a population of 1 or past the fleet
-    bound, the horizon and arrival bounds of {!Gen.check_volume}, a
-    [batch_days] that does not convert to a positive {!Sim.Time}
-    period, or more than {!max_ticks} admission ticks.  Arithmetic
+(** The config checks {!run} runs (site ["Stream.Service"]), with
+    {!Gen.check_volume}, a [batch_days] that converts to a positive
+    {!Sim.Time} period, and at most {!max_ticks} ticks.  Arithmetic
     only. *)
 
 type booking = { b_episode : int; mutable b_start : float; mutable b_end : float }

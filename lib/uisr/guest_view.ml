@@ -8,28 +8,18 @@ type t = {
 }
 
 let of_state (s : Vm_state.t) =
-  {
-    vcpus = s.vcpus;
-    ioapic = s.ioapic;
-    pit = s.pit;
-    devices =
-      List.map
-        (fun (d : Vm_state.device_snapshot) ->
-          { id = d.dev_id; kind = d.dev_kind; tcp_connections = d.dev_tcp_connections })
-        s.devices;
-  }
+  let device (d : Vm_state.device_snapshot) =
+    { id = d.dev_id; kind = d.dev_kind; tcp_connections = d.dev_tcp_connections }
+  in
+  { vcpus = s.vcpus; ioapic = s.ioapic; pit = s.pit;
+    devices = List.map device s.devices }
 
 let of_vm (vm : Vmstate.Vm.t) =
-  {
-    vcpus = Array.to_list vm.vcpus;
-    ioapic = vm.ioapic;
-    pit = vm.pit;
-    devices =
-      Array.fold_right
-        (fun (d : Vmstate.Device.t) acc ->
-          { id = d.id; kind = d.kind; tcp_connections = d.tcp_connections } :: acc)
-        vm.devices [];
-  }
+  let device (d : Vmstate.Device.t) =
+    { id = d.id; kind = d.kind; tcp_connections = d.tcp_connections }
+  in
+  { vcpus = Array.to_list vm.vcpus; ioapic = vm.ioapic; pit = vm.pit;
+    devices = List.map device (Array.to_list vm.devices) }
 
 type difference =
   | Msr_dropped of { vcpu : int; msr : int }
@@ -46,59 +36,54 @@ type difference =
 
 let allowed = function
   | Msr_dropped _ | Ioapic_pins_unshared _ | Pit_reset -> true
-  | Vcpu_count _ | Vcpu_changed _ | Ioapic_changed | Pit_changed
-  | Device_vanished _ | Device_kind_changed _ | Device_connections _
-  | Device_appeared _ ->
-    false
+  | _ -> false
 
 let is_device = function
   | Device_vanished _ | Device_kind_changed _ | Device_connections _
-  | Device_appeared _ ->
-    true
-  | Msr_dropped _ | Ioapic_pins_unshared _ | Pit_reset | Vcpu_count _
-  | Vcpu_changed _ | Ioapic_changed | Pit_changed ->
-    false
+  | Device_appeared _ -> true
+  | _ -> false
 
 let platform_preserved = List.for_all (fun d -> allowed d || is_device d)
 let devices_preserved = List.for_all (fun d -> not (is_device d))
 
-(* vCPUs pair up by position; each must be equal once the MSRs a fixup
-   dropped are taken out of the capture. *)
+(* Each difference is pushed onto [acc]; [diff] reverses the lot. *)
 let diff_vcpus ~dropped before after acc =
   let nb = List.length before and na = List.length after in
   if nb <> na then Vcpu_count { before = nb; after = na } :: acc
   else
     List.fold_left2
       (fun acc (b : Vmstate.Vcpu.t) a ->
-        let b, acc =
-          if dropped = [] then (b, acc)
+        (* Compare without the MSRs a fixup dropped. *)
+        let gone, kept =
+          if dropped = [] then ([], b.regs.msrs)
           else
-            let gone, kept =
-              List.partition
-                (fun (m : Vmstate.Regs.msr) -> List.mem m.index dropped)
-                b.regs.msrs
-            in
-            ( { b with regs = { b.regs with msrs = kept } },
-              List.fold_left
-                (fun acc (m : Vmstate.Regs.msr) ->
-                  Msr_dropped { vcpu = b.index; msr = m.index } :: acc)
-                acc gone )
+            List.partition
+              (fun (m : Vmstate.Regs.msr) -> List.mem m.index dropped)
+              b.regs.msrs
+        in
+        let acc =
+          List.fold_left
+            (fun acc (m : Vmstate.Regs.msr) ->
+              Msr_dropped { vcpu = b.index; msr = m.index } :: acc)
+            acc gone
+        in
+        let b =
+          if gone = [] then b else { b with regs = { b.regs with msrs = kept } }
         in
         if Vmstate.Vcpu.equal b a then acc else Vcpu_changed b.index :: acc)
       acc before after
 
-(* The IOAPIC must agree on the pins both sides have. *)
 let diff_ioapic before after acc =
-  let pb = Vmstate.Ioapic.pin_count before
-  and pa = Vmstate.Ioapic.pin_count after in
-  let same =
-    if pb = pa then Vmstate.Ioapic.equal before after
-    else
-      let shared = Stdlib.min pb pa in
-      let cut io = fst (Vmstate.Ioapic.truncate io ~pins:shared) in
-      Vmstate.Ioapic.equal (cut before) (cut after)
+  let pb = Vmstate.Ioapic.pin_count before in
+  let pa = Vmstate.Ioapic.pin_count after in
+  (* Only the pins both sides have are compared. *)
+  let cut io =
+    if pb = pa then io else fst (Vmstate.Ioapic.truncate io ~pins:(min pb pa))
   in
-  let acc = if same then acc else Ioapic_changed :: acc in
+  let acc =
+    if Vmstate.Ioapic.equal (cut before) (cut after) then acc
+    else Ioapic_changed :: acc
+  in
   if pb = pa then acc else Ioapic_pins_unshared { before = pb; after = pa } :: acc
 
 let diff_pit ~salvaged before after acc =
@@ -107,8 +92,6 @@ let diff_pit ~salvaged before after acc =
     Pit_reset :: acc
   else Pit_changed :: acc
 
-(* Devices pair up by id: each captured device is looked up on the
-   target, then any device the capture does not know is extra. *)
 let diff_devices before after acc =
   let acc =
     List.fold_left
@@ -140,24 +123,20 @@ let diff ?(fixups = []) ?(salvaged = false) before after =
   |> diff_devices before.devices after.devices
   |> List.rev
 
-let pp_difference fmt = function
+let pp_difference fmt d =
+  let p f = Format.fprintf fmt f in
+  match d with
   | Msr_dropped { vcpu; msr } ->
-    Format.fprintf fmt "MSR 0x%x dropped from vCPU %d by a fixup" msr vcpu
+    p "MSR 0x%x dropped from vCPU %d by a fixup" msr vcpu
   | Ioapic_pins_unshared { before; after } ->
-    Format.fprintf fmt "IOAPIC pins past the shared %d differ (%d -> %d)"
-      (Stdlib.min before after) before after
-  | Pit_reset -> Format.pp_print_string fmt "PIT at reset defaults after salvage"
-  | Vcpu_count { before; after } ->
-    Format.fprintf fmt "vCPU count changed (%d -> %d)" before after
-  | Vcpu_changed i -> Format.fprintf fmt "vCPU %d changed" i
-  | Ioapic_changed -> Format.pp_print_string fmt "IOAPIC changed on the shared pins"
-  | Pit_changed -> Format.pp_print_string fmt "PIT changed"
-  | Device_vanished id ->
-    Format.fprintf fmt "device %d vanished during re-enumeration" id
-  | Device_kind_changed id ->
-    Format.fprintf fmt "device %d changed kind on re-enumeration" id
+    p "IOAPIC pin count changed (%d -> %d)" before after
+  | Pit_reset -> p "PIT at reset defaults after salvage"
+  | Vcpu_count { before; after } -> p "vCPU count changed (%d -> %d)" before after
+  | Vcpu_changed i -> p "vCPU %d changed" i
+  | Ioapic_changed -> p "IOAPIC changed on the shared pins"
+  | Pit_changed -> p "PIT changed"
+  | Device_vanished id -> p "device %d vanished during re-enumeration" id
+  | Device_kind_changed id -> p "device %d changed kind on re-enumeration" id
   | Device_connections { id; before; after } ->
-    Format.fprintf fmt "device %d TCP connections changed (%d -> %d)" id before
-      after
-  | Device_appeared id ->
-    Format.fprintf fmt "device %d appeared out of nowhere on re-enumeration" id
+    p "device %d TCP connections changed (%d -> %d)" id before after
+  | Device_appeared id -> p "device %d appeared out of nowhere on re-enumeration" id

@@ -1,21 +1,13 @@
 (** What a guest can observe of its platform, and the differences a
-    transplant may make to it.
+    transplant may make to it: the one answer every engine and the
+    residual auditor give to "did the guest land intact?".
 
-    Every engine asks the same question after it lands a VM: does the
-    guest see the platform it was captured with?  A view keeps the
-    parts a guest reads back: vCPUs, the IOAPIC, the PIT, and each
-    device's id, kind and TCP connections.  {!diff} names each way two
-    views differ.  Exactly three differences are allowed, because the
-    transplant makes them on purpose and records them:
-
-    - an MSR the target cannot restore, dropped with a
-      {!Fixup.Msr_dropped} fixup;
-    - IOAPIC pins past the pin count both sides share (Xen's 48 pins
-      against KVM's 24, section 4.2.1);
-    - a salvaged VM's PIT at {!Integrity.default_pit}, substituted for
-      a damaged PIT section.
-
-    Everything else is a failed landing. *)
+    A view keeps vCPUs, the IOAPIC, the PIT and each device's id, kind
+    and TCP connections.  Exactly three differences are allowed, each
+    one the transplant makes on purpose and records: an MSR a
+    {!Fixup.Msr_dropped} fixup dropped, IOAPIC pins past the count
+    both sides share (Xen 48, bhyve 32, KVM 24), and a salvaged VM's
+    PIT at {!Integrity.default_pit}. *)
 
 type device = { id : int; kind : Vmstate.Device.kind; tcp_connections : int }
 
@@ -27,20 +19,15 @@ type t = {
 }
 
 val of_state : Vm_state.t -> t
-(** The view of a capture. *)
-
 val of_vm : Vmstate.Vm.t -> t
-(** The view of a live VM. *)
 
 type difference =
   | Msr_dropped of { vcpu : int; msr : int }  (** allowed *)
-  | Ioapic_pins_unshared of { before : int; after : int }
-      (** allowed: the pin counts differ; the shared pins are compared
-          on their own *)
-  | Pit_reset  (** allowed: a salvaged VM's PIT at reset defaults *)
+  | Ioapic_pins_unshared of { before : int; after : int }  (** allowed *)
+  | Pit_reset  (** allowed *)
   | Vcpu_count of { before : int; after : int }
-  | Vcpu_changed of int  (** the vCPU with this index, MSR drops aside *)
-  | Ioapic_changed  (** on the pins both sides share *)
+  | Vcpu_changed of int  (** by vCPU index, dropped MSRs aside *)
+  | Ioapic_changed  (** on the shared pins *)
   | Pit_changed
   | Device_vanished of int
   | Device_kind_changed of int
@@ -48,18 +35,14 @@ type difference =
   | Device_appeared of int
 
 val allowed : difference -> bool
-
 val is_device : difference -> bool
-(** The four [Device_*] differences. *)
 
-val diff :
-  ?fixups:Fixup.t list -> ?salvaged:bool -> t -> t -> difference list
-(** [diff ~fixups ~salvaged before after]: vCPUs pair up by position,
-    devices by id.  [fixups] (default none) are the ones the restore
-    recorded; only their [Msr_dropped] entries matter.  [salvaged]
-    (default [false]) allows [Pit_reset].  The list runs vCPUs, IOAPIC,
-    PIT, then devices: captured ones in capture order, then extra ones
-    in target order.  Builds no strings. *)
+val diff : ?fixups:Fixup.t list -> ?salvaged:bool -> t -> t -> difference list
+(** [diff ?fixups ?salvaged before after] pairs vCPUs by position and
+    devices by id.  Only [fixups]' MSR drops are allowed (default
+    none), and [Pit_reset] only when [salvaged] (default [false]).
+    Order: vCPUs, IOAPIC, PIT, captured devices, then extra ones.
+    Builds no strings. *)
 
 val platform_preserved : difference list -> bool
 (** No vCPU, IOAPIC or PIT difference outside the allowances. *)
@@ -68,4 +51,5 @@ val devices_preserved : difference list -> bool
 (** No device difference. *)
 
 val pp_difference : Format.formatter -> difference -> unit
-(** One line, e.g. ["device 2 vanished during re-enumeration"]. *)
+(** One line; device differences read as the auditor's findings, e.g.
+    ["device 2 vanished during re-enumeration"]. *)

@@ -86,9 +86,6 @@ let equal a b =
   && Array.for_all2 Virtqueue.equal a.queues b.queues
   && a.tcp_connections = b.tcp_connections
 
-let equal_guest_visible a b =
-  a.id = b.id && a.kind = b.kind && a.tcp_connections = b.tcp_connections
-
 let pp_kind fmt = function
   | Net_emulated -> Format.pp_print_string fmt "net(emulated)"
   | Net_passthrough -> Format.pp_print_string fmt "net(passthrough)"

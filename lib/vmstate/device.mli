@@ -65,8 +65,5 @@ val rescan : t -> Sim.Rng.t -> t
 
 val resume : t -> t
 val equal : t -> t -> bool
-val equal_guest_visible : t -> t -> bool
-(** Equality on what the guest can observe (kind, connections) —
-    the invariant across an unplug/rescan cycle. *)
 
 val pp : Format.formatter -> t -> unit

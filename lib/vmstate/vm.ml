@@ -91,12 +91,6 @@ let is_running t = t.run_state = Running
 let total_tcp_connections t =
   Array.fold_left (fun acc d -> acc + d.Device.tcp_connections) 0 t.devices
 
-let equal_platform a b =
-  Array.length a.vcpus = Array.length b.vcpus
-  && Array.for_all2 Vcpu.equal a.vcpus b.vcpus
-  && Ioapic.equal a.ioapic b.ioapic
-  && Pit.equal a.pit b.pit
-
 let pp_workload fmt = function
   | Wl_idle -> Format.pp_print_string fmt "idle"
   | Wl_redis -> Format.pp_print_string fmt "redis"

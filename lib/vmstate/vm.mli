@@ -65,8 +65,6 @@ val suspend : t -> unit
 val is_running : t -> bool
 
 val total_tcp_connections : t -> int
-val equal_platform : t -> t -> bool
-(** vCPUs + IOAPIC + PIT equality (used by round-trip tests). *)
 
 val pp : Format.formatter -> t -> unit
 val pp_workload : Format.formatter -> workload_kind -> unit
