@@ -193,7 +193,14 @@ let inplace_cmd =
     if not (Hypertp.Inplace.all_ok report.checks) then exit 2
   in
   Cmd.v
-    (Cmd.info "inplace" ~doc:"Run an InPlaceTP micro-reboot transplant")
+    (Cmd.info "inplace"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:"a check on the report's checks line failed (guest memory, \
+                  PRAM parse, kexec image, UISR round trip, management \
+                  state, platform or devices)."
+         :: Cmd.Exit.defaults)
+       ~doc:"Run an InPlaceTP micro-reboot transplant")
     Term.(const run $ verbose_arg $ Flags.host $ target_arg $ fault_arg
           $ audit_arg $ obs_arg)
 

@@ -606,9 +606,8 @@ let run ?(options = Options.default) ?rng ?fault ?obs ?metrics ?audit
               (translation_seconds +. reboot_seconds +. restoration_seconds
               +. !recovery_seconds)
           in
-          audit_rung ~mode ~what:"post-commit"
-            ~fire:fire_noted
-            ~charge:rung ~source:(module S : Hv.Intf.S)
+          audit_rung ~mode ~what:"post-commit" ~fire:fire_noted ~charge:rung
+            ~source:(module S : Hv.Intf.S)
             ~target:(module T : Hv.Intf.S) ~victim:(fst (List.hd vms))
             (Audit.world
                ~baseline:(List.map (fun (n, u, _) -> (n, u)) blobs)

@@ -211,6 +211,10 @@ let emit_vm_obs obs metrics ~(plan : Migration.Precopy.plan) ~dropped
     "hypertp_downtime_seconds"
     (Sim.Time.to_sec_f r.downtime)
 
+let dirty_rate (cfg : Vmstate.Vm.config) =
+  Workload.Profile.dirty_pages_per_sec cfg.workload ~ram:cfg.ram
+    ~page_kind:cfg.page_kind
+
 (* One VM's landing, shared by [run] and [run_shadow]: pre-copy its
    memory live into fresh memory on [dst], pause it, capture and encode
    its state, and let [admit] vet the blob.  A refusal discards the copy
@@ -218,10 +222,6 @@ let emit_vm_obs obs metrics ~(plan : Migration.Precopy.plan) ~dropped
    [dst], the VM resumes there, and [checks] loses every field the
    landing fails: memory, connections, and what the guest sees
    ({!Uisr.Guest_view}) against the capture. *)
-let dirty_rate (cfg : Vmstate.Vm.config) =
-  Workload.Profile.dirty_pages_per_sec cfg.workload ~ram:cfg.ram
-    ~page_kind:cfg.page_kind
-
 let land_vm ~precopy ~rng ~src ~dst ~admit ~checks (vm : Vmstate.Vm.t) =
   let n = vm.config.name and cfg = vm.config in
   let dst_mem =
