@@ -3,7 +3,8 @@
    million hosts / 8M VMs.  Each size runs through
    [Cluster.Campaign.run_fleet] over a uniform region topology; points
    report real wall-clock, minor-heap allocation (sampled inside the
-   shard tasks, so the per-point numbers survive any schedule),
+   shard tasks and around the shared plans, so the per-point numbers
+   survive any schedule),
    journaled events and exposure.
 
    Determinism is pinned the strong way: the self-check size is run
@@ -44,7 +45,7 @@ type point = {
   p_shards : int;
   p_domains : int;
   p_wall_s : float;  (* real time for one fleet run *)
-  p_minor_words : float;  (* minor words allocated inside the shard tasks *)
+  p_minor_words : float;  (* minor words of the shard tasks and shared plans *)
   p_events : int;  (* journal entries, summed over regions *)
   p_exposed_hh : float;
   p_sim_wall_s : float;  (* simulated fleet wall clock (slowest region) *)

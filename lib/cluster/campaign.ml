@@ -285,12 +285,23 @@ let build_setup cfg =
     su_max_drains = max_drains;
   }
 
+(* A config's shape: everything its set-up depends on, and more (seed
+   and concurrency masked).  Configs of one shape share a plan. *)
+let shape cfg = { cfg with seed = 0L; concurrency = 1 }
+
+type plan = { p_cfg : config; p_setup : setup }
+
+let plan cfg =
+  validate_config cfg;
+  { p_cfg = cfg; p_setup = build_setup cfg }
+
 (* The set-up is immutable and depends on neither seed nor concurrency,
-   so a controller shaped like [like] reuses its BtrPlace plan. *)
-let setup_like ?like cfg =
-  match like with
-  | Some (su, c) when cfg = { c with seed = cfg.seed; concurrency = cfg.concurrency }
-    -> { su with su_effective = effective cfg su.su_max_drains }
+   so a config shaped like [plan]'s reuses its BtrPlace plan; any other
+   config plans afresh. *)
+let setup_of ?plan cfg =
+  match plan with
+  | Some p when shape cfg = shape p.p_cfg ->
+    { p.p_setup with su_effective = effective cfg p.p_setup.su_max_drains }
   | _ -> build_setup cfg
 
 (* --- journal --- *)
@@ -1515,9 +1526,9 @@ let drive ctx =
   with Controller_died -> Crashed (make_journal ctx.st)
 
 (* Fresh controller, first settle scheduled, nothing driven yet. *)
-let start_st ?eng ?like ?fault ?probe ?obs ?metrics cfg =
+let start_st ?eng ?plan ?fault ?probe ?obs ?metrics cfg =
   validate_config cfg;
-  let setup = setup_like ?like cfg in
+  let setup = setup_of ?plan cfg in
   let ctx = make_ctx ?eng (make_st ?fault ?probe ?obs ?metrics cfg setup) in
   settle_at ctx (Sim.Engine.now ctx.eng);
   ctx
@@ -1527,11 +1538,11 @@ let run ?fault ?obs ?metrics cfg = drive (start_st ?fault ?obs ?metrics cfg)
 (* Replayed controller: journal re-applied and validated, in-flight
    attempts re-armed, nothing driven yet.  [fault] is the crashed run's
    plan, restarted here. *)
-let resume_st ?eng ?like ?fault ?probe ?obs ?metrics journal =
+let resume_st ?eng ?plan ?fault ?probe ?obs ?metrics journal =
   let cfg = journal.j_config in
   validate_config cfg;
   let fault = Option.map Fault.restart fault in
-  let setup = setup_like ?like cfg in
+  let setup = setup_of ?plan cfg in
   let st = make_st ?fault ?probe ?obs ?metrics cfg setup in
   (* Replay: every entry is re-applied and re-validated against the
      restarted fault plan — the same sites fire in the same order, so
@@ -1613,26 +1624,28 @@ let resume ?fault ?obs ?metrics journal =
   drive (resume_st ?fault ?obs ?metrics journal)
 
 (* Run to the end, resuming across controller crashes; returns the
-   finished controller and the number of resumes. *)
-let complete_st ?fault ?obs ?metrics cfg =
+   finished controller and the number of resumes.  Every incarnation
+   runs on the first one's plan. *)
+let complete_st ?plan ?fault ?obs ?metrics cfg =
   let rec go resumes ctx =
     match Sim.Engine.run ctx.eng with
     | () -> (ctx.st, resumes)
     | exception Controller_died ->
-      go (resumes + 1) (resume_st ?fault ?obs ?metrics (make_journal ctx.st))
+      let plan = { p_cfg = ctx.st.cfg; p_setup = ctx.st.setup } in
+      go (resumes + 1)
+        (resume_st ~plan ?fault ?obs ?metrics (make_journal ctx.st))
   in
-  go 0 (start_st ?fault ?obs ?metrics cfg)
+  go 0 (start_st ?plan ?fault ?obs ?metrics cfg)
 
-let run_to_completion ?fault ?obs ?metrics cfg =
-  make_report (fst (complete_st ?fault ?obs ?metrics cfg))
+let run_to_completion ?plan ?fault ?obs ?metrics cfg =
+  make_report (fst (complete_st ?plan ?fault ?obs ?metrics cfg))
 
 (* --- region controllers on a caller's engine --- *)
 
 type controller = ctx
 
-let shape ctx = (ctx.st.setup, ctx.st.cfg)
-let start_controller ~eng ?like = start_st ~eng ?like:(Option.map shape like)
-let resume_controller ~eng ?like = resume_st ~eng ?like:(Option.map shape like)
+let start_controller ~eng = start_st ~eng
+let resume_controller ~eng = resume_st ~eng
 
 let stop_controller ctx =
   ctx.stopped <- true;
@@ -1810,6 +1823,22 @@ let run_fleet ?fault ?sharding:(mode = Sim.Shard.Sequential) ~topology cfg =
   | Error msg -> Hypertp_error.raise_error ~site:"Campaign.run_fleet" msg);
   let regions = Topology.regions topology in
   let n = Array.length regions in
+  let cfgs = Array.map (region_config cfg) regions in
+  (* A shape that several regions share is planned once, here on the
+     calling domain and before any worker starts, so workers only ever
+     read a plan.  A shape no other region shares is planned inside
+     its own task: building it here would only serialise the work and
+     hold it for the whole run. *)
+  let w0 = Gc.minor_words () in
+  let seen = Hashtbl.create 16 and shared = Hashtbl.create 16 in
+  Array.iter
+    (fun c ->
+      let k = shape c in
+      if not (Hashtbl.mem seen k) then Hashtbl.add seen k ()
+      else if not (Hashtbl.mem shared k) then Hashtbl.add shared k (plan c))
+    cfgs;
+  let plans = Array.map (fun c -> Hashtbl.find_opt shared (shape c)) cfgs in
+  let plan_words = Gc.minor_words () -. w0 in
   (* obs/metrics are deliberately not threaded into the shards: a
      shared tracer is not domain-safe, and attaching one would make the
      emitted trace depend on the schedule.  The fleet-level knobs that
@@ -1817,13 +1846,12 @@ let run_fleet ?fault ?sharding:(mode = Sim.Shard.Sequential) ~topology cfg =
   let outcomes =
     Sim.Shard.map mode n (fun i ->
         let r = regions.(i) in
-        let rcfg = region_config cfg r in
         let rfault = region_fault fault r in
         (* OCaml 5 GC counters are per-domain and a task runs on one
            domain start to finish, so the delta is this region's own
            allocation even under [Parallel]. *)
         let w0 = Gc.minor_words () in
-        let st, resumes = complete_st ?fault:rfault rcfg in
+        let st, resumes = complete_st ?plan:plans.(i) ?fault:rfault cfgs.(i) in
         let words = Gc.minor_words () -. w0 in
         (make_summary ~region:r.Topology.rg_name ~resumes st,
          make_journal st, words))
@@ -1851,7 +1879,7 @@ let run_fleet ?fault ?sharding:(mode = Sim.Shard.Sequential) ~topology cfg =
       Array.fold_left (fun acc s -> acc + s.s_breaker_trips) 0 summaries;
     f_resumes = Array.fold_left (fun acc s -> acc + s.s_resumes) 0 summaries;
     f_minor_words =
-      Array.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 outcomes;
+      Array.fold_left (fun acc (_, _, w) -> acc +. w) plan_words outcomes;
   }
 
 (* Order-insensitive inputs only: the digest covers topology, config,

@@ -227,13 +227,27 @@ val resume :
     the uninterrupted run's.  Raises [Hypertp.Error.Error] (site
     ["Campaign.resume"]) if the journal does not match the plan. *)
 
+type plan
+(** A campaign's BtrPlace set-up: the upgrade plan, its per-host tasks
+    and timings, and the capacity clamp.  Immutable, and read-only once
+    built, so one plan may serve controllers on several domains at
+    once.  It depends on neither seed nor concurrency: a plan serves
+    every config that differs from its own at most in those two
+    fields.  Any other config is planned afresh, so a plan never
+    changes a result, only how often the planning is paid for. *)
+
+val plan : config -> plan
+(** Validate the config ({!validate_config}) and plan it. *)
+
 val run_to_completion :
-  ?fault:Fault.t -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> config ->
-  report
-(** [run], resuming across any number of controller crashes.  With
-    [obs], each crash-and-resume cycle replays the journal into the
-    same tracer, so the trace accumulates one timeline per life of the
-    controller — pass a fresh tracer per call if that is not wanted. *)
+  ?plan:plan -> ?fault:Fault.t -> ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t ->
+  config -> report
+(** [run], resuming across any number of controller crashes; every
+    resumed incarnation reuses the first one's plan, which is [plan]
+    when it fits the config.  With [obs], each crash-and-resume cycle
+    replays the journal into the same tracer, so the trace accumulates
+    one timeline per life of the controller — pass a fresh tracer per
+    call if that is not wanted. *)
 
 (** {1 Region controllers on a shared engine}
 
@@ -250,16 +264,15 @@ type probe = replaying:bool -> Sim.Time.t -> event -> unit
     propagates out of {!Sim.Engine.run} or {!resume_controller}. *)
 
 val start_controller :
-  eng:Sim.Engine.t -> ?like:controller -> ?fault:Fault.t -> ?probe:probe ->
+  eng:Sim.Engine.t -> ?plan:plan -> ?fault:Fault.t -> ?probe:probe ->
   ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> config -> controller
 
 val resume_controller :
-  eng:Sim.Engine.t -> ?like:controller -> ?fault:Fault.t -> ?probe:probe ->
+  eng:Sim.Engine.t -> ?plan:plan -> ?fault:Fault.t -> ?probe:probe ->
   ?obs:Obs.Tracer.t -> ?metrics:Obs.Metrics.t -> journal -> controller
 (** {!run} and {!resume} up to driving: the first settle (or the replay,
-    continuation settle and in-flight attempts) scheduled on [eng].  A
-    [like] controller whose config differs at most in seed and
-    concurrency lends its BtrPlace plan instead of a fresh one. *)
+    continuation settle and in-flight attempts) scheduled on [eng], on
+    [plan] when it fits the config. *)
 
 val stop_controller : controller -> unit
 (** Cancel every timer the controller armed; call it on a dead
@@ -344,8 +357,9 @@ type fleet_report = {
   f_resumes : int;
   f_minor_words : float;
       (** minor-heap words allocated by the region simulations,
-          measured inside each shard task (summed across domains);
-          schedule metadata, excluded from {!fleet_digest} *)
+          measured inside each shard task (summed across domains), plus
+          the shared plans built before them; schedule metadata,
+          excluded from {!fleet_digest} *)
 }
 
 val run_fleet :
@@ -357,7 +371,11 @@ val run_fleet :
     topology, sharding mode, or region config.  A [?fault] plan is
     re-derived per region (same injections, region-derived seed);
     {!Fault.Controller_crash} crashes are resumed transparently and
-    counted in [s_resumes]. *)
+    counted in [s_resumes].
+
+    Regions of one shape (see {!plan}) share one plan, built once per
+    run on the calling domain before any shard starts; a resumed region
+    reuses its crashed controller's plan. *)
 
 val region_config : config -> Topology.region -> config
 val region_fault : Fault.t option -> Topology.region -> Fault.t option

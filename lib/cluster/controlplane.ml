@@ -171,6 +171,7 @@ type region = {
 type st = {
   cfg : config;
   eng : Sim.Engine.t;
+  plan : C.plan;  (* every region's: regions are uniform *)
   mutable regions : region array;
   hplan : Fault.t option;  (* host sites of the caller plan *)
   chaos : Fault.t option;  (* the caller plan, for control-plane sites *)
@@ -197,6 +198,7 @@ let make_st ?fault ?obs ?metrics (cfg : config) =
   {
     cfg;
     eng = Sim.Engine.create ();
+    plan = C.plan (region_configs cfg).(0);
     regions = [||];
     (* Region plans carry the host sites only, so adding control-plane
        sites to a plan never changes a region journal. *)
@@ -284,10 +286,11 @@ and probe st r ~replaying at ev =
   if (not replaying) && chaos Fault.Subctl_crash "subctl_crashes" then
     raise (Subctl_died r)
 
-let resume_region st ?like r rg journal =
+let resume_region st r rg journal =
   try
-    C.resume_controller ~eng:st.eng ?like ?fault:(C.region_fault st.hplan rg)
-      ~probe:(probe st r) ?obs:st.obs ?metrics:st.metrics journal
+    C.resume_controller ~eng:st.eng ~plan:st.plan
+      ?fault:(C.region_fault st.hplan rg) ~probe:(probe st r) ?obs:st.obs
+      ?metrics:st.metrics journal
   with Hypertp_error.Error e ->
     Hypertp_error.raise_errorf ~site:"Controlplane.resume" ?hint:e.hint
       "region %s: %s" (region_name r) e.reason
@@ -302,8 +305,7 @@ let restart st r ~kind =
     ~labels:(("kind", kind) :: labels r.r_index)
     "hypertp_ctl_restarts_total";
   st.granted.(r.r_index) <- 0;
-  r.ctl <-
-    resume_region st ~like:r.ctl r.r_index r.r_topo (C.controller_journal r.ctl);
+  r.ctl <- resume_region st r.r_index r.r_topo (C.controller_journal r.ctl);
   r.last_seen <- Sim.Engine.now st.eng
 
 (* One root heartbeat tick: consult [Root_crash], collect heartbeats
@@ -426,17 +428,14 @@ let rec drive st =
     | exception Root_died -> Crashed (make_bundle st))
   | exception Root_died -> Crashed (make_bundle st)
 
-(* Build every region's controller with [make] (planned like the
-   previous one: regions are uniform), give a finished region whose grant
-   is not journaled yet its lease back (after a handoff), and drive. *)
+(* Build every region's controller with [make], give a finished region
+   whose grant is not journaled yet its lease back (after a handoff), and
+   drive. *)
 let launch st make =
-  let like = ref None in
   st.regions <-
     Array.mapi
       (fun r rg ->
-        let ctl = make ?like:!like r rg in
-        like := Some ctl;
-        { r_index = r; r_topo = rg; ctl; last_seen = Sim.Time.zero;
+        { r_index = r; r_topo = rg; ctl = make r rg; last_seen = Sim.Time.zero;
           partitioned_until = Sim.Time.zero })
       (Topology.regions (topology_of st.cfg));
   Array.iter
@@ -452,9 +451,10 @@ let launch st make =
 let run ?fault ?obs ?metrics cfg =
   let st = make_st ?fault ?obs ?metrics cfg in
   let cfgs = region_configs cfg in
-  launch st (fun ?like r rg ->
-      C.start_controller ~eng:st.eng ?like ?fault:(C.region_fault st.hplan rg)
-        ~probe:(probe st r) ?obs:st.obs ?metrics:st.metrics cfgs.(r))
+  launch st (fun r rg ->
+      C.start_controller ~eng:st.eng ~plan:st.plan
+        ?fault:(C.region_fault st.hplan rg) ~probe:(probe st r) ?obs:st.obs
+        ?metrics:st.metrics cfgs.(r))
 
 (* Leader handoff: every region is rebuilt from its journal; the replays
    re-emit the timeline and re-derive the reallocation ledger. *)
@@ -465,7 +465,7 @@ let resume ?fault ?obs ?metrics bundle =
     ~labels:[ ("engine", "controlplane") ]
     "hypertp_ctl_handoffs_total";
   let journal r = bundle.b_journals.(r) in
-  try launch st (fun ?like r rg -> resume_region st ?like r rg (journal r))
+  try launch st (fun r rg -> resume_region st r rg (journal r))
   with Root_died -> Crashed bundle
 
 (* The chaos plan is passed through as-is (not restarted), so an Nth_hit

@@ -205,11 +205,9 @@ type pop = {
   p_name : string;
   p_hosts : int;
   mutable p_free_at : float;  (** day the last booked campaign ends *)
-  mutable p_active : episode list;
-      (** episodes still accruing exposure, newest first *)
   mutable p_inflight : episode list;
-      (** campaigns still rolling hosts, newest first — outlives
-          [p_active] membership when the patch lands mid-campaign *)
+      (** campaigns still rolling hosts, newest first — including ones
+          whose episode closed when the patch landed mid-campaign *)
   mutable p_bookings : booking list;  (** newest first *)
 }
 
@@ -311,8 +309,8 @@ let run_internal ?fault ?obs ?metrics ~replay cfg =
         if hosts = 0 then None
         else
           Some
-            { p_name = name; p_hosts = hosts; p_free_at = 0.0; p_active = [];
-              p_inflight = []; p_bookings = [] })
+            { p_name = name; p_hosts = hosts; p_free_at = 0.0; p_inflight = [];
+              p_bookings = [] })
       [ ("xen", cfg.mix.xen_hosts); ("kvm", cfg.mix.kvm_hosts);
         ("bhyve", cfg.mix.bhyve_hosts) ]
   in
@@ -333,7 +331,10 @@ let run_internal ?fault ?obs ?metrics ~replay cfg =
      live at the service layer; the campaign's own jitter comes from
      the derived seed, so the report is a pure function of (config
      seed, episode id) and both the pricing pass and the committed
-     execution see the same wall clock. *)
+     execution see the same wall clock.  Only the seed differs between
+     one population's campaigns, so each population size is planned
+     once per run, when first priced. *)
+  let plans = Hashtbl.create 3 in
   let simulate_campaign pop ep_id =
     let camp =
       {
@@ -348,7 +349,15 @@ let run_internal ?fault ?obs ?metrics ~replay cfg =
         seed = derive_seed cfg.seed ep_id;
       }
     in
-    Cluster.Campaign.run_to_completion camp
+    let plan =
+      match Hashtbl.find_opt plans pop.p_hosts with
+      | Some plan -> plan
+      | None ->
+        let plan = Cluster.Campaign.plan camp in
+        Hashtbl.add plans pop.p_hosts plan;
+        plan
+    in
+    Cluster.Campaign.run_to_completion ~plan camp
   in
   let covers_of start (rep : Cluster.Campaign.report) =
     Array.of_list
@@ -382,8 +391,6 @@ let run_internal ?fault ?obs ?metrics ~replay cfg =
         let hh = exposure_from ep.e_arrival ep.e_cover ep.e_patch_cap in
         exposed_hh := !exposed_hh +. hh;
         gset m_exposed !exposed_hh;
-        ep.e_pop.p_active <-
-          List.filter (fun e -> e.e_id <> ep.e_id) ep.e_pop.p_active;
         emit
           (Printf.sprintf "C %d %s %.6f %d" ep.e_id ep.e_pop.p_name hh
              (cursor ())))
@@ -497,7 +504,6 @@ let run_internal ?fault ?obs ?metrics ~replay cfg =
           }
         in
         pop.p_free_at <- start +. wall;
-        pop.p_active <- ep :: pop.p_active;
         (* Prune against *now*, not [start]: a queued campaign's start
            is the predecessor's end, and the predecessor is still
            rolling today — dropping it here would hide it from a later

@@ -209,22 +209,87 @@ let test_mode_identity_10k () =
     [ Sim.Shard.Sequential; Sim.Shard.Rotated 5;
       Sim.Shard.Parallel { shards = 8; domains = 4 } ]
 
+(* Each region's journal from [run_fleet] equals the journal of the
+   same region run on its own, through [run] and [resume], which plan
+   every incarnation afresh: a plan lent across shapes, or a resume
+   planned unlike its crashed run, would show here. *)
+let check_alone ~msg ?chaos_seed tp cfg modes =
+  let alone (r : T.region) =
+    let fault = C.region_fault (Option.map chaos_plan chaos_seed) r in
+    let rec go = function
+      | C.Finished (_, j) -> j
+      | C.Crashed j -> go (C.resume ?fault j)
+    in
+    C.journal_to_string (go (C.run ?fault (C.region_config cfg r)))
+  in
+  let want = Array.map alone (T.regions tp) in
+  List.iter
+    (fun mode ->
+      let fault = Option.map chaos_plan chaos_seed in
+      let fr = C.run_fleet ?fault ~sharding:mode ~topology:tp cfg in
+      Array.iteri
+        (fun i j ->
+          checks
+            (Printf.sprintf "%s: region %d alone (%s)" msg i
+               (Sim.Shard.to_string mode))
+            want.(i) (C.journal_to_string j))
+        fr.C.f_journals)
+    modes
+
+(* Ragged fleets drawn from two shapes, so shapes repeat out of order
+   (a:40:8;b:60:4;c:40:8); a region with its own spares is a shape of
+   its own. *)
+let ragged_gen =
+  QCheck.Gen.(
+    map
+      (fun picks ->
+        T.make
+          (List.mapi
+             (fun i (pick, spares) ->
+               let hosts, vms_per_host = [| (40, 8); (60, 4) |].(pick) in
+               T.region ~spares ~name:(Printf.sprintf "g%d" i) ~hosts
+                 ~vms_per_host ())
+             picks))
+      (list_size (int_range 3 5)
+         (pair (int_range 0 1) (frequencyl [ (3, 0); (1, 2) ]))))
+
 let test_mode_identity_qcheck () =
   let gen =
     QCheck.(
-      quad (int_range 0 1000) (int_range 1 6) (int_range 1 3)
-        (oneofl [ None; Some 7; Some 23 ]))
+      pair
+        (quad (int_range 0 1000) (int_range 1 6) (int_range 1 3)
+           (oneofl [ None; Some 7; Some 23 ]))
+        (make
+           ~print:(function None -> "uniform" | Some tp -> T.spec tp)
+           Gen.(oneof [ return None; map Option.some ragged_gen ])))
   in
-  let prop (seed, shards, domains, chaos_seed) =
-    let tp = T.uniform ~regions:3 ~hosts:60 ~vms_per_host:4 () in
+  let prop ((seed, shards, domains, chaos_seed), ragged) =
+    let tp =
+      match ragged with
+      | Some tp -> tp
+      | None -> T.uniform ~regions:3 ~hosts:60 ~vms_per_host:4 ()
+    in
     let cfg = { C.default_config with C.seed = Int64.of_int seed } in
+    let parallel = Sim.Shard.Parallel { shards; domains } in
     check_modes ~msg:"qcheck" ?chaos_seed tp cfg
-      [ Sim.Shard.Sequential; Sim.Shard.Rotated shards;
-        Sim.Shard.Parallel { shards; domains } ];
+      [ Sim.Shard.Sequential; Sim.Shard.Rotated shards; parallel ];
+    check_alone ~msg:"qcheck" ?chaos_seed tp cfg [ Sim.Shard.Sequential; parallel ];
     true
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:20 ~name:"mode identity" gen prop)
+    (QCheck.Test.make ~count:30 ~name:"mode identity" gen prop)
+
+(* The out-of-order repeat spelled out, calm and with every region
+   crashing and resuming. *)
+let test_plans_keep_shape () =
+  match T.of_spec "a:40:8;b:60:4;c:40:8;d:40:8:2" with
+  | Error e -> Alcotest.fail e
+  | Ok tp ->
+    let modes =
+      [ Sim.Shard.Sequential; Sim.Shard.Parallel { shards = 4; domains = 2 } ]
+    in
+    check_alone ~msg:"calm" tp C.default_config modes;
+    check_alone ~msg:"chaos" ~chaos_seed:5 tp C.default_config modes
 
 (* --- the fleet digest sees every config field --- *)
 
@@ -358,6 +423,8 @@ let suites =
           test_fleet_report_consistency;
         Alcotest.test_case "mode identity (qcheck)" `Slow
           test_mode_identity_qcheck;
+        Alcotest.test_case "shared plans keep their shape" `Quick
+          test_plans_keep_shape;
         Alcotest.test_case "mode identity at 1k hosts" `Slow
           test_mode_identity_1k;
         Alcotest.test_case "mode identity at 10k hosts" `Slow
