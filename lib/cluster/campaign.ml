@@ -285,8 +285,9 @@ let build_setup cfg =
     su_max_drains = max_drains;
   }
 
-(* A config's shape: everything its set-up depends on, and more (seed
-   and concurrency masked).  Configs of one shape share a plan. *)
+(* A config's shape: the config with the two fields its set-up does not
+   depend on, seed and concurrency, masked.  Configs of one shape share
+   a plan. *)
 let shape cfg = { cfg with seed = 0L; concurrency = 1 }
 
 type plan = { p_cfg : config; p_setup : setup }
