@@ -273,7 +273,8 @@ let test_mode_identity_qcheck () =
     let parallel = Sim.Shard.Parallel { shards; domains } in
     check_modes ~msg:"qcheck" ?chaos_seed tp cfg
       [ Sim.Shard.Sequential; Sim.Shard.Rotated shards; parallel ];
-    check_alone ~msg:"qcheck" ?chaos_seed tp cfg [ Sim.Shard.Sequential; parallel ];
+    check_alone ~msg:"qcheck" ?chaos_seed tp cfg
+      [ Sim.Shard.Sequential; parallel ];
     true
   in
   QCheck.Test.check_exn
