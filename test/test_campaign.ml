@@ -411,6 +411,33 @@ let test_large_campaign_deterministic () =
   checkb "identical exposure" true (e1 = e2);
   checkb "identical wall clock" true (w1 = w2)
 
+(* --- trace pin --- *)
+
+(* The Chrome trace of a small campaign under host flap, timeout and
+   crash faults, engine-track timer notices included.  The same bytes
+   come from [hypertp-cli campaign --nodes 6 --vms-per-node 4 --seed 42
+   --fault host_flap:1 --fault host_timeout:2 --fault host_crash:3
+   --trace-out FILE]. *)
+let read_golden name =
+  let path =
+    List.find Sys.file_exists [ "golden/" ^ name; "test/golden/" ^ name ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_trace_golden () =
+  let cfg = { C.default_config with C.nodes = 6; vms_per_node = 4; seed = 42L } in
+  let fault =
+    Fault.of_specs
+      (List.map
+         (fun s -> Result.get_ok (Fault.parse_spec s))
+         [ "host_flap:1"; "host_timeout:2"; "host_crash:3" ])
+  in
+  let tr = Obs.Tracer.create () in
+  ignore (finished (C.run ~fault ~obs:tr cfg));
+  checks "campaign trace matches the golden pin"
+    (read_golden "campaign_trace.json")
+    (Obs.Export.chrome_trace tr)
+
 let suites =
   [
     ( "campaign.admission",
@@ -445,6 +472,7 @@ let suites =
           test_resume_rejects_nan_config;
         Alcotest.test_case "1k-host determinism" `Slow
           test_large_campaign_deterministic;
+        Alcotest.test_case "trace golden pin" `Quick test_trace_golden;
       ] );
     ( "campaign.exposure",
       [

@@ -402,6 +402,37 @@ let test_fleet_report_consistency () =
     | exception Hypertp_error.Error _ -> true
     | _ -> false)
 
+(* Literal pins of the fleet digest and of the fleet journal text, for a
+   calm fleet and for a chaos fleet (host faults plus controller
+   crashes absorbed by resume), under a sequential and a sharded
+   schedule.  A change to the event core that moves any journal word,
+   summary scalar or resume point moves one of these. *)
+let pinned_chaos () =
+  Fault.make ~seed:29L
+    [
+      { Fault.site = Fault.Host_crash; trigger = Fault.Probability 0.2 };
+      { Fault.site = Fault.Host_timeout; trigger = Fault.Probability 0.05 };
+      { Fault.site = Fault.Host_flap; trigger = Fault.Probability 0.1 };
+      { Fault.site = Fault.Controller_crash; trigger = Fault.Nth_hit 150 };
+    ]
+
+let test_pinned_digests () =
+  let tp = T.uniform ~regions:4 ~hosts:1_000 ~vms_per_host:8 () in
+  List.iter
+    (fun (msg, chaos, digest, journals) ->
+      List.iter
+        (fun mode ->
+          let fault = if chaos then Some (pinned_chaos ()) else None in
+          let fr = C.run_fleet ?fault ~sharding:mode ~topology:tp C.default_config in
+          let m = Printf.sprintf "%s (%s)" msg (Sim.Shard.to_string mode) in
+          checks (m ^ ": fleet digest") digest
+            (Printf.sprintf "%x" (C.fleet_digest fr));
+          checks (m ^ ": journal text digest") journals
+            (Digest.to_hex (Digest.string (C.fleet_journals_to_string fr))))
+        [ Sim.Shard.Sequential; Sim.Shard.Parallel { shards = 4; domains = 2 } ])
+    [ ("calm", false, "16103d00a27c88ad", "0fb0bed53ae9c45f683e6162f053e46c");
+      ("chaos", true, "294969238c18d0c0", "4513520ed742144527025a3972a2e271") ]
+
 let suites =
   [
     ( "topology.shape",
@@ -430,5 +461,6 @@ let suites =
           test_mode_identity_1k;
         Alcotest.test_case "mode identity at 10k hosts" `Slow
           test_mode_identity_10k;
+        Alcotest.test_case "pinned fleet digests" `Quick test_pinned_digests;
       ] );
   ]
