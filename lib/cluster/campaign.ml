@@ -149,12 +149,12 @@ let validate_config cfg =
 
 (* --- derived per-host randomness, independent of the fault plan --- *)
 
-let derived cfg salt node =
-  Sim.Rng.create
-    (Int64.logxor cfg.seed (Int64.of_int (Hashtbl.hash (salt, node))))
+(* The first draw of the stream seeded by the config seed and a per-host
+   [key], [Hashtbl.hash (salt, node)]: no generator is built. *)
+let[@inline] draw cfg key bound =
+  Sim.Rng.first_float (Int64.logxor cfg.seed (Int64.of_int key)) bound
 
-let coin cfg salt node p = Sim.Rng.float (derived cfg salt node) 1.0 < p
-let host_jitter cfg node = Sim.Rng.jitter (derived cfg "jitter" node) cfg.jitter_pct
+let coin cfg salt node p = draw cfg (Hashtbl.hash (salt, node)) 1.0 < p
 
 (* --- host tasks, derived once from the BtrPlace plan --- *)
 
@@ -169,7 +169,12 @@ type task = {
   t_drain : Sim.Time.t;    (* fallback: drain whole placement + reboot *)
   t_shadow : Sim.Time.t;   (* fallback: pre-stage a spare + stream the
                               whole placement (no source reboot) *)
+  t_jitter_key : int;      (* Hashtbl.hash ("jitter", node), see [draw] *)
 }
+
+(* [Sim.Rng.jitter] of the host's jitter stream. *)
+let[@inline] host_jitter cfg t =
+  1.0 -. cfg.jitter_pct +. draw cfg t.t_jitter_key (2.0 *. cfg.jitter_pct)
 
 type setup = {
   su_tasks : task array; (* in plan (= admission) order *)
@@ -267,6 +272,7 @@ let build_setup cfg =
             t_deadline = deadline;
             t_drain = drain;
             t_shadow = shadow;
+            t_jitter_key = Hashtbl.hash ("jitter", node);
           }
           :: !tasks;
         incr ntasks
@@ -307,23 +313,6 @@ let setup_of ?plan cfg =
 
 (* --- journal --- *)
 
-type decision = { d_flap : bool; d_crash : bool; d_timeout : bool }
-
-(* Fault-plan decisions for a shadow admission, one per shadow site, in
-   the fixed consultation order (spare, stage, drop, diverge,
-   partition).  Journaled like the in-place [decision] so resume can
-   re-fire and validate them. *)
-type shadow_decision = {
-  s_spare : bool;
-  s_stage : bool;
-  s_drop : bool;
-  s_diverge : bool;
-  s_partition : bool;
-}
-
-let shadow_failed s =
-  s.s_spare || s.s_stage || s.s_drop || s.s_diverge || s.s_partition
-
 let verdict_to_string = function
   | A_clean -> "clean"
   | A_scrubbed -> "scrubbed"
@@ -335,26 +324,11 @@ let verdict_of_string = function
   | "failed" -> Some A_failed
   | _ -> None
 
-type entry = {
-  je_at : Sim.Time.t;
-  je_host : string option;
-  je_event : event;
-  je_decision : decision option; (* Some iff Admitted Inplace *)
-  je_audit : audit_verdict option;
-      (* Some iff Attempt_completed Inplace/Retry with audit sites armed *)
-  je_shadow : shadow_decision option;
-      (* Some iff Admitted Shadow with shadow sites armed *)
-  je_cursor : int; (* fault-plan trace length after this entry *)
-}
-
 (* Journal entries are stored packed, three unboxed ints per entry, in
-   one [int Sim.Vec]; hosts are interned in a side table.  The [entry]
-   record above survives only as the transient decoded form handed to
-   [apply]/serialisation.  At a million hosts the journal dominates the
-   controller's allocation, and the packed form costs 3 minor words per
-   entry against the ~18 the boxed record chain used to (record + four
-   option/variant boxes + host string pointer), with no change to the
-   serialised format.
+   one [int Sim.Vec]; hosts are interned in a side table.  The live
+   controller and resume's replay apply entries in this packed form, so
+   an append allocates nothing; an entry's event and host name are
+   decoded only at the text, trace and report boundaries.
 
    Word 0 — the event time in ns.
    Word 1 — a bitfield:
@@ -362,11 +336,12 @@ type entry = {
                  5 defer, 6 bopen, 7 bhalf, 8 bclosed, 9 fin, 10 raise)
      bits  4-5   ladder step (inplace 0, shadow 1, drain 2, retry 3)
      bits  6-7   manifestation (crash 0, timeout 1, flap 2)
-     bit   8     decision present
-     bits  9-11  d_flap / d_crash / d_timeout
+     bit   8     in-place fault decision present (every in-place
+                 admission has one)
+     bits  9-11  flap / crash / timeout decided
      bits 12-13  audit (0 none, 1 clean, 2 scrubbed, 3 failed)
      bit  14     shadow decision present
-     bits 15-19  s_spare / s_stage / s_drop / s_diverge / s_partition
+     bits 15-19  spare / stage / drop / diverge / partition decided
      bits 20-..  host index + 1 (0 = no host)
    A [Limit_raised] entry has no host; its bits 20-40 hold [from_region]
    and bits 41-61 [slots] instead.
@@ -394,30 +369,54 @@ let man_of_int = function 0 -> Crash | 1 -> Timeout | _ -> Flap
 let step_to_string s = step_names.(step_to_int s)
 let man_to_string m = man_names.(man_to_int m)
 
+(* Kind codes (bits 0-3), step codes (bits 4-5) and manifestation codes
+   (bits 6-7) of word 1. *)
+let k_adm = 0
+let k_flapleg = 1
+let k_strag = 2
+let k_fail = 3
+let k_done = 4
+let k_defer = 5
+let k_bopen = 6
+let k_bhalf = 7
+let k_bclosed = 8
+let k_fin = 9
 let kind_raise = 10
+let s_inplace = 0
+let s_shadow = 1
+let s_drain = 2
+let s_retry = 3
+let m_crash = 0
+let m_timeout = 1
+let m_flap = 2
+
+(* The flag groups of word 1: a present bit, then one bit per flag. *)
+let decision_bit = 8
+let audit_shift = 12
+let shadow_bit = 14
+let host_shift = 20
+let decision_mask = 0xf lsl decision_bit
+let audit_mask = 3 lsl audit_shift
+let shadow_mask = 0x3f lsl shadow_bit
 let raise_field_max = (1 lsl 21) - 1
 
-let host_field w1 = if w1 land 0xf = kind_raise then 0 else w1 lsr 20
+let host_field w1 = if w1 land 0xf = kind_raise then 0 else w1 lsr host_shift
+let step_field w1 = (w1 lsr 4) land 3
 
-(* Bits 0-7 of word 1: kind, step and manifestation codes (an int, not
-   a tuple: this runs on every journal append). *)
-let event_bits = function
-  | Admitted s -> 0 lor (step_to_int s lsl 4)
-  | Flap_failure -> 1
-  | Straggler_cancelled -> 2
-  | Attempt_failed { step; manifestation } ->
-    3 lor (step_to_int step lsl 4) lor (man_to_int manifestation lsl 6)
-  | Attempt_completed s -> 4 lor (step_to_int s lsl 4)
-  | Deferred -> 5
-  | Breaker_opened -> 6
-  | Breaker_half_opened -> 7
-  | Breaker_closed -> 8
-  | Campaign_finished -> 9
-  | Limit_raised _ -> kind_raise
+(* Word 1 of an event of host [i] (a task index). *)
+let hosted kind i bits = kind lor bits lor ((i + 1) lsl host_shift)
+
+let raise_word ~from_region ~slots =
+  (* both in [0, raise_field_max] iff their union is *)
+  let u = from_region lor slots in
+  if u < 0 || u > raise_field_max then
+    Hypertp_error.raise_errorf ~site:"Campaign"
+      "limit grant out of range (from region %d, %d slots)" from_region slots;
+  kind_raise lor (from_region lsl host_shift) lor (slots lsl 41)
 
 (* The event of a packed word 1 (its host field is ignored). *)
 let event_of_word w1 =
-  let step = step_of_int ((w1 lsr 4) land 3) in
+  let step = step_of_int (step_field w1) in
   match w1 land 0xf with
   | 0 -> Admitted step
   | 1 -> Flap_failure
@@ -431,85 +430,21 @@ let event_of_word w1 =
   | 9 -> Campaign_finished
   | _ ->
     Limit_raised
-      { from_region = (w1 lsr 20) land raise_field_max;
+      { from_region = (w1 lsr host_shift) land raise_field_max;
         slots = (w1 lsr 41) land raise_field_max }
 
-let pack_entry ~host_idx e =
-  let bit b v w = if v then w lor (1 lsl b) else w in
-  let w = event_bits e.je_event in
-  let w =
-    match e.je_decision with
-    | None -> w
-    | Some d ->
-      bit 9 d.d_flap (bit 10 d.d_crash (bit 11 d.d_timeout (w lor (1 lsl 8))))
-  in
-  let w =
-    match e.je_audit with
-    | None -> w
-    | Some v ->
-      w
-      lor ((match v with A_clean -> 1 | A_scrubbed -> 2 | A_failed -> 3)
-          lsl 12)
-  in
-  let w =
-    match e.je_shadow with
-    | None -> w
-    | Some s ->
-      bit 15 s.s_spare
-        (bit 16 s.s_stage
-           (bit 17 s.s_drop
-              (bit 18 s.s_diverge
-                 (bit 19 s.s_partition (w lor (1 lsl 14))))))
-  in
-  let w =
-    match e.je_event with
-    | Limit_raised { from_region; slots } ->
-      (* both in [0, raise_field_max] iff their union is *)
-      let u = from_region lor slots in
-      if u < 0 || u > raise_field_max then
-        Hypertp_error.raise_errorf ~site:"Campaign"
-          "limit grant out of range (from region %d, %d slots)" from_region slots;
-      w lor (from_region lsl 20) lor (slots lsl 41)
-    | _ -> w lor ((host_idx + 1) lsl 20)
-  in
-  (Sim.Time.to_ns e.je_at, w, e.je_cursor)
+let audit_of_word w1 =
+  match (w1 lsr audit_shift) land 3 with
+  | 0 -> None
+  | 1 -> Some A_clean
+  | 2 -> Some A_scrubbed
+  | _ -> Some A_failed
 
-let unpack_entry names w0 w1 w2 =
-  let bit b = w1 land (1 lsl b) <> 0 in
-  {
-    je_at = Sim.Time.ns w0;
-    je_host =
-      (match host_field w1 with 0 -> None | i -> Some names.(i - 1));
-    je_event = event_of_word w1;
-    je_decision =
-      (if bit 8 then
-         Some { d_flap = bit 9; d_crash = bit 10; d_timeout = bit 11 }
-       else None);
-    je_audit =
-      (match (w1 lsr 12) land 3 with
-      | 0 -> None
-      | 1 -> Some A_clean
-      | 2 -> Some A_scrubbed
-      | _ -> Some A_failed);
-    je_shadow =
-      (if bit 14 then
-         Some
-           { s_spare = bit 15; s_stage = bit 16; s_drop = bit 17;
-             s_diverge = bit 18; s_partition = bit 19 }
-       else None);
-    je_cursor = w2;
-  }
+let audit_bits v =
+  (match v with A_clean -> 1 | A_scrubbed -> 2 | A_failed -> 3) lsl audit_shift
 
-let journal_iter f j =
-  let words = j.j_words in
-  let n = Sim.Vec.length words / 3 in
-  for k = 0 to n - 1 do
-    f
-      (unpack_entry j.j_names
-         (Sim.Vec.get words (3 * k))
-         (Sim.Vec.get words ((3 * k) + 1))
-         (Sim.Vec.get words ((3 * k) + 2)))
-  done
+let journal_host j w1 =
+  match host_field w1 with 0 -> None | i -> Some j.j_names.(i - 1)
 
 (* --- journal text form --- *)
 
@@ -638,30 +573,34 @@ let journal_of_string s = J.parse s read_journal
 
 (* --- controller state (shared between live execution and replay) --- *)
 
-type running = {
-  r_step : ladder_step;
-  r_started : Sim.Time.t;
-  r_decision : decision option;
-  r_shadow : shadow_decision option;
-  mutable r_flapped : bool;
-}
-
-type hstate =
-  | H_pending
-  | H_running of running
-  | H_failed_needs_drain
-  | H_failed_needs_defer
-  | H_awaiting_retry
-  | H_done of host_status * Sim.Time.t
+(* Where a host stands on the ladder.  Constant constructors only, so a
+   transition stores an immediate and allocates nothing; what a running
+   attempt or a finished host carries lives in [st]'s other per-host
+   arrays. *)
+type phase =
+  | Pending
+  | Running (* [adm], [stamp] (the start) and [flapped] hold the attempt *)
+  | Needs_drain
+  | Needs_defer
+  | Awaiting_retry
+  | Done (* [status] and [stamp] (the finish) hold the outcome *)
 
 type breaker = B_closed | B_open_until of Sim.Time.t | B_half_open
 
 type probe = replaying:bool -> Sim.Time.t -> event -> unit
 
+(* A float field of a record that also has other fields is boxed, so
+   each update would allocate; an all-float record stores it flat. *)
+type exposure = { mutable acc_hours : float }
+
 type st = {
   cfg : config;
   setup : setup;
-  hstates : hstate array;
+  phase : phase array;
+  adm : int array; (* word 1 of the running attempt's admission entry *)
+  stamp : Sim.Time.t array; (* attempt start while running, then finish *)
+  flapped : bool array; (* the running attempt's first flap leg is past *)
+  status : host_status array; (* meaningful once [Done] *)
   manifests : manifestation list array; (* newest first *)
   attempts : int array;
   mutable breaker : breaker;
@@ -681,20 +620,20 @@ type st = {
   entries : int Sim.Vec.t; (* packed, 3 words per entry, chronological *)
   (* Incremental bookkeeping so [settle] never rescans the host array:
      [next_pending] is a monotone admission cursor (admission is
-     lowest-index-first and a host never returns to [H_pending], so
-     every pending host sits at an index >= the cursor);
-     [needs_drain] / [needs_defer] are work-lists pushed by
-     [resolve_failure]; [retry_cursor] only advances during the retry
-     phase, when no new [H_awaiting_retry] host can appear behind it;
-     [n_done] counts terminal hosts; [exposure_acc] accumulates
-     exposure hours as hosts finish (Deferred_exposed hosts are counted
-     separately — they stay exposed until the campaign's wall clock). *)
+     lowest-index-first and a host never returns to [Pending], so every
+     pending host sits at an index >= the cursor); [needs_drain] /
+     [needs_defer] are work-lists pushed by [resolve_failure];
+     [retry_cursor] only advances during the retry phase, when no new
+     [Awaiting_retry] host can appear behind it; [n_done] counts
+     terminal hosts; [exposure] accumulates exposure hours as hosts
+     finish (Deferred_exposed hosts are counted separately — they stay
+     exposed until the campaign's wall clock). *)
   mutable next_pending : int;
   mutable needs_drain : int list;
   mutable needs_defer : int list;
   mutable retry_cursor : int;
   mutable n_done : int;
-  mutable exposure_acc : float;
+  exposure : exposure;
   mutable n_deferred_exposed : int;
   audits : audit_verdict option array;
       (* post-commit audit verdict of the host's successful attempt *)
@@ -706,6 +645,12 @@ type st = {
   mutable spares_free : int;
   shadow_tried : bool array;
   fault : Fault.t option;
+  (* The audit and shadow sites are only consulted when the plan arms
+     them: consulting them unconditionally would shift the fault cursor
+     of every journal recorded before they existed (or under plans
+     without them). *)
+  audit_on : bool;
+  shadow_on : bool;
   probe : probe option;
   obs : Obs.Tracer.t option;
   metrics : Obs.Metrics.t option;
@@ -719,10 +664,22 @@ type st = {
 let make_st ?fault ?probe ?obs ?metrics cfg setup =
   let n = Array.length setup.su_tasks in
   let obs = Option.map Hypertp.Otrace.attach obs in
+  let armed sites =
+    match fault with
+    | None -> false
+    | Some f ->
+      List.exists
+        (fun (inj : Fault.injection) -> List.mem inj.Fault.site sites)
+        (Fault.injections f)
+  in
   {
     cfg;
     setup;
-    hstates = Array.make n H_pending;
+    phase = Array.make n Pending;
+    adm = Array.make n 0;
+    stamp = Array.make n Sim.Time.zero;
+    flapped = Array.make n false;
+    status = Array.make n Upgraded_inplace;
     manifests = Array.make n [];
     attempts = Array.make n 0;
     breaker = B_closed;
@@ -735,18 +692,22 @@ let make_st ?fault ?probe ?obs ?metrics cfg setup =
     granted = 0;
     running = 0;
     finished_at = None;
-    entries = Sim.Vec.create ~capacity:(Stdlib.max 16 (12 * n)) 0;
+    (* Every host journals an admission and an outcome, six words, and
+       the campaign one finish entry; failing campaigns grow the vector. *)
+    entries = Sim.Vec.create ~capacity:((6 * n) + 3) 0;
     next_pending = 0;
     needs_drain = [];
     needs_defer = [];
     retry_cursor = 0;
     n_done = 0;
-    exposure_acc = 0.0;
+    exposure = { acc_hours = 0.0 };
     n_deferred_exposed = 0;
     audits = Array.make n None;
     spares_free = cfg.shadow_spares;
     shadow_tried = Array.make n false;
     fault;
+    audit_on = armed [ Fault.Residual_leak; Fault.Scrub_fail ];
+    shadow_on = armed Fault.shadow_sites;
     probe;
     obs;
     metrics;
@@ -763,14 +724,6 @@ let make_st ?fault ?probe ?obs ?metrics cfg setup =
             ("concurrency", string_of_int setup.su_effective) ]
         "campaign";
   }
-
-let idx st host =
-  match Hashtbl.find_opt st.setup.su_index host with
-  | Some i -> i
-  | None ->
-    Hypertp_error.raise_errorf ~site:"Campaign"
-      ~hint:"the journal must come from a campaign with the same config"
-      "unknown host in journal: %s" host
 
 let hours t = Sim.Time.to_sec_f t /. 3600.0
 
@@ -801,30 +754,35 @@ let recompute_limit st =
   let full = st.setup.su_effective + st.granted in
   st.limit <- (if st.breaker = B_half_open then Stdlib.max 1 (full / 2) else full)
 
-let resolve_failure st i manifestation at =
+let finish st i status at =
+  st.phase.(i) <- Done;
+  st.status.(i) <- status;
+  st.stamp.(i) <- at;
+  st.n_done <- st.n_done + 1
+
+let resolve_failure st i man at =
   st.running <- st.running - 1;
-  st.manifests.(i) <- manifestation :: st.manifests.(i);
-  match st.hstates.(i) with
-  | H_running r -> (
-    match r.r_step with
+  st.manifests.(i) <- man_of_int man :: st.manifests.(i);
+  match st.phase.(i) with
+  | Running -> (
+    match step_of_int (step_field st.adm.(i)) with
     | Inplace ->
-      st.hstates.(i) <- H_failed_needs_drain;
+      st.phase.(i) <- Needs_drain;
       st.needs_drain <- i :: st.needs_drain;
       push_window st false
     | Shadow ->
       (* Degradation ladder: the staged spare is torn down (the lane
          returns) and the host falls through to the classic drain. *)
       st.spares_free <- st.spares_free + 1;
-      st.hstates.(i) <- H_failed_needs_drain;
+      st.phase.(i) <- Needs_drain;
       st.needs_drain <- i :: st.needs_drain;
       push_window st false
     | Drain ->
-      st.hstates.(i) <- H_failed_needs_defer;
+      st.phase.(i) <- Needs_defer;
       st.needs_defer <- i :: st.needs_defer;
       push_window st false
     | Retry ->
-      st.hstates.(i) <- H_done (Deferred_exposed, at);
-      st.n_done <- st.n_done + 1;
+      finish st i Deferred_exposed at;
       st.n_deferred_exposed <- st.n_deferred_exposed + 1)
   | _ ->
     Hypertp_error.raise_error ~site:"Campaign"
@@ -847,38 +805,27 @@ let pp_event fmt = function
     Format.fprintf fmt "limit-raised(+%d from r%d)" slots from_region
   | Campaign_finished -> Format.pp_print_string fmt "campaign-finished"
 
-(* Narration + span/metric bookkeeping for one applied event.  Runs at
-   the end of [apply], so a live run and [resume]'s replay emit the
-   same log lines, the same span tree and the same counters. *)
-let observe st e =
-  let at = e.je_at in
+(* Span and metric bookkeeping for one applied entry; [apply_state] has
+   already checked that the entry names a host iff its event needs one. *)
+let observe_spans st ~at w1 =
   let obs = st.obs and metrics = st.metrics in
-  if st.o_log then
-    Hypertp.Log.info (fun m ->
-        m "campaign%s: %a at %a"
-          (match e.je_host with Some h -> " " ^ h | None -> "")
-          pp_event e.je_event Sim.Time.pp at);
-  let close i attrs =
+  let i = host_field w1 - 1 in
+  let close attrs =
     (match st.ospans.(i) with
     | Some s -> List.iter (fun (k, v) -> Obs.Span.set_attr s k v) attrs
     | None -> ());
     Hypertp.Otrace.finish obs st.ospans.(i) ~at;
     st.ospans.(i) <- None
   in
-  (* The span/metric bookkeeping below allocates its label lists before
-     the (no-op) Otrace calls see the [None]s, so skip the whole block
-     when nothing is attached — the common case for large fleets. *)
-  if obs = None && metrics = None then ()
-  else begin
   let count name labels =
     Hypertp.Otrace.count metrics ~labels:(("engine", "campaign") :: labels) name
   in
   let breaker name =
     Hypertp.Otrace.instant obs ~at ?parent:st.root_span ~track:"controller" name
   in
-  (match (e.je_event, e.je_host) with
-  | Admitted step, Some h ->
-    let i = idx st h in
+  (match event_of_word w1 with
+  | Admitted step ->
+    let h = st.setup.su_names.(i) in
     st.ospans.(i) <-
       Hypertp.Otrace.start obs ~at ?parent:st.root_span
         ~track:("host:" ^ h)
@@ -887,282 +834,314 @@ let observe st e =
             ("attempt", string_of_int st.attempts.(i)) ]
         ("attempt:" ^ step_to_string step);
     count "hypertp_campaign_attempts_total" [ ("step", step_to_string step) ]
-  | Flap_failure, Some h ->
-    Hypertp.Otrace.event st.ospans.(idx st h) ~at "flap_leg"
-  | Straggler_cancelled, Some h ->
-    close (idx st h) [ ("result", "straggler_cancelled") ];
+  | Flap_failure -> Hypertp.Otrace.event st.ospans.(i) ~at "flap_leg"
+  | Straggler_cancelled ->
+    close [ ("result", "straggler_cancelled") ];
     count "hypertp_campaign_failures_total" [ ("manifestation", "timeout") ]
-  | Attempt_failed { step; manifestation }, Some h ->
+  | Attempt_failed { step; manifestation } ->
     let m = man_to_string manifestation in
-    close (idx st h)
+    close
       [ ("result", "failed"); ("step", step_to_string step); ("manifestation", m) ];
     count "hypertp_campaign_failures_total" [ ("manifestation", m) ]
-  | Attempt_completed step, Some h ->
+  | Attempt_completed step ->
     let audit =
-      match e.je_audit with Some v -> [ ("audit", verdict_to_string v) ] | None -> []
+      match audit_of_word w1 with
+      | Some v -> [ ("audit", verdict_to_string v) ]
+      | None -> []
     in
-    close (idx st h) (("result", "completed") :: audit);
+    close (("result", "completed") :: audit);
     count "hypertp_campaign_completions_total" [ ("step", step_to_string step) ];
     List.iter
       (fun (_, v) -> count "hypertp_campaign_audits_total" [ ("verdict", v) ])
       audit
-  | Deferred, Some h ->
+  | Deferred ->
+    let h = st.setup.su_names.(i) in
     Hypertp.Otrace.instant obs ~at ~track:("host:" ^ h)
       ~attrs:[ ("host", h) ] "deferred"
-  | Breaker_opened, None ->
+  | Breaker_opened ->
     breaker "breaker:opened";
     count "hypertp_breaker_trips_total" []
-  | Breaker_half_opened, None -> breaker "breaker:half_open"
-  | Breaker_closed, None -> breaker "breaker:closed"
-  | Campaign_finished, None ->
+  | Breaker_half_opened -> breaker "breaker:half_open"
+  | Breaker_closed -> breaker "breaker:closed"
+  | Campaign_finished ->
     Hypertp.Otrace.finish obs st.root_span ~at;
     st.root_span <- None
-  | _ -> ());
+  | Limit_raised _ -> ());
   Hypertp.Otrace.gauge_set metrics
     ~labels:[ ("engine", "campaign") ]
     "hypertp_campaign_running"
     (float_of_int st.running)
-  end
 
-(* Apply one journal entry to the state.  Both the live controller and
-   [resume]'s replay funnel every mutation through here, which is what
-   makes a resumed campaign land in exactly the state the crashed one
-   had.  Host timelines are not tracked live — [make_report] rebuilds
-   them from the packed journal. *)
-let apply_state st e =
-  match (e.je_event, e.je_host) with
-  | Admitted step, Some h ->
-    let i = idx st h in
-    (match (step, st.hstates.(i)) with
-    | Inplace, H_pending
-    | (Shadow | Drain), H_failed_needs_drain
-    | Retry, H_awaiting_retry ->
-      ()
-    | _ ->
-      Hypertp_error.raise_error ~site:"Campaign"
-        "admission out of ladder order");
-    if step = Inplace && e.je_decision = None then
-      Hypertp_error.raise_error ~site:"Campaign"
-        "in-place admission without a fault decision";
-    if step = Shadow then begin
-      if st.shadow_tried.(i) then
-        Hypertp_error.raise_error ~site:"Campaign"
-          "second shadow admission for the same host";
-      if st.spares_free <= 0 then
-        Hypertp_error.raise_error ~site:"Campaign"
-          "shadow admission without a free spare lane";
+(* Narration + span/metric bookkeeping for one applied entry.  Runs at
+   the end of [apply], so a live run and [resume]'s replay emit the
+   same log lines, the same span tree and the same counters. *)
+let observe st ~at w1 =
+  if st.o_log then
+    Hypertp.Log.info (fun m ->
+        m "campaign%s: %a at %a"
+          (match host_field w1 with
+          | 0 -> ""
+          | i -> " " ^ st.setup.su_names.(i - 1))
+          pp_event (event_of_word w1) Sim.Time.pp at);
+  (* The span/metric bookkeeping allocates its label lists before the
+     (no-op) Otrace calls see the [None]s, so skip it when nothing is
+     attached — the common case for large fleets. *)
+  match (st.obs, st.metrics) with
+  | None, None -> ()
+  | _ -> observe_spans st ~at w1
+
+(* Apply one packed journal entry (word 1, at [at]) to the state.  Both
+   the live controller and [resume]'s replay funnel every mutation
+   through here, which is what makes a resumed campaign land in exactly
+   the state the crashed one had.  Host timelines are not tracked live
+   — [make_report] rebuilds them from the packed journal. *)
+let apply_state st ~at w1 =
+  let bad msg = Hypertp_error.raise_error ~site:"Campaign" msg in
+  let kind = w1 land 0xf in
+  let i = host_field w1 - 1 in
+  (* adm .. defer name a host, the campaign-wide events must not *)
+  if (kind <= k_defer && i < 0) || (kind > k_defer && i >= 0) then
+    bad "malformed journal entry";
+  match kind with
+  | 0 (* adm *) ->
+    let step = step_field w1 in
+    (match (step_of_int step, st.phase.(i)) with
+    | Inplace, Pending | (Shadow | Drain), Needs_drain | Retry, Awaiting_retry -> ()
+    | _ -> bad "admission out of ladder order");
+    if step = s_inplace && w1 land (1 lsl decision_bit) = 0 then
+      bad "in-place admission without a fault decision";
+    if step = s_shadow then begin
+      if st.shadow_tried.(i) then bad "second shadow admission for the same host";
+      if st.spares_free <= 0 then bad "shadow admission without a free spare lane";
       st.shadow_tried.(i) <- true;
       st.spares_free <- st.spares_free - 1
     end;
-    st.hstates.(i) <-
-      H_running
-        {
-          r_step = step;
-          r_started = e.je_at;
-          r_decision = e.je_decision;
-          r_shadow = e.je_shadow;
-          r_flapped = false;
-        };
+    st.phase.(i) <- Running;
+    st.adm.(i) <- w1;
+    st.stamp.(i) <- at;
+    st.flapped.(i) <- false;
     st.running <- st.running + 1;
     st.attempts.(i) <- st.attempts.(i) + 1
-  | Flap_failure, Some h -> (
-    match st.hstates.(idx st h) with
-    | H_running r -> r.r_flapped <- true
-    | _ ->
-      Hypertp_error.raise_error ~site:"Campaign"
-        "flap leg for a host not running")
-  | Straggler_cancelled, Some h -> resolve_failure st (idx st h) Timeout e.je_at
-  | Attempt_failed { manifestation; _ }, Some h ->
-    resolve_failure st (idx st h) manifestation e.je_at
-  | Attempt_completed step, Some h ->
-    let i = idx st h in
+  | 1 (* flapleg *) -> (
+    match st.phase.(i) with
+    | Running -> st.flapped.(i) <- true
+    | _ -> bad "flap leg for a host not running")
+  | 2 (* strag *) -> resolve_failure st i m_timeout at
+  | 3 (* fail *) -> resolve_failure st i ((w1 lsr 6) land 3) at
+  | 4 (* done *) ->
+    let step = step_field w1 in
     st.running <- st.running - 1;
-    (match e.je_audit with
-    | Some v -> st.audits.(i) <- Some v
-    | None -> ());
-    (match step with
-    | Inplace -> st.hstates.(i) <- H_done (Upgraded_inplace, e.je_at)
-    | Shadow ->
-      (* The freed source becomes the next staged spare (pipeline
-         lane), so the lane returns on success too. *)
-      st.spares_free <- st.spares_free + 1;
-      st.hstates.(i) <- H_done (Shadow_cutover, e.je_at)
-    | Drain -> st.hstates.(i) <- H_done (Drained, e.je_at)
-    | Retry -> st.hstates.(i) <- H_done (Deferred_resolved, e.je_at));
-    st.n_done <- st.n_done + 1;
-    st.exposure_acc <- st.exposure_acc +. hours e.je_at;
-    if step <> Retry then push_window st true
-  | Deferred, Some h ->
-    let i = idx st h in
-    (match st.hstates.(i) with
-    | H_failed_needs_defer -> st.hstates.(i) <- H_awaiting_retry
-    | _ ->
-      Hypertp_error.raise_error ~site:"Campaign" "defer out of ladder order")
-  | Breaker_opened, None ->
+    (match audit_of_word w1 with Some _ as v -> st.audits.(i) <- v | None -> ());
+    finish st i
+      (match step_of_int step with
+      | Inplace -> Upgraded_inplace
+      | Shadow ->
+        (* The freed source becomes the next staged spare (pipeline
+           lane), so the lane returns on success too. *)
+        st.spares_free <- st.spares_free + 1;
+        Shadow_cutover
+      | Drain -> Drained
+      | Retry -> Deferred_resolved)
+      at;
+    st.exposure.acc_hours <- st.exposure.acc_hours +. hours at;
+    if step <> s_retry then push_window st true
+  | 5 (* defer *) -> (
+    match st.phase.(i) with
+    | Needs_defer -> st.phase.(i) <- Awaiting_retry
+    | _ -> bad "defer out of ladder order")
+  | 6 (* bopen *) ->
     st.trips <- st.trips + 1;
-    st.breaker <- B_open_until (Sim.Time.add e.je_at st.cfg.breaker_cooldown);
+    st.breaker <- B_open_until (Sim.Time.add at st.cfg.breaker_cooldown);
     st.window_bits <- 0;
     st.window_len <- 0;
     st.half_failed <- false
-  | Breaker_half_opened, None ->
+  | 7 (* bhalf *) ->
     st.breaker <- B_half_open;
     st.half_successes <- 0;
     st.half_failed <- false;
     recompute_limit st
-  | Breaker_closed, None ->
+  | 8 (* bclosed *) ->
     st.breaker <- B_closed;
     recompute_limit st
-  | Limit_raised { slots; _ }, None ->
-    st.granted <- st.granted + slots;
+  | 9 (* fin *) -> st.finished_at <- Some at
+  | _ (* raise *) ->
+    st.granted <- st.granted + ((w1 lsr 41) land raise_field_max);
     recompute_limit st
-  | Campaign_finished, None -> st.finished_at <- Some e.je_at
-  | _ -> Hypertp_error.raise_error ~site:"Campaign" "malformed journal entry"
 
-let apply st e =
-  apply_state st e;
-  observe st e
+let apply st ~at w1 =
+  apply_state st ~at w1;
+  observe st ~at w1
 
 (* --- live execution --- *)
 
 exception Controller_died
 
-type ctx = {
-  st : st;
-  eng : Sim.Engine.t;
-  timers : Sim.Engine.timer list ref array;
-  mutable stopped : bool; (* set by [stop]: pending settles become no-ops *)
-}
-
 let cursor st =
   match st.fault with None -> 0 | Some f -> Fault.trace_length f
 
-let fire_opt st ?vm site =
-  match st.fault with None -> false | Some f -> Fault.fire f ?vm site
-
-(* The audit sites are only consulted when the plan arms them: firing
-   them unconditionally would shift the fault cursor of every journal
-   recorded before the audit existed. *)
-let audit_armed st =
-  match st.fault with
-  | None -> false
-  | Some f ->
-    List.exists
-      (fun (inj : Fault.injection) ->
-        match inj.Fault.site with
-        | Fault.Residual_leak | Fault.Scrub_fail -> true
-        | _ -> false)
-      (Fault.injections f)
-
-(* Same armed-only discipline for the shadow sites: journals recorded
-   before the shadow ladder existed (or under shadow-free plans) keep
-   their fault cursors bit-for-bit. *)
-let shadow_armed st =
-  match st.fault with
-  | None -> false
-  | Some f ->
-    List.exists
-      (fun (inj : Fault.injection) ->
-        List.mem inj.Fault.site Fault.shadow_sites)
-      (Fault.injections f)
+let flag b bit = Bool.to_int b lsl bit
 
 (* The fault-plan consults behind each journaled decision, in their
-   fixed order: live execution journals the outcome, replay re-fires
-   and compares.  Always all sites of a group, so probability streams
-   stay aligned across plans (the {!sweep} nesting property). *)
-let inplace_decision st node =
-  let d_flap = fire_opt st ~vm:node Fault.Host_flap in
-  let d_crash = fire_opt st ~vm:node Fault.Host_crash in
-  let d_timeout = fire_opt st ~vm:node Fault.Host_timeout in
-  { d_flap; d_crash; d_timeout }
+   fixed order, as word-1 bits: live execution journals the outcome,
+   replay re-fires and compares.  Always all sites of a group, so
+   probability streams stay aligned across plans (the {!sweep} nesting
+   property).  Without a plan nothing is consulted and nothing fires. *)
+let inplace_bits st node =
+  let present = 1 lsl decision_bit in
+  match st.fault with
+  | None -> present
+  | Some f ->
+    let flap = Fault.fire f ~vm:node Fault.Host_flap in
+    let crash = Fault.fire f ~vm:node Fault.Host_crash in
+    let timeout = Fault.fire f ~vm:node Fault.Host_timeout in
+    present lor flag flap 9 lor flag crash 10 lor flag timeout 11
 
-let shadow_decision st node =
-  let s_spare = fire_opt st ~vm:node Fault.Spare_exhausted in
-  let s_stage = fire_opt st ~vm:node Fault.Shadow_stage_fail in
-  let s_drop = fire_opt st ~vm:node Fault.Shadow_stream_drop in
-  let s_diverge = fire_opt st ~vm:node Fault.Shadow_diverge in
-  let s_partition = fire_opt st ~vm:node Fault.Swap_partition in
-  { s_spare; s_stage; s_drop; s_diverge; s_partition }
+let shadow_bits st node =
+  let present = 1 lsl shadow_bit in
+  match st.fault with
+  | None -> present
+  | Some f ->
+    let spare = Fault.fire f ~vm:node Fault.Spare_exhausted in
+    let stage = Fault.fire f ~vm:node Fault.Shadow_stage_fail in
+    let drop = Fault.fire f ~vm:node Fault.Shadow_stream_drop in
+    let diverge = Fault.fire f ~vm:node Fault.Shadow_diverge in
+    let partition = Fault.fire f ~vm:node Fault.Swap_partition in
+    present lor flag spare 15 lor flag stage 16 lor flag drop 17
+    lor flag diverge 18 lor flag partition 19
 
-let audit_verdict st node =
-  let leak = fire_opt st ~vm:node Fault.Residual_leak in
-  let scrub_failed = fire_opt st ~vm:node Fault.Scrub_fail in
-  if not leak then A_clean else if scrub_failed then A_failed else A_scrubbed
+let audit_word st node =
+  match st.fault with
+  | None -> audit_bits A_clean
+  | Some f ->
+    let leak = Fault.fire f ~vm:node Fault.Residual_leak in
+    let scrub_failed = Fault.fire f ~vm:node Fault.Scrub_fail in
+    audit_bits
+      (if not leak then A_clean else if scrub_failed then A_failed else A_scrubbed)
 
 (* Journal-then-crash: the entry is applied and persisted first, and
    only then may the controller die — by its own [Controller_crash] or
    by whatever the caller's probe raises — so a resumed run never loses
    the event that was being recorded. *)
-(* Re-encode and push an already-validated entry (live append and
-   resume's replay both end here). *)
-let push_entry st e ~cursor =
-  let host_idx = match e.je_host with None -> -1 | Some h -> idx st h in
-  let w0, w1, _ = pack_entry ~host_idx { e with je_cursor = cursor } in
-  Sim.Vec.push st.entries w0;
+let append st ~at w1 =
+  apply st ~at w1;
+  let crashed =
+    match st.fault with
+    | None -> false
+    | Some f -> Fault.fire f Fault.Controller_crash
+  in
+  let cursor = cursor st in
+  Sim.Vec.push st.entries (Sim.Time.to_ns at);
   Sim.Vec.push st.entries w1;
-  Sim.Vec.push st.entries cursor
-
-let append st ?host ?decision ?audit ?shadow ~at event =
-  let e =
-    { je_at = at; je_host = host; je_event = event; je_decision = decision;
-      je_audit = audit; je_shadow = shadow; je_cursor = 0 }
-  in
-  apply st e;
-  let crashed = fire_opt st Fault.Controller_crash in
-  push_entry st e ~cursor:(cursor st);
-  if st.obs <> None then
+  Sim.Vec.push st.entries cursor;
+  (match st.obs with
+  | None -> ()
+  | Some _ ->
     Hypertp.Otrace.instant st.obs ~at ~track:"journal"
-      ~attrs:[ ("cursor", string_of_int (cursor st)) ]
-      "journal:checkpoint";
+      ~attrs:[ ("cursor", string_of_int cursor) ]
+      "journal:checkpoint");
   if crashed then raise Controller_died;
-  match st.probe with Some p -> p ~replaying:false at event | None -> ()
+  match st.probe with
+  | Some p -> p ~replaying:false at (event_of_word w1)
+  | None -> ()
 
-let clear_timers ctx i =
-  List.iter Sim.Engine.cancel !(ctx.timers.(i));
-  ctx.timers.(i) := []
+(* The controller's engine events are typed: one handler per controller,
+   one int payload per event, nothing allocated.  A payload packs
+     bits 0-2   the kind ([ev_settle] .. [ev_complete])
+     bits 3-5   for a host event, the host's attempt count when armed
+                (its epoch; a host makes at most four attempts)
+     bits 6-..  for a host event, the host's task index.
+   A host event is live only while its host is still on the attempt it
+   was armed for, and every event of a stopped controller is a no-op,
+   so an event is never cancelled: it goes stale. *)
+let ev_settle = 0
+let ev_reopen = 1
+let ev_deadline = 2
+let ev_flap_leg = 3
+let ev_crash = 4
+let ev_flap = 5
+let ev_complete = 6
+let epoch_mask = 7
 
-(* Arm a guarded timer: it is a no-op unless host [i] is still on the
-   same attempt it was armed for. *)
-let arm ctx i at f =
-  let epoch = ctx.st.attempts.(i) in
-  let tm =
-    Sim.Engine.schedule_timer_at ctx.eng at (fun () ->
-        match ctx.st.hstates.(i) with
-        | H_running _ when ctx.st.attempts.(i) = epoch -> f ()
-        | _ -> ())
-  in
-  ctx.timers.(i) := tm :: !(ctx.timers.(i))
+type ctx = {
+  st : st;
+  eng : Sim.Engine.t;
+  ev : Sim.Engine.handler;
+  mutable stopped : bool; (* set by [stop]: every pending event is a no-op *)
+  (* A traced controller on its own engine reports its host events as
+     timers on the "engine" track: [timer:fired] when a live one fires,
+     and [timer:cancelled] for every live one still armed when the
+     attempt resolves.  [armed] counts those per host. *)
+  timer_trace : Obs.Tracer.t option;
+  armed : int array; (* empty without [timer_trace] *)
+}
+
+let now ctx = Sim.Engine.now ctx.eng
+
+let arm ctx i at kind =
+  let epoch = ctx.st.attempts.(i) land epoch_mask in
+  Sim.Engine.schedule_event ctx.eng at ctx.ev (kind lor (epoch lsl 3) lor (i lsl 6));
+  match ctx.timer_trace with
+  | None -> ()
+  | Some _ -> ctx.armed.(i) <- ctx.armed.(i) + 1
+
+(* Host [i]'s attempt resolved: its armed events are stale from now on. *)
+let disarm ctx i =
+  match ctx.timer_trace with
+  | None -> ()
+  | Some tr ->
+    for _ = 1 to ctx.armed.(i) do
+      Obs.Tracer.instant tr ~at:(now ctx) ~track:"engine" "timer:cancelled"
+    done;
+    ctx.armed.(i) <- 0
+
+let decided w bit = w land (1 lsl bit) <> 0
+let is_pending st i = match st.phase.(i) with Pending -> true | _ -> false
+
+(* Move the admission cursor past hosts that left [Pending]. *)
+let skip_admitted st =
+  let n = Array.length st.phase in
+  while st.next_pending < n && not (is_pending st st.next_pending) do
+    st.next_pending <- st.next_pending + 1
+  done
 
 let rec settle ctx =
   let st = ctx.st in
-  let at = Sim.Engine.now ctx.eng in
+  let at = now ctx in
   (* 1. Ladder escalations: a failed in-place attempt drains next.
      Escalation keeps the host's admission slot and ignores the breaker
      — remediation of an in-flight host must not be paused.  The
      work-list is drained sorted so the event order matches the array
      scan this replaces; the state guard skips entries already handled
      (e.g. re-pushed by a replay). *)
-  let drainable = List.sort compare st.needs_drain in
-  st.needs_drain <- [];
-  List.iter
-    (fun i ->
-      if st.hstates.(i) = H_failed_needs_drain then
-        (* Shadow rung of the ladder: with a staged spare lane free and
-           no earlier shadow failure on this host, evacuate by cutover
-           before falling back to the disruptive drain. *)
-        if
-          st.cfg.shadow_spares > 0 && st.spares_free > 0
-          && not st.shadow_tried.(i)
-        then admit ctx i Shadow
-        else admit ctx i Drain)
-    drainable;
+  (match st.needs_drain with
+  | [] -> ()
+  | needs ->
+    st.needs_drain <- [];
+    List.iter
+      (fun i ->
+        match st.phase.(i) with
+        | Needs_drain ->
+          (* Shadow rung of the ladder: with a staged spare lane free
+             and no earlier shadow failure on this host, evacuate by
+             cutover before falling back to the disruptive drain. *)
+          if
+            st.cfg.shadow_spares > 0 && st.spares_free > 0
+            && not st.shadow_tried.(i)
+          then admit ctx i s_shadow
+          else admit ctx i s_drain
+        | _ -> ())
+      (List.sort compare needs));
   (* 2. Ladder exhausted: park the host, retried at campaign end. *)
-  let deferrable = List.sort compare st.needs_defer in
-  st.needs_defer <- [];
-  List.iter
-    (fun i ->
-      if st.hstates.(i) = H_failed_needs_defer then
-        append st ~host:st.setup.su_tasks.(i).t_node ~at Deferred)
-    deferrable;
+  (match st.needs_defer with
+  | [] -> ()
+  | needs ->
+    st.needs_defer <- [];
+    List.iter
+      (fun i ->
+        match st.phase.(i) with
+        | Needs_defer -> append st ~at (hosted k_defer i 0)
+        | _ -> ())
+      (List.sort compare needs));
   (* 3. Breaker transitions. *)
   (match st.breaker with
   | B_closed | B_half_open ->
@@ -1172,202 +1151,180 @@ let rec settle ctx =
       (st.breaker = B_half_open && st.half_failed)
       || (fails > 0 && rate >= st.cfg.breaker_threshold)
     then begin
-      append st ~at Breaker_opened;
+      append st ~at k_bopen;
       match st.breaker with
-      | B_open_until u -> schedule_reopen ctx u
+      | B_open_until u -> Sim.Engine.schedule_event ctx.eng u ctx.ev ev_reopen
       | B_closed | B_half_open -> ()
     end
     else if st.breaker = B_half_open
             && st.half_successes >= st.cfg.breaker_window
-    then append st ~at Breaker_closed
+    then append st ~at k_bclosed
   | B_open_until _ -> ());
   (* 4. Admission: fill free slots with pending hosts, lowest index
      first, unless the breaker is open.  [next_pending] lazily skips
-     past hosts that left [H_pending]; it never needs to back up, so
+     past hosts that left [Pending]; it never needs to back up, so
      admission over the whole campaign costs O(hosts). *)
-  let n = Array.length st.hstates in
-  let skip_admitted () =
-    while
-      st.next_pending < n && st.hstates.(st.next_pending) <> H_pending
-    do
-      st.next_pending <- st.next_pending + 1
-    done
-  in
+  let n = Array.length st.phase in
   (match st.breaker with
   | B_open_until _ -> ()
   | B_closed | B_half_open ->
-    skip_admitted ();
+    skip_admitted st;
     while st.next_pending < n && st.running < st.limit do
-      admit ctx st.next_pending Inplace;
-      skip_admitted ()
+      admit ctx st.next_pending s_inplace;
+      skip_admitted st
     done);
   (* 5. End of the main phase: retry deferred hosts one at a time, then
      declare the campaign finished.  [retry_cursor] is monotone: it
      only moves while the retry phase is active, when every host behind
      it is terminal. *)
-  skip_admitted ();
+  skip_admitted st;
   if st.running = 0 && st.next_pending >= n then begin
     (* Phases 1-2 emptied the failed states, so every host here is
-       either H_awaiting_retry or terminal — the cursor never skips a
+       either Awaiting_retry or terminal — the cursor never skips a
        host that could become awaiting later. *)
     while
-      st.retry_cursor < n && st.hstates.(st.retry_cursor) <> H_awaiting_retry
+      st.retry_cursor < n
+      && match st.phase.(st.retry_cursor) with Awaiting_retry -> false | _ -> true
     do
       st.retry_cursor <- st.retry_cursor + 1
     done;
-    if st.retry_cursor < n then admit ctx st.retry_cursor Retry
+    if st.retry_cursor < n then admit ctx st.retry_cursor s_retry
     else if st.finished_at = None && st.n_done = n then
-      append st ~at Campaign_finished
+      append st ~at k_fin
   end
-
-and schedule_reopen ctx u =
-  Sim.Engine.schedule_at ctx.eng u (fun () -> if not ctx.stopped then reopen ctx)
 
 and reopen ctx =
   let st = ctx.st in
   (match st.breaker with
-  | B_open_until _ ->
-    append st ~at:(Sim.Engine.now ctx.eng) Breaker_half_opened
+  | B_open_until _ -> append st ~at:(now ctx) k_bhalf
   | B_closed | B_half_open -> ());
   settle ctx
 
 and admit ctx i step =
   let st = ctx.st in
-  let at = Sim.Engine.now ctx.eng in
-  let t = st.setup.su_tasks.(i) in
-  let decision =
-    match step with
-    | Inplace -> Some (inplace_decision st t.t_node)
-    | Shadow | Drain | Retry -> None
+  let node = st.setup.su_names.(i) in
+  let bits =
+    if step = s_inplace then inplace_bits st node
+    else if step = s_shadow && st.shadow_on then shadow_bits st node
+    else 0
   in
-  let shadow =
-    match step with
-    | Shadow when shadow_armed st -> Some (shadow_decision st t.t_node)
-    | _ -> None
-  in
-  append st ~host:t.t_node ?decision ?shadow ~at (Admitted step);
+  append st ~at:(now ctx) (hosted k_adm i ((step lsl 4) lor bits));
   schedule_attempt ctx i
 
-(* Schedule the engine events for a host currently in [H_running].  All
-   times are absolute (relative to the attempt's recorded start), so the
-   same function reconstructs in-flight attempts on resume. *)
+(* Arm the engine events for a host currently [Running].  All times are
+   absolute (relative to the attempt's recorded start), so the same
+   function reconstructs in-flight attempts on resume. *)
 and schedule_attempt ctx i =
   let st = ctx.st in
   let t = st.setup.su_tasks.(i) in
-  match st.hstates.(i) with
-  | H_running r -> (
-    let from_start span = Sim.Time.add r.r_started span in
-    match r.r_step with
-    | Inplace ->
-      let d =
-        match r.r_decision with
-        | Some d -> d
-        | None ->
-          Hypertp_error.raise_error ~site:"Campaign"
-            "in-place attempt without decision"
-      in
-      (* The supervisor's deadline races the attempt; whichever loses is
-         cancelled. *)
-      arm ctx i (from_start t.t_deadline) (fun () -> on_deadline ctx i);
-      if d.d_timeout then
-        (* Hung host: nothing else ever fires; the deadline wins. *)
-        ()
-      else if d.d_flap then begin
-        if not r.r_flapped then
-          arm ctx i
-            (from_start (Sim.Time.scale flap_leg1_frac t.t_expected))
-            (fun () -> on_flap_leg ctx i)
-        else
-          arm ctx i
-            (from_start (Sim.Time.scale flap_final_frac t.t_expected))
-            (fun () -> on_fail ctx i Flap)
-      end
-      else if d.d_crash then
-        arm ctx i
-          (from_start (Sim.Time.scale crash_frac t.t_expected))
-          (fun () -> on_fail ctx i Crash)
-      else
-        arm ctx i
-          (from_start
-             (Sim.Time.scale (host_jitter st.cfg t.t_node) t.t_expected))
-          (fun () -> on_complete ctx i Inplace)
-    | Shadow ->
-      (* The pre-swap abort points are all analytic: a fired shadow
-         site surfaces as one failed attempt (the engine's abort +
-         source-intact verification), costed like a drain that died
-         mid-stream.  Which site fired was journaled at admission. *)
-      if (match r.r_shadow with Some s -> shadow_failed s | None -> false)
-      then
-        arm ctx i
-          (from_start (Sim.Time.scale shadow_fail_frac t.t_shadow))
-          (fun () -> on_fail ctx i Crash)
-      else
-        arm ctx i
-          (from_start
-             (Sim.Time.scale (host_jitter st.cfg t.t_node) t.t_shadow))
-          (fun () -> on_complete ctx i Shadow)
-    | Drain ->
-      if coin st.cfg "drain" t.t_node st.cfg.drain_flakiness then
-        arm ctx i
-          (from_start (Sim.Time.scale drain_fail_frac t.t_drain))
-          (fun () -> on_fail ctx i Crash)
-      else arm ctx i (from_start t.t_drain) (fun () -> on_complete ctx i Drain)
-    | Retry ->
-      if coin st.cfg "retry" t.t_node st.cfg.retry_flakiness then
-        arm ctx i
-          (from_start (Sim.Time.scale retry_fail_frac t.t_up))
-          (fun () -> on_fail ctx i Crash)
-      else
-        arm ctx i
-          (from_start (Sim.Time.scale (host_jitter st.cfg t.t_node) t.t_up))
-          (fun () -> on_complete ctx i Retry))
+  (match st.phase.(i) with
+  | Running -> ()
   | _ ->
     Hypertp_error.raise_error ~site:"Campaign"
-      "scheduling for a host not running"
+      "scheduling for a host not running");
+  let w = st.adm.(i) and start = st.stamp.(i) in
+  match step_of_int (step_field w) with
+  | Inplace ->
+    (* The supervisor's deadline races the attempt; whichever loses
+       goes stale. *)
+    arm ctx i (Sim.Time.add start t.t_deadline) ev_deadline;
+    if decided w 11 (* timeout *) then
+      (* Hung host: nothing else ever fires; the deadline wins. *)
+      ()
+    else if decided w 9 (* flap *) then begin
+      if not st.flapped.(i) then
+        arm ctx i
+          (Sim.Time.add start (Sim.Time.scale flap_leg1_frac t.t_expected))
+          ev_flap_leg
+      else
+        arm ctx i
+          (Sim.Time.add start (Sim.Time.scale flap_final_frac t.t_expected))
+          ev_flap
+    end
+    else if decided w 10 (* crash *) then
+      arm ctx i (Sim.Time.add start (Sim.Time.scale crash_frac t.t_expected)) ev_crash
+    else
+      arm ctx i
+        (Sim.Time.add start
+           (Sim.Time.scale (host_jitter st.cfg t) t.t_expected))
+        ev_complete
+  | Shadow ->
+    (* The pre-swap abort points are all analytic: a fired shadow site
+       surfaces as one failed attempt (the engine's abort +
+       source-intact verification), costed like a drain that died
+       mid-stream.  Which site fired was journaled at admission. *)
+    if w land (0x1f lsl (shadow_bit + 1)) <> 0 then
+      arm ctx i (Sim.Time.add start (Sim.Time.scale shadow_fail_frac t.t_shadow)) ev_crash
+    else
+      arm ctx i
+        (Sim.Time.add start (Sim.Time.scale (host_jitter st.cfg t) t.t_shadow))
+        ev_complete
+  | Drain ->
+    if coin st.cfg "drain" t.t_node st.cfg.drain_flakiness then
+      arm ctx i (Sim.Time.add start (Sim.Time.scale drain_fail_frac t.t_drain)) ev_crash
+    else arm ctx i (Sim.Time.add start t.t_drain) ev_complete
+  | Retry ->
+    if coin st.cfg "retry" t.t_node st.cfg.retry_flakiness then
+      arm ctx i (Sim.Time.add start (Sim.Time.scale retry_fail_frac t.t_up)) ev_crash
+    else
+      arm ctx i
+        (Sim.Time.add start (Sim.Time.scale (host_jitter st.cfg t) t.t_up))
+        ev_complete
+
+(* The controller's engine handler. *)
+and on_event ctx p =
+  if not ctx.stopped then begin
+    let kind = p land 7 in
+    if kind = ev_settle then settle ctx
+    else if kind = ev_reopen then reopen ctx
+    else begin
+      let st = ctx.st and i = p lsr 6 in
+      match st.phase.(i) with
+      | Running when st.attempts.(i) land epoch_mask = (p lsr 3) land epoch_mask ->
+        (match ctx.timer_trace with
+        | None -> ()
+        | Some tr ->
+          ctx.armed.(i) <- ctx.armed.(i) - 1;
+          Obs.Tracer.instant tr ~at:(now ctx) ~track:"engine" "timer:fired");
+        if kind = ev_deadline then on_deadline ctx i
+        else if kind = ev_flap_leg then on_flap_leg ctx i
+        else if kind = ev_complete then on_complete ctx i
+        else on_fail ctx i (if kind = ev_crash then m_crash else m_flap)
+      | _ -> ()
+    end
+  end
 
 and on_deadline ctx i =
-  clear_timers ctx i;
-  append ctx.st
-    ~host:ctx.st.setup.su_tasks.(i).t_node
-    ~at:(Sim.Engine.now ctx.eng) Straggler_cancelled;
+  disarm ctx i;
+  append ctx.st ~at:(now ctx) (hosted k_strag i 0);
   settle ctx
 
-and on_fail ctx i manifestation =
+and on_fail ctx i man =
   let st = ctx.st in
-  let step =
-    match st.hstates.(i) with H_running r -> r.r_step | _ -> assert false
-  in
-  clear_timers ctx i;
-  append st
-    ~host:st.setup.su_tasks.(i).t_node
-    ~at:(Sim.Engine.now ctx.eng)
-    (Attempt_failed { step; manifestation });
+  let step = step_field st.adm.(i) in
+  disarm ctx i;
+  append st ~at:(now ctx) (hosted k_fail i ((step lsl 4) lor (man lsl 6)));
   settle ctx
 
-and on_complete ctx i step =
+and on_complete ctx i =
   let st = ctx.st in
-  clear_timers ctx i;
-  let node = st.setup.su_tasks.(i).t_node in
+  let step = step_field st.adm.(i) in
+  disarm ctx i;
   (* Post-commit audit verdict for steps that end on the new hypervisor
-     via InPlaceTP.  Only consulted when the plan arms the audit sites,
-     so journals recorded under audit-free plans keep their fault
-     cursors bit-for-bit. *)
+     via InPlaceTP, consulted only when the plan arms the audit sites. *)
   let audit =
-    match step with
-    | (Inplace | Retry) when audit_armed st -> Some (audit_verdict st node)
-    | _ -> None
+    if (step = s_inplace || step = s_retry) && st.audit_on then
+      audit_word st st.setup.su_names.(i)
+    else 0
   in
-  append st ~host:node ?audit ~at:(Sim.Engine.now ctx.eng)
-    (Attempt_completed step);
+  append st ~at:(now ctx) (hosted k_done i ((step lsl 4) lor audit));
   settle ctx
 
 and on_flap_leg ctx i =
   (* First leg: the host fails, then recovers.  Not an attempt outcome —
      it must not count toward the breaker — so only the leg itself is
      journaled and the final failure is re-armed. *)
-  append ctx.st
-    ~host:ctx.st.setup.su_tasks.(i).t_node
-    ~at:(Sim.Engine.now ctx.eng) Flap_failure;
+  append ctx.st ~at:(now ctx) (hosted k_flapleg i 0);
   schedule_attempt ctx i
 
 (* --- results --- *)
@@ -1383,7 +1340,9 @@ let wall_and_exposure st =
   match st.finished_at with
   | Some t ->
     let wall = Sim.Time.add t st.setup.su_rebalance in
-    (wall, st.exposure_acc +. (float_of_int st.n_deferred_exposed *. hours wall))
+    ( wall,
+      st.exposure.acc_hours
+      +. (float_of_int st.n_deferred_exposed *. hours wall) )
   | None ->
     Hypertp_error.raise_error ~site:"Campaign"
       "report requested before the finish event"
@@ -1409,9 +1368,9 @@ let make_report st =
       (Array.mapi
          (fun i t ->
            let status, done_at =
-             match st.hstates.(i) with
-             | H_done (Deferred_exposed, _) -> (Deferred_exposed, wall)
-             | H_done (s, at) -> (s, at)
+             match (st.phase.(i), st.status.(i)) with
+             | Done, Deferred_exposed -> (Deferred_exposed, wall)
+             | Done, s -> (s, st.stamp.(i))
              | _ ->
                Hypertp_error.raise_error ~site:"Campaign"
                  "unfinished host in report"
@@ -1490,35 +1449,28 @@ let make_report st =
 
 type run_result = Finished of report * journal | Crashed of journal
 
-(* A caller's engine ([?eng]) is shared with other controllers; its
-   timer hook is the caller's business. *)
+(* On a caller's engine ([?eng]), shared with other controllers, the
+   controller reports no timer notices. *)
 let make_ctx ?eng st =
-  let eng =
+  let eng, timer_trace =
     match eng with
-    | Some eng -> eng
-    | None ->
-      let eng = Sim.Engine.create () in
-      (* Timer lifecycle on its own track: every straggler deadline and
-         attempt completion timer shows up as fired or cancelled. *)
-      Option.iter
-        (fun tr ->
-          Sim.Engine.set_timer_hook eng (fun at notice ->
-              Obs.Tracer.instant tr ~at ~track:"engine"
-                (match notice with
-                | `Fired -> "timer:fired"
-                | `Cancelled -> "timer:cancelled")))
-        st.obs;
-      eng
+    | Some eng -> (eng, None)
+    | None -> (Sim.Engine.create (), st.obs)
   in
-  {
-    st;
-    eng;
-    timers = Array.init (Array.length st.setup.su_tasks) (fun _ -> ref []);
-    stopped = false;
-  }
+  (* The handler is registered before the context that it runs on
+     exists, so it reaches the context through [handle]. *)
+  let handle = ref ignore in
+  let ev = Sim.Engine.handler eng (fun p -> !handle p) in
+  let armed =
+    match timer_trace with
+    | None -> [||]
+    | Some _ -> Array.make (Array.length st.setup.su_tasks) 0
+  in
+  let ctx = { st; eng; ev; stopped = false; timer_trace; armed } in
+  handle := on_event ctx;
+  ctx
 
-let settle_at ctx at =
-  Sim.Engine.schedule_at ctx.eng at (fun () -> if not ctx.stopped then settle ctx)
+let settle_at ctx at = Sim.Engine.schedule_event ctx.eng at ctx.ev ev_settle
 
 let drive ctx =
   try
@@ -1531,7 +1483,7 @@ let start_st ?eng ?plan ?fault ?probe ?obs ?metrics cfg =
   validate_config cfg;
   let setup = setup_of ?plan cfg in
   let ctx = make_ctx ?eng (make_st ?fault ?probe ?obs ?metrics cfg setup) in
-  settle_at ctx (Sim.Engine.now ctx.eng);
+  settle_at ctx (now ctx);
   ctx
 
 let run ?fault ?obs ?metrics cfg = drive (start_st ?fault ?obs ?metrics cfg)
@@ -1558,49 +1510,78 @@ let resume_st ?eng ?plan ?fault ?probe ?obs ?metrics journal =
        plan (seed %Ld) decides differently here"
       (match st.fault with Some f -> Fault.seed f | None -> 0L)
   in
-  let entry_no = ref 0 in
-  journal_iter
-    (fun e ->
-      incr entry_no;
-      (match probe with
-      | Some p -> p ~replaying:true e.je_at e.je_event
-      | None -> ());
-      (* Re-fire every decision the entry journals and compare. *)
-      let replayed =
-        match (e.je_event, e.je_host) with
-        | Admitted Inplace, Some h ->
-          { e with je_decision = Some (inplace_decision st h) }
-        | Admitted Shadow, Some h when e.je_shadow <> None ->
-          { e with je_shadow = Some (shadow_decision st h) }
-        | Attempt_completed (Inplace | Retry), Some h when e.je_audit <> None ->
-          { e with je_audit = Some (audit_verdict st h) }
-        | _ -> e
-      in
-      if st.fault <> None && replayed <> e then begin
-        let b = Buffer.create 192 in
-        List.iter
-          (fun e ->
-            let _, w1, cursor = pack_entry ~host_idx:0 e in
-            let host = Option.value e.je_host ~default:"-" in
-            J.put_line b "e" entry_line (host, e.je_at, w1, cursor))
-          [ e; replayed ];
-        Hypertp_error.raise_errorf ~site:"Campaign.resume" ~hint
-          "journal entry %d disagrees with the fault plan (journal, then \
-           plan):\n%s" !entry_no (Buffer.contents b)
-      end;
-      apply st e;
-      ignore (fire_opt st Fault.Controller_crash);
-      if st.fault <> None && cursor st <> e.je_cursor then
-        Hypertp_error.raise_errorf ~site:"Campaign.resume" ~hint
-          "journal entry %d (%s at %s): fault-plan cursor diverged — the \
-           journal records %d fire decisions taken by this point, the \
-           replayed plan took %d (every earlier decision matched, so the \
-           injection list differs)"
-          !entry_no
-          (match e.je_host with Some h -> "host " ^ h | None -> "campaign")
-          (Sim.Time.to_string e.je_at) e.je_cursor (cursor st);
-      push_entry st e ~cursor:e.je_cursor)
-    journal;
+  (* The journal numbers its hosts in first-appearance order; re-key
+     each to its task index, one name lookup per host. *)
+  let task = Array.make (Array.length journal.j_names) (-1) in
+  let task_of j =
+    if task.(j) < 0 then
+      task.(j) <-
+        (match Hashtbl.find_opt setup.su_index journal.j_names.(j) with
+        | Some i -> i
+        | None ->
+          Hypertp_error.raise_errorf ~site:"Campaign"
+            ~hint:"the journal must come from a campaign with the same config"
+            "unknown host in journal: %s" journal.j_names.(j));
+    task.(j)
+  in
+  let words = journal.j_words in
+  for k = 0 to journal_length journal - 1 do
+    let entry_no = k + 1 in
+    let at = Sim.Time.ns (Sim.Vec.get words (3 * k)) in
+    let w1 = Sim.Vec.get words ((3 * k) + 1) in
+    let recorded = Sim.Vec.get words ((3 * k) + 2) in
+    (match probe with
+    | Some p -> p ~replaying:true at (event_of_word w1)
+    | None -> ());
+    let w1 =
+      match host_field w1 with
+      | 0 -> w1
+      | j ->
+        (* kind and flags kept, host field replaced *)
+        hosted 0 (task_of (j - 1)) (w1 land ((1 lsl host_shift) - 1))
+    in
+    let i = host_field w1 - 1 in
+    let host = if i < 0 then "-" else setup.su_names.(i) in
+    (* Re-fire every decision the entry journals and compare. *)
+    let step = step_field w1 in
+    let replayed =
+      match w1 land 0xf with
+      | 0 when i >= 0 && step = s_inplace ->
+        (w1 land lnot decision_mask) lor inplace_bits st host
+      | 0 when i >= 0 && step = s_shadow && w1 land (1 lsl shadow_bit) <> 0 ->
+        (w1 land lnot shadow_mask) lor shadow_bits st host
+      | 4
+        when i >= 0 && (step = s_inplace || step = s_retry)
+             && w1 land audit_mask <> 0 ->
+        (w1 land lnot audit_mask) lor audit_word st host
+      | _ -> w1
+    in
+    if st.fault <> None && replayed <> w1 then begin
+      let b = Buffer.create 192 in
+      List.iter
+        (fun w -> J.put_line b "e" entry_line (host, at, w, recorded))
+        [ w1; replayed ];
+      Hypertp_error.raise_errorf ~site:"Campaign.resume" ~hint
+        "journal entry %d disagrees with the fault plan (journal, then \
+         plan):\n%s" entry_no (Buffer.contents b)
+    end;
+    apply st ~at w1;
+    (match st.fault with
+    | Some f -> ignore (Fault.fire f Fault.Controller_crash)
+    | None -> ());
+    if st.fault <> None && cursor st <> recorded then
+      Hypertp_error.raise_errorf ~site:"Campaign.resume" ~hint
+        "journal entry %d (%s at %s): fault-plan cursor diverged — the \
+         journal records %d fire decisions taken by this point, the \
+         replayed plan took %d (every earlier decision matched, so the \
+         injection list differs)"
+        entry_no
+        (if i < 0 then "campaign" else "host " ^ host)
+        (Sim.Time.to_string at) recorded (cursor st);
+    Sim.Vec.push st.entries (Sim.Time.to_ns at);
+    Sim.Vec.push st.entries w1;
+    Sim.Vec.push st.entries recorded
+  done;
   let ctx = make_ctx ?eng st in
   let n = Sim.Vec.length st.entries in
   let t_last =
@@ -1611,13 +1592,12 @@ let resume_st ?eng ?plan ?fault ?probe ?obs ?metrics journal =
      start times.  On a shared engine whose clock has moved past
      [t_last], the controller was idle since then and the settle is a
      no-op whenever it runs. *)
-  settle_at ctx (Sim.Time.max t_last (Sim.Engine.now ctx.eng));
+  settle_at ctx (Sim.Time.max t_last (now ctx));
   Array.iteri
-    (fun i h ->
-      match h with H_running _ -> schedule_attempt ctx i | _ -> ())
-    st.hstates;
+    (fun i p -> match p with Running -> schedule_attempt ctx i | _ -> ())
+    st.phase;
   (match st.breaker with
-  | B_open_until u -> schedule_reopen ctx u
+  | B_open_until u -> Sim.Engine.schedule_event ctx.eng u ctx.ev ev_reopen
   | B_closed | B_half_open -> ());
   ctx
 
@@ -1647,20 +1627,22 @@ type controller = ctx
 
 let start_controller ~eng = start_st ~eng
 let resume_controller ~eng = resume_st ~eng
-
-let stop_controller ctx =
-  ctx.stopped <- true;
-  Array.iteri (fun i _ -> clear_timers ctx i) ctx.timers
+let stop_controller ctx = ctx.stopped <- true
 
 let grant ctx ~from_region ~slots =
-  append ctx.st ~at:(Sim.Engine.now ctx.eng) (Limit_raised { from_region; slots });
+  append ctx.st ~at:(now ctx) (raise_word ~from_region ~slots);
   settle ctx
 
 let controller_journal ctx = make_journal ctx.st
 let controller_finished_at ctx = ctx.st.finished_at
 let controller_report ctx = make_report ctx.st
 
-let journal_events f j = journal_iter (fun e -> f e.je_at e.je_host e.je_event) j
+let journal_events f j =
+  let words = j.j_words in
+  for k = 0 to journal_length j - 1 do
+    let w1 = Sim.Vec.get words ((3 * k) + 1) in
+    f (Sim.Time.ns (Sim.Vec.get words (3 * k))) (journal_host j w1) (event_of_word w1)
+  done
 
 let sweep ?(config = default_config) ?(seed = 0xC1A5L) ~probabilities () =
   List.map
@@ -1760,16 +1742,17 @@ let make_summary ~region ~resumes st =
   let wall, exposure = wall_and_exposure st in
   let inplace = ref 0 and shadow = ref 0 and drained = ref 0 in
   let retried = ref 0 and exposed = ref 0 in
-  Array.iter
-    (function
-      | H_done (Upgraded_inplace, _) -> incr inplace
-      | H_done (Shadow_cutover, _) -> incr shadow
-      | H_done (Drained, _) -> incr drained
-      | H_done (Deferred_resolved, _) -> incr retried
-      | H_done (Deferred_exposed, _) -> incr exposed
+  Array.iteri
+    (fun i p ->
+      match (p, st.status.(i)) with
+      | Done, Upgraded_inplace -> incr inplace
+      | Done, Shadow_cutover -> incr shadow
+      | Done, Drained -> incr drained
+      | Done, Deferred_resolved -> incr retried
+      | Done, Deferred_exposed -> incr exposed
       | _ ->
         Hypertp_error.raise_error ~site:"Campaign" "unfinished host in summary")
-    st.hstates;
+    st.phase;
   {
     s_region = region;
     s_hosts = Array.length st.setup.su_tasks;

@@ -12,7 +12,7 @@
       the campaign never drains more hosts than spare capacity admits.
     - {b Straggler detection.}  Every host attempt carries a deadline
       ([straggler_factor] x its expected duration, from the
-      {!Hypertp.Costs} estimates); a cancellable {!Sim.Engine.timer}
+      {!Hypertp.Costs} estimates); a deadline event on the engine
       escalates attempts that overrun it.
     - {b Degradation ladder.}  InPlaceTP -> shadow-host cutover (when
       [shadow_spares > 0] and a staged spare lane is free) ->
@@ -210,8 +210,10 @@ val run :
     on the [controller] track, one [attempt:<step>] span per admission
     on its host's [host:<node>] track (closed with a [result]
     attribute; flap legs become events on the open span), breaker
-    transitions and journal checkpoints as instants, and every engine
-    timer fire/cancel on the [engine] track.  Because all state
+    transitions and journal checkpoints as instants, and, on the
+    campaign's own engine, every host event (deadline, flap leg,
+    failure, completion) as a timer fire or cancel on the [engine]
+    track.  Because all state
     mutations funnel through the journal apply path, a resumed
     campaign re-emits the entire timeline into whatever tracer it is
     given.  [metrics] accumulates attempt/failure/completion counters,
@@ -275,8 +277,9 @@ val resume_controller :
     [plan] when it fits the config. *)
 
 val stop_controller : controller -> unit
-(** Cancel every timer the controller armed; call it on a dead
-    incarnation before resuming its journal. *)
+(** Make every event the controller still has on the engine a no-op,
+    so it journals nothing more; call it on a dead incarnation before
+    resuming its journal. *)
 
 val grant : controller -> from_region:int -> slots:int -> unit
 (** Append [Limit_raised] now, raising the admission limit by [slots],

@@ -296,7 +296,7 @@ let resume_region st r rg journal =
       "region %s: %s" (region_name r) e.reason
 
 (* Rebuild a region from its journal at once.  The dead incarnation's
-   timers are cancelled first, so the timeline cannot tell. *)
+   events are stopped first, so the timeline cannot tell. *)
 let restart st r ~kind =
   C.stop_controller r.ctl;
   root_instant st "subctl:restart"

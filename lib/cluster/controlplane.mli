@@ -17,7 +17,7 @@
 
     {b Recovery is a rebuild from the journal.}  A crashed
     sub-controller is rebuilt at once through {!Campaign}'s resume path
-    (its dead incarnation's timers cancelled first), and so is a
+    (its dead incarnation stopped first), and so is a
     partitioned one (a spurious restart).  Nothing the root holds is
     load-bearing: a root crash ends the incarnation with a {!bundle} of
     the region journals, from which {!resume} (leader handoff) rebuilds

@@ -1,24 +1,38 @@
 (* A binary min-heap over (time, sequence) keys. The sequence number makes
    the execution order of simultaneous events equal to their scheduling
-   order, which pins down determinism. *)
+   order, which pins down determinism.
 
-type event = { at : Time.t; seq : int; run : unit -> unit }
+   The heap holds no pointers: each slot is four ints in one flat array
+   (time in ns, sequence, code, payload), so scheduling and popping move
+   ints and never allocate or run the write barrier.  A typed event's
+   code is the index of a handler registered once with [handler]; a
+   closure event's code is [closure_code] and its payload is a slot in
+   [thunks], a pool of pending closures recycled through [free]. *)
 
 type timer_notice = [ `Fired | `Cancelled ]
 
+type handler = int
+
 type t = {
   mutable clock : Time.t;
-  mutable heap : event array;
+  mutable keys : int array; (* [stride] ints per heap slot *)
   mutable size : int;
   mutable next_seq : int;
+  mutable handlers : (int -> unit) array;
+  mutable n_handlers : int;
+  mutable thunks : (unit -> unit) array;
+  mutable free : int array; (* free [thunks] slots, a stack *)
+  mutable n_free : int;
   mutable timer_hook : (Time.t -> timer_notice -> unit) option;
 }
 
-let dummy = { at = Time.zero; seq = -1; run = ignore }
+let stride = 4
+let closure_code = -1
 
 let create () =
-  { clock = Time.zero; heap = Array.make 64 dummy; size = 0; next_seq = 0;
-    timer_hook = None }
+  { clock = Time.zero; keys = Array.make (64 * stride) 0; size = 0;
+    next_seq = 0; handlers = Array.make 4 ignore; n_handlers = 0;
+    thunks = [||]; free = [||]; n_free = 0; timer_hook = None }
 
 let set_timer_hook t hook = t.timer_hook <- Some hook
 let clear_timer_hook t = t.timer_hook <- None
@@ -28,59 +42,114 @@ let notify t notice =
 let now t = t.clock
 let pending t = t.size
 
-let before a b =
-  match Time.compare a.at b.at with
-  | 0 -> a.seq < b.seq
-  | c -> c < 0
-
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let push t ev =
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) dummy in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
+let handler t f =
+  if t.n_handlers = Array.length t.handlers then begin
+    let bigger = Array.make (2 * t.n_handlers) ignore in
+    Array.blit t.handlers 0 bigger 0 t.n_handlers;
+    t.handlers <- bigger
   end;
-  t.heap.(t.size) <- ev;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  t.handlers.(t.n_handlers) <- f;
+  t.n_handlers <- t.n_handlers + 1;
+  t.n_handlers - 1
 
-let pop t =
-  assert (t.size > 0);
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy;
-  if t.size > 0 then sift_down t 0;
-  top
+(* Slot [i] runs before slot [j]. *)
+let before k i j =
+  let a = k.(i * stride) and b = k.(j * stride) in
+  a < b || (a = b && k.((i * stride) + 1) < k.((j * stride) + 1))
 
-let schedule_at t at run =
+let move k ~src ~dst =
+  let s = src * stride and d = dst * stride in
+  k.(d) <- k.(s);
+  k.(d + 1) <- k.(s + 1);
+  k.(d + 2) <- k.(s + 2);
+  k.(d + 3) <- k.(s + 3)
+
+let push t (at : Time.t) code payload =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  push t { at; seq; run }
+  if (t.size + 1) * stride > Array.length t.keys then begin
+    let bigger = Array.make (2 * Array.length t.keys) 0 in
+    Array.blit t.keys 0 bigger 0 (t.size * stride);
+    t.keys <- bigger
+  end;
+  let k = t.keys and at = (at :> int) in
+  (* Sift the hole up.  The new sequence number is the largest in the
+     heap, so the key comparison reduces to the time. *)
+  let i = ref t.size in
+  while !i > 0 && at < k.(((!i - 1) / 2) * stride) do
+    let parent = (!i - 1) / 2 in
+    move k ~src:parent ~dst:!i;
+    i := parent
+  done;
+  let d = !i * stride in
+  k.(d) <- at;
+  k.(d + 1) <- seq;
+  k.(d + 2) <- code;
+  k.(d + 3) <- payload;
+  t.size <- t.size + 1
+
+(* Remove the root: the last slot fills the hole left at the top and
+   sinks to its place. *)
+let remove_root t =
+  let k = t.keys in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let i = ref 0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let c = if l + 1 < n && before k (l + 1) l then l + 1 else l in
+        if before k c n then begin
+          move k ~src:c ~dst:!i;
+          i := c
+        end
+        else sinking := false
+      end
+    done;
+    move k ~src:n ~dst:!i
+  end
+
+(* Pop the earliest event, advance the clock to it and run it.  The heap
+   is consistent before the handler runs, so a handler may schedule and
+   an exception it raises leaves the engine usable. *)
+let step t =
+  let k = t.keys in
+  let at = k.(0) and code = k.(2) and payload = k.(3) in
+  remove_root t;
+  t.clock <- Time.ns at;
+  if code = closure_code then begin
+    let run = t.thunks.(payload) in
+    t.thunks.(payload) <- ignore;
+    t.free.(t.n_free) <- payload;
+    t.n_free <- t.n_free + 1;
+    run ()
+  end
+  else t.handlers.(code) payload
+
+let schedule_event t at h payload = push t at h payload
+
+let schedule_at t at run =
+  if t.n_free = 0 then begin
+    let n = Array.length t.thunks in
+    let cap = Stdlib.max 16 (2 * n) in
+    let thunks = Array.make cap ignore in
+    Array.blit t.thunks 0 thunks 0 n;
+    t.thunks <- thunks;
+    (* [free] is empty, so it only needs room for the new slots now and
+       for every slot once they are all returned. *)
+    t.free <- Array.make cap 0;
+    for s = cap - 1 downto n do
+      t.free.(t.n_free) <- s;
+      t.n_free <- t.n_free + 1
+    done
+  end;
+  let slot = t.free.(t.n_free - 1) in
+  push t at closure_code slot;
+  t.n_free <- t.n_free - 1;
+  t.thunks.(slot) <- run
 
 let schedule_after t delay run = schedule_at t (Time.add t.clock delay) run
 
@@ -125,19 +194,11 @@ let timer_pending timer = timer.state = Timer_pending
 
 let run t =
   while t.size > 0 do
-    let ev = pop t in
-    t.clock <- ev.at;
-    ev.run ()
+    step t
   done
 
-let run_until t limit =
-  let continue = ref true in
-  while !continue && t.size > 0 do
-    if Time.(t.heap.(0).at <= limit) then begin
-      let ev = pop t in
-      t.clock <- ev.at;
-      ev.run ()
-    end
-    else continue := false
+let run_until t (limit : Time.t) =
+  while t.size > 0 && t.keys.(0) <= (limit :> int) do
+    step t
   done;
   if Time.(t.clock < limit) then t.clock <- limit

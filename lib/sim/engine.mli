@@ -1,8 +1,11 @@
 (** Discrete-event simulation engine.
 
-    Events are closures scheduled at absolute virtual times and executed
-    in time order; ties break in scheduling order, which keeps every run
-    deterministic.  Handlers may schedule further events. *)
+    Events are closures or typed events (a registered handler and an
+    int payload) scheduled at absolute virtual times and executed in
+    time order; ties break in scheduling order, which keeps every run
+    deterministic.  Handlers may schedule further events, and an
+    exception a handler raises propagates out of {!run} with the queue
+    intact. *)
 
 type t
 
@@ -18,6 +21,27 @@ val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 
 val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_after e d f] runs [f] at [now e + d]. *)
+
+(** {1 Typed events}
+
+    A typed event is a handler registered once plus one int payload per
+    event.  The payload carries whatever the handler needs to tell its
+    events apart (a controller packs an event kind, a host index and an
+    attempt epoch into it), so scheduling one allocates nothing.  Typed
+    and closure events share one queue and one (time, scheduling order)
+    key: at the same instant they run in the order they were scheduled,
+    whichever kind they are. *)
+
+type handler
+(** A handler registered with one engine. *)
+
+val handler : t -> (int -> unit) -> handler
+(** [handler e f] registers [f] with [e] for the engine's lifetime.
+    Register once per controller, not per event. *)
+
+val schedule_event : t -> Time.t -> handler -> int -> unit
+(** [schedule_event e t h payload] runs [h payload] when the clock
+    reaches [t].  Raises [Invalid_argument] if [t] is in the past. *)
 
 (** {1 Cancellable timers}
 
@@ -60,8 +84,9 @@ val timer_pending : timer -> bool
     The hook is invoked with the engine's clock at the moment the
     notice happens: the fire time for [`Fired], the cancellation time —
     not the would-be fire time — for [`Cancelled].  Plain
-    {!schedule_at} events are not reported; only cancellable timers
-    are. *)
+    {!schedule_at} events and typed events are not reported; only
+    cancellable timers are (a controller built on typed events derives
+    its own notices). *)
 
 type timer_notice = [ `Fired | `Cancelled ]
 

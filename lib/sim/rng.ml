@@ -2,7 +2,7 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -14,6 +14,12 @@ let int64 t =
   mix64 t.state
 
 let split t = create (int64 t)
+
+(* [float (create seed) bound], inlined so a caller's float stays
+   unboxed and no generator is built. *)
+let[@inline] first_float seed bound =
+  let bits = Int64.shift_right_logical (mix64 (Int64.add seed golden_gamma)) 11 in
+  Int64.to_float bits /. 9007199254740992.0 *. bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";

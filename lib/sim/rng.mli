@@ -22,6 +22,11 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float r bound] is uniform in [\[0, bound)]. *)
 
+val first_float : int64 -> float -> float
+(** [first_float seed bound] is [float (create seed) bound]: the first
+    draw of a fresh stream, for randomness derived per key, without
+    allocating a generator. *)
+
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal deviate via Box-Muller. *)
 

@@ -409,6 +409,29 @@ let test_region_is_campaign () =
     [ (fun () -> None);
       (fun () -> Some (Fault.make ~seed:41L (host_injections 0.35))) ]
 
+(* A stopped controller on a shared engine records nothing more: its
+   pending events still pop, as no-ops, while a live neighbour on the
+   same engine runs to its end. *)
+let test_stopped_controller_is_inert () =
+  let module C = Cluster.Campaign in
+  let eng = Sim.Engine.create () in
+  let cfg = { C.default_config with C.nodes = 8; vms_per_node = 4 } in
+  let fault = Fault.make ~seed:5L (host_injections 0.3) in
+  let stopped = C.start_controller ~eng ~fault cfg in
+  let live = C.start_controller ~eng { cfg with C.seed = 7L } in
+  Sim.Engine.run_until eng (Sim.Time.sec 10);
+  let journal () = C.journal_to_string (C.controller_journal stopped) in
+  let before = journal () in
+  checkb "stopped mid-campaign" true
+    (C.journal_length (C.controller_journal stopped) > 0
+     && C.controller_finished_at stopped = None);
+  C.stop_controller stopped;
+  Sim.Engine.run eng;
+  checks "nothing journaled after the stop" before (journal ());
+  checkb "still unfinished" true (C.controller_finished_at stopped = None);
+  checkb "the live neighbour finished" true
+    (C.controller_finished_at live <> None)
+
 let suites =
   [
     ( "controlplane.run",
@@ -439,6 +462,8 @@ let suites =
           test_crash_schedule_byte_identity_qcheck;
         Alcotest.test_case "double crash during resume (golden)" `Quick
           test_double_crash_during_resume_golden;
+        Alcotest.test_case "stopped controller records nothing" `Quick
+          test_stopped_controller_is_inert;
       ] );
     ( "controlplane.bundle",
       [ Alcotest.test_case "parse errors" `Quick test_bundle_parse_errors ] );

@@ -108,6 +108,12 @@ let prop_rng_jitter_bounds =
       let v = Sim.Rng.jitter rng 0.05 in
       v >= 0.95 && v <= 1.05000001)
 
+let prop_rng_first_float =
+  QCheck.Test.make ~name:"Rng.first_float = the first float draw"
+    QCheck.(pair int64 (float_range 0.0 10.0))
+    (fun (seed, bound) ->
+      Sim.Rng.first_float seed bound = Sim.Rng.float (Sim.Rng.create seed) bound)
+
 let test_rng_gaussian_moments () =
   let rng = Sim.Rng.create 7L in
   let n = 20_000 in
@@ -253,6 +259,81 @@ let test_engine_many_events () =
   Sim.Engine.run e;
   checkb "clock monotone over 2000 events" true !monotone
 
+(* Typed events share the closure events' queue and key: at one
+   nanosecond the two kinds interleave in scheduling order. *)
+let test_engine_typed_mixed_ties () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let h = Sim.Engine.handler e (fun p -> log := p :: !log) in
+  let at = Sim.Time.ns 7 in
+  Sim.Engine.schedule_event e at h 1;
+  Sim.Engine.schedule_at e at (fun () -> log := 2 :: !log);
+  Sim.Engine.schedule_event e at h 3;
+  Sim.Engine.schedule_event e (Sim.Time.ns 3) h 0;
+  Sim.Engine.schedule_at e at (fun () -> log := 4 :: !log);
+  Sim.Engine.schedule_event e at h 5;
+  Sim.Engine.run e;
+  check (Alcotest.list Alcotest.int) "scheduling order at one instant"
+    [ 0; 1; 2; 3; 4; 5 ] (List.rev !log)
+
+let test_engine_typed_run_until () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  let h = Sim.Engine.handler e (fun n -> fired := !fired + n) in
+  Sim.Engine.schedule_event e (Sim.Time.ms 10) h 1;
+  Sim.Engine.schedule_event e (Sim.Time.ms 50) h 10;
+  Sim.Engine.schedule_at e (Sim.Time.ms 60) ignore;
+  checki "pending counts typed events" 3 (Sim.Engine.pending e);
+  Sim.Engine.run_until e (Sim.Time.ms 20);
+  checki "only the first fired" 1 !fired;
+  checki "two pending" 2 (Sim.Engine.pending e);
+  Sim.Engine.run_until e (Sim.Time.ms 50);
+  checki "the second fired at the limit" 11 !fired;
+  checki "clock at limit" 50_000_000 (Sim.Time.to_ns (Sim.Engine.now e));
+  checki "one pending" 1 (Sim.Engine.pending e)
+
+exception Boom of int
+
+let test_engine_typed_raise () =
+  let e = Sim.Engine.create () in
+  let ran = ref [] in
+  let h =
+    Sim.Engine.handler e (fun p ->
+        ran := p :: !ran;
+        if p = 2 then raise (Boom p))
+  in
+  List.iter (fun p -> Sim.Engine.schedule_event e (Sim.Time.ms p) h p) [ 1; 2; 3 ];
+  Alcotest.check_raises "the handler's exception" (Boom 2) (fun () ->
+      Sim.Engine.run e);
+  checki "clock at the raising event" 2_000_000 (Sim.Time.to_ns (Sim.Engine.now e));
+  checki "later event still queued" 1 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  check (Alcotest.list Alcotest.int) "every event ran once" [ 1; 2; 3 ]
+    (List.rev !ran)
+
+(* The point of typed events: once the queue has grown, scheduling and
+   running them allocates nothing. *)
+let test_engine_typed_no_alloc () =
+  let e = Sim.Engine.create () in
+  let sum = ref 0 in
+  let h = Sim.Engine.handler e (fun p -> sum := !sum + p) in
+  let round () =
+    let base = Sim.Time.to_ns (Sim.Engine.now e) in
+    for i = 1 to 1000 do
+      Sim.Engine.schedule_event e (Sim.Time.ns (base + ((i * 7919) mod 1000))) h i
+    done;
+    Sim.Engine.run e
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  checki "every event ran" (11 * 500_500) !sum;
+  checkb (Printf.sprintf "10k typed events, %.0f minor words" words) true
+    (words < 100.0)
+
 (* --- Trace --- *)
 
 let test_trace_basics () =
@@ -384,6 +465,7 @@ let suites =
         qtest prop_rng_int_bounds;
         qtest prop_rng_float_bounds;
         qtest prop_rng_jitter_bounds;
+        qtest prop_rng_first_float;
       ] );
     ( "sim.stats",
       [
@@ -407,6 +489,13 @@ let suites =
           test_engine_many_events;
         Alcotest.test_case "timer hook" `Quick test_engine_timer_hook;
         Alcotest.test_case "schedule_every" `Quick test_engine_schedule_every;
+        Alcotest.test_case "typed and closure ties" `Quick
+          test_engine_typed_mixed_ties;
+        Alcotest.test_case "typed run_until and pending" `Quick
+          test_engine_typed_run_until;
+        Alcotest.test_case "typed handler raises" `Quick test_engine_typed_raise;
+        Alcotest.test_case "typed events allocate nothing" `Quick
+          test_engine_typed_no_alloc;
       ] );
     ( "sim.trace",
       [

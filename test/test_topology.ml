@@ -433,6 +433,18 @@ let test_pinned_digests () =
     [ ("calm", false, "16103d00a27c88ad", "0fb0bed53ae9c45f683e6162f053e46c");
       ("chaos", true, "294969238c18d0c0", "4513520ed742144527025a3972a2e271") ]
 
+(* Allocation budget of the fleet path: a sequential calm fleet's minor
+   words per host, its one shared plan included.  The event core
+   allocates nothing per event, so what is left is set-up: 60.3 words a
+   host when this bound was set, with about 25% headroom above that.
+   Per-event allocation creeping back into settle shows here. *)
+let test_minor_words_budget () =
+  let tp = T.uniform ~regions:8 ~hosts:16_000 ~vms_per_host:8 () in
+  let fr = C.run_fleet ~sharding:Sim.Shard.Sequential ~topology:tp C.default_config in
+  let per_host = fr.C.f_minor_words /. float_of_int (T.hosts tp) in
+  checkb (Printf.sprintf "%.1f minor words per host" per_host) true
+    (per_host < 75.0)
+
 let suites =
   [
     ( "topology.shape",
@@ -462,5 +474,6 @@ let suites =
         Alcotest.test_case "mode identity at 10k hosts" `Slow
           test_mode_identity_10k;
         Alcotest.test_case "pinned fleet digests" `Quick test_pinned_digests;
+        Alcotest.test_case "minor words per host" `Quick test_minor_words_budget;
       ] );
   ]
