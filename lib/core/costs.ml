@@ -74,29 +74,21 @@ let straggler_deadline_seconds ~factor ~expected =
    underlying estimators are deterministic. *)
 module Memo = struct
   (* The caches behind [Upgrade.migration_op_time] and
-     [inplace_host_time] are module-level, so sharded fleet runs hit
-     them from several domains at once.  A mutex keeps the table
-     consistent; determinism is unaffected because the memoised
-     estimators are pure — whichever domain wins the race stores the
-     same value every other domain would have. *)
-  type ('a, 'b) t = { tbl : ('a, 'b) Hashtbl.t; lock : Mutex.t }
+     [inplace_host_time] are module-level, and sharded fleet runs plan
+     from several domains at once.  Each domain keeps a table of its
+     own, so a lookup takes no lock; determinism is unaffected because
+     the memoised estimators are pure — every domain computes the value
+     any other would have. *)
+  type ('a, 'b) t = ('a, 'b) Hashtbl.t Domain.DLS.key
 
-  let create n : ('a, 'b) t = { tbl = Hashtbl.create n; lock = Mutex.create () }
+  let create n : ('a, 'b) t = Domain.DLS.new_key (fun () -> Hashtbl.create n)
 
   let find_or_add t key f =
-    Mutex.lock t.lock;
-    match Hashtbl.find_opt t.tbl key with
-    | Some v ->
-      Mutex.unlock t.lock;
-      v
+    let tbl = Domain.DLS.get t in
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
     | None ->
-      (* Compute outside the lock: [f] may be expensive, and a second
-         domain asking for the same key should not serialise on it.
-         Re-check before storing so the table never holds duplicates. *)
-      Mutex.unlock t.lock;
       let v = f key in
-      Mutex.lock t.lock;
-      if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key v;
-      Mutex.unlock t.lock;
+      Hashtbl.replace tbl key v;
       v
 end

@@ -83,7 +83,9 @@ val shadow_reclaim_seconds : vms:int -> float
     Campaign planning calls the estimators above once per host with a
     handful of distinct keys (hv pair, VM profile).  [Memo] is a tiny
     cache keyed on those profiles so a 10k-host plan computes each
-    distinct estimate once.  Only memoise deterministic estimators. *)
+    distinct estimate once.  Each domain has a table of its own, so
+    lookups take no lock and domains never share a table.  Only memoise
+    deterministic estimators. *)
 module Memo : sig
   type ('a, 'b) t
 

@@ -581,6 +581,24 @@ let test_m1_report_golden () =
     (read_golden "inplace_m1_report.txt")
     (render_m1_transplant () ^ render_m1_transplant ~fault:clobber ())
 
+(* [Costs.Memo] keeps one table per domain: every domain sees the same
+   values, computes each key once, and takes no lock. *)
+let test_memo_per_domain () =
+  let m = Hypertp.Costs.Memo.create 4 in
+  let calls = Atomic.make 0 in
+  let square k =
+    Atomic.incr calls;
+    k * k
+  in
+  let work () =
+    List.init 100 (fun i -> Hypertp.Costs.Memo.find_or_add m (i mod 5) square)
+  in
+  let here = work () in
+  let there = Domain.join (Domain.spawn work) in
+  checkb "same values on both domains" true (here = there);
+  checkb "values" true (here = List.init 100 (fun i -> (i mod 5) * (i mod 5)));
+  checki "each key computed once per domain" 10 (Atomic.get calls)
+
 let suites =
   [
     ( "hypertp.inplace",
@@ -636,6 +654,8 @@ let suites =
       ] );
     ( "hypertp.memsep",
       [ Alcotest.test_case "proportions" `Quick test_memsep_proportions ] );
+    ( "hypertp.costs",
+      [ Alcotest.test_case "memo per domain" `Quick test_memo_per_domain ] );
     ( "hypertp.api",
       [
         Alcotest.test_case "respond applies" `Quick test_api_respond_applies;
