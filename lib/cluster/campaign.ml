@@ -404,7 +404,7 @@ let host_field w1 = if w1 land 0xf = kind_raise then 0 else w1 lsr host_shift
 let step_field w1 = (w1 lsr 4) land 3
 
 (* Word 1 of an event of host [i] (a task index). *)
-let hosted kind i bits = kind lor bits lor ((i + 1) lsl host_shift)
+let host_word kind i bits = kind lor bits lor ((i + 1) lsl host_shift)
 
 let raise_word ~from_region ~slots =
   (* both in [0, raise_field_max] iff their union is *)
@@ -511,16 +511,22 @@ let entry_line { J.field; optional; word } (host, at, w1, cursor) =
     if used then field k v ((w1 lsr shift) land mask) lsl shift else 0
   in
   (* adm, fail and done name a ladder step; fail also a manifestation *)
-  let step = part (kind = 0 || kind = 3 || kind = 4) "step" steps 4 3 in
-  let man = part (kind = 3) "man" mans 6 3 in
-  let from = part (kind = kind_raise) "from" raise_part 20 raise_field_max in
+  let step = part (kind = k_adm || kind = k_fail || kind = k_done) "step" steps 4 3 in
+  let man = part (kind = k_fail) "man" mans 6 3 in
+  let from = part (kind = kind_raise) "from" raise_part host_shift raise_field_max in
   let slots = part (kind = kind_raise) "slots" raise_part 41 raise_field_max in
-  let decision = flags 8 [| "flap"; "crash"; "timeout" |] in
-  let verdict = match (w1 lsr 12) land 3 with 0 -> None | a -> Some (a - 1) in
-  let audit =
-    match optional "audit" verdicts verdict with Some a -> (a + 1) lsl 12 | None -> 0
+  let decision = flags decision_bit [| "flap"; "crash"; "timeout" |] in
+  let verdict =
+    match (w1 lsr audit_shift) land 3 with 0 -> None | a -> Some (a - 1)
   in
-  let shadow = flags 14 [| "sspare"; "sstage"; "sdrop"; "sdiverge"; "spart" |] in
+  let audit =
+    match optional "audit" verdicts verdict with
+    | Some a -> (a + 1) lsl audit_shift
+    | None -> 0
+  in
+  let shadow =
+    flags shadow_bit [| "sspare"; "sstage"; "sdrop"; "sdiverge"; "spart" |]
+  in
   let cursor = field "cursor" J.int cursor in
   let w = kind lor step lor man lor from lor slots in
   (host, at, w lor decision lor audit lor shadow, cursor)
@@ -564,7 +570,7 @@ let read_journal r =
     let host, at, w1, cursor = J.get_line r "e" entry_line ("-", Sim.Time.zero, 0, 0) in
     let hosted = w1 land 0xf <> kind_raise && host <> "-" in
     Sim.Vec.push words (Sim.Time.to_ns at);
-    Sim.Vec.push words (if hosted then w1 lor ((intern host + 1) lsl 20) else w1);
+    Sim.Vec.push words (if hosted then w1 lor ((intern host + 1) lsl host_shift) else w1);
     Sim.Vec.push words cursor
   done;
   { j_config; j_words = words; j_names = Sim.Vec.to_array names }
@@ -1139,7 +1145,7 @@ let rec settle ctx =
     List.iter
       (fun i ->
         match st.phase.(i) with
-        | Needs_defer -> append st ~at (hosted k_defer i 0)
+        | Needs_defer -> append st ~at (host_word k_defer i 0)
         | _ -> ())
       (List.sort compare needs));
   (* 3. Breaker transitions. *)
@@ -1208,7 +1214,7 @@ and admit ctx i step =
     else if step = s_shadow && st.shadow_on then shadow_bits st node
     else 0
   in
-  append st ~at:(now ctx) (hosted k_adm i ((step lsl 4) lor bits));
+  append st ~at:(now ctx) (host_word k_adm i ((step lsl 4) lor bits));
   schedule_attempt ctx i
 
 (* Arm the engine events for a host currently [Running].  All times are
@@ -1296,14 +1302,14 @@ and on_event ctx p =
 
 and on_deadline ctx i =
   disarm ctx i;
-  append ctx.st ~at:(now ctx) (hosted k_strag i 0);
+  append ctx.st ~at:(now ctx) (host_word k_strag i 0);
   settle ctx
 
 and on_fail ctx i man =
   let st = ctx.st in
   let step = step_field st.adm.(i) in
   disarm ctx i;
-  append st ~at:(now ctx) (hosted k_fail i ((step lsl 4) lor (man lsl 6)));
+  append st ~at:(now ctx) (host_word k_fail i ((step lsl 4) lor (man lsl 6)));
   settle ctx
 
 and on_complete ctx i =
@@ -1317,14 +1323,14 @@ and on_complete ctx i =
       audit_word st st.setup.su_names.(i)
     else 0
   in
-  append st ~at:(now ctx) (hosted k_done i ((step lsl 4) lor audit));
+  append st ~at:(now ctx) (host_word k_done i ((step lsl 4) lor audit));
   settle ctx
 
 and on_flap_leg ctx i =
   (* First leg: the host fails, then recovers.  Not an attempt outcome —
      it must not count toward the breaker — so only the leg itself is
      journaled and the final failure is re-armed. *)
-  append ctx.st ~at:(now ctx) (hosted k_flapleg i 0);
+  append ctx.st ~at:(now ctx) (host_word k_flapleg i 0);
   schedule_attempt ctx i
 
 (* --- results --- *)
@@ -1538,7 +1544,7 @@ let resume_st ?eng ?plan ?fault ?probe ?obs ?metrics journal =
       | 0 -> w1
       | j ->
         (* kind and flags kept, host field replaced *)
-        hosted 0 (task_of (j - 1)) (w1 land ((1 lsl host_shift) - 1))
+        host_word 0 (task_of (j - 1)) (w1 land ((1 lsl host_shift) - 1))
     in
     let i = host_field w1 - 1 in
     let host = if i < 0 then "-" else setup.su_names.(i) in
