@@ -15,22 +15,22 @@ let int64 t =
 
 let split t = create (int64 t)
 
-(* [float (create seed) bound], inlined so a caller's float stays
-   unboxed and no generator is built. *)
-let[@inline] first_float seed bound =
-  let bits = Int64.shift_right_logical (mix64 (Int64.add seed golden_gamma)) 11 in
-  Int64.to_float bits /. 9007199254740992.0 *. bound
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   (* Keep 62 bits so the value is a non-negative OCaml int. *)
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   r mod bound
 
-let float t bound =
-  (* 53 random bits scaled into [0, 1), then into [0, bound). *)
-  let bits = Int64.shift_right_logical (int64 t) 11 in
-  Int64.to_float bits /. 9007199254740992.0 *. bound
+(* 53 random bits of a draw scaled into [0, 1), then into [0, bound). *)
+let[@inline] scaled draw bound =
+  Int64.to_float (Int64.shift_right_logical draw 11) /. 9007199254740992.0 *. bound
+
+let float t bound = scaled (int64 t) bound
+
+(* [float (create seed) bound], inlined so a caller's float stays
+   unboxed and no generator is built. *)
+let[@inline] first_float seed bound =
+  scaled (mix64 (Int64.add seed golden_gamma)) bound
 
 let gaussian t ~mu ~sigma =
   let rec draw () =
