@@ -1072,7 +1072,10 @@ type ctx = {
   st : st;
   eng : Sim.Engine.t;
   ev : Sim.Engine.handler;
-  mutable stopped : bool; (* set by [stop]: every pending event is a no-op *)
+  dispatch : (int -> unit) ref;
+      (* where [ev] delivers: [on_event] of this context until [stop]
+         points it at [ignore], which makes every pending event a no-op
+         and lets a dead incarnation be collected *)
   (* A traced controller on its own engine reports its host events as
      timers on the "engine" track: [timer:fired] when a live one fires,
      and [timer:cancelled] for every live one still armed when the
@@ -1279,25 +1282,23 @@ and schedule_attempt ctx i =
 
 (* The controller's engine handler. *)
 and on_event ctx p =
-  if not ctx.stopped then begin
-    let kind = p land 7 in
-    if kind = ev_settle then settle ctx
-    else if kind = ev_reopen then reopen ctx
-    else begin
-      let st = ctx.st and i = p lsr 6 in
-      match st.phase.(i) with
-      | Running when st.attempts.(i) land epoch_mask = (p lsr 3) land epoch_mask ->
-        (match ctx.timer_trace with
-        | None -> ()
-        | Some tr ->
-          ctx.armed.(i) <- ctx.armed.(i) - 1;
-          Obs.Tracer.instant tr ~at:(now ctx) ~track:"engine" "timer:fired");
-        if kind = ev_deadline then on_deadline ctx i
-        else if kind = ev_flap_leg then on_flap_leg ctx i
-        else if kind = ev_complete then on_complete ctx i
-        else on_fail ctx i (if kind = ev_crash then m_crash else m_flap)
-      | _ -> ()
-    end
+  let kind = p land 7 in
+  if kind = ev_settle then settle ctx
+  else if kind = ev_reopen then reopen ctx
+  else begin
+    let st = ctx.st and i = p lsr 6 in
+    match st.phase.(i) with
+    | Running when st.attempts.(i) land epoch_mask = (p lsr 3) land epoch_mask ->
+      (match ctx.timer_trace with
+      | None -> ()
+      | Some tr ->
+        ctx.armed.(i) <- ctx.armed.(i) - 1;
+        Obs.Tracer.instant tr ~at:(now ctx) ~track:"engine" "timer:fired");
+      if kind = ev_deadline then on_deadline ctx i
+      else if kind = ev_flap_leg then on_flap_leg ctx i
+      else if kind = ev_complete then on_complete ctx i
+      else on_fail ctx i (if kind = ev_crash then m_crash else m_flap)
+    | _ -> ()
   end
 
 and on_deadline ctx i =
@@ -1463,17 +1464,17 @@ let make_ctx ?eng st =
     | Some eng -> (eng, None)
     | None -> (Sim.Engine.create (), st.obs)
   in
-  (* The handler is registered before the context that it runs on
-     exists, so it reaches the context through [handle]. *)
-  let handle = ref ignore in
-  let ev = Sim.Engine.handler eng (fun p -> !handle p) in
+  (* The handler is registered before the context it runs on exists,
+     so it reaches the context through [dispatch]. *)
+  let dispatch = ref ignore in
+  let ev = Sim.Engine.handler eng (fun p -> !dispatch p) in
   let armed =
     match timer_trace with
     | None -> [||]
     | Some _ -> Array.make (Array.length st.setup.su_tasks) 0
   in
-  let ctx = { st; eng; ev; stopped = false; timer_trace; armed } in
-  handle := on_event ctx;
+  let ctx = { st; eng; ev; dispatch; timer_trace; armed } in
+  dispatch := on_event ctx;
   ctx
 
 let settle_at ctx at = Sim.Engine.schedule_event ctx.eng at ctx.ev ev_settle
@@ -1633,7 +1634,7 @@ type controller = ctx
 
 let start_controller ~eng = start_st ~eng
 let resume_controller ~eng = resume_st ~eng
-let stop_controller ctx = ctx.stopped <- true
+let stop_controller ctx = ctx.dispatch := ignore
 
 let grant ctx ~from_region ~slots =
   append ctx.st ~at:(now ctx) (raise_word ~from_region ~slots);
