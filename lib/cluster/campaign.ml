@@ -150,7 +150,9 @@ let validate_config cfg =
 (* --- derived per-host randomness, independent of the fault plan --- *)
 
 (* The first draw of the stream seeded by the config seed and a per-host
-   [key], [Hashtbl.hash (salt, node)]: no generator is built. *)
+   [key], [Hashtbl.hash (salt, node)]: no generator is built.  This and
+   [host_jitter] are inlined because a float returned from a call is
+   boxed. *)
 let[@inline] draw cfg key bound =
   Sim.Rng.first_float (Int64.logxor cfg.seed (Int64.of_int key)) bound
 

@@ -21,15 +21,16 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   r mod bound
 
-(* 53 random bits of a draw scaled into [0, 1), then into [0, bound). *)
+(* 53 random bits of a draw scaled into [0, 1), then into [0, bound).
+   [mix64] and this are inlined so their int64 temporaries stay
+   unboxed. *)
 let[@inline] scaled draw bound =
   Int64.to_float (Int64.shift_right_logical draw 11) /. 9007199254740992.0 *. bound
 
 let float t bound = scaled (int64 t) bound
 
-(* [float (create seed) bound], inlined so a caller's float stays
-   unboxed and no generator is built. *)
-let[@inline] first_float seed bound =
+(* [float (create seed) bound], without building a generator. *)
+let first_float seed bound =
   scaled (mix64 (Int64.add seed golden_gamma)) bound
 
 let gaussian t ~mu ~sigma =

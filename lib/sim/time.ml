@@ -35,7 +35,7 @@ let sub a b =
 
 let diff a b = abs (a - b)
 
-let[@inline] scale k t =
+let scale k t =
   if not (Float.is_finite k) || k < 0.0 then
     invalid_arg "Time.scale: negative or non-finite factor";
   int_of_float (Float.round (k *. float_of_int t))

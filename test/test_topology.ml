@@ -435,9 +435,10 @@ let test_pinned_digests () =
 
 (* Allocation budget of the fleet path: a sequential calm fleet's minor
    words per host, its one shared plan included.  The event core
-   allocates nothing per event, so what is left is set-up: 60.3 words a
-   host when this bound was set, with about 25% headroom above that.
-   Per-event allocation creeping back into settle shows here. *)
+   allocates nothing per event; what is left is set-up and a few boxed
+   floats per host, 60.4 words a host when this bound was set, with
+   about 25% headroom above that.  Per-event allocation creeping back
+   into settle shows here. *)
 let test_minor_words_budget () =
   let tp = T.uniform ~regions:8 ~hosts:16_000 ~vms_per_host:8 () in
   let fr = C.run_fleet ~sharding:Sim.Shard.Sequential ~topology:tp C.default_config in
