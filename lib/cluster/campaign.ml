@@ -987,6 +987,9 @@ exception Controller_died
 let cursor st =
   match st.fault with None -> 0 | Some f -> Fault.trace_length f
 
+let controller_crash st =
+  match st.fault with None -> false | Some f -> Fault.fire f Fault.Controller_crash
+
 let flag b bit = Bool.to_int b lsl bit
 
 (* The fault-plan consults behind each journaled decision, in their
@@ -1032,11 +1035,7 @@ let audit_word st node =
    the event that was being recorded. *)
 let append st ~at w1 =
   apply st ~at w1;
-  let crashed =
-    match st.fault with
-    | None -> false
-    | Some f -> Fault.fire f Fault.Controller_crash
-  in
+  let crashed = controller_crash st in
   let cursor = cursor st in
   Sim.Vec.push st.entries (Sim.Time.to_ns at);
   Sim.Vec.push st.entries w1;
@@ -1575,9 +1574,7 @@ let resume_st ?eng ?plan ?fault ?probe ?obs ?metrics journal =
          plan):\n%s" entry_no (Buffer.contents b)
     end;
     apply st ~at w1;
-    (match st.fault with
-    | Some f -> ignore (Fault.fire f Fault.Controller_crash)
-    | None -> ());
+    ignore (controller_crash st);
     if st.fault <> None && cursor st <> recorded then
       Hypertp_error.raise_errorf ~site:"Campaign.resume" ~hint
         "journal entry %d (%s at %s): fault-plan cursor diverged — the \
