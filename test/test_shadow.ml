@@ -218,27 +218,45 @@ let test_calm_cutover () =
     (Sim.Time.to_sec_f r.M.sh_downtime
     < 0.2 *. Sim.Time.to_sec_f classic_downtime)
 
-let test_cutover_golden () =
-  (* Mirrors `hypertp-cli shadow --vms 2` exactly (machine m1, Xen ->
-     KVM, 1 GiB VMs, seed 42): the CLI transcript is the pin. *)
-  let golden =
-    let path =
-      List.find Sys.file_exists
-        [ "golden/shadow_cutover.txt"; "test/golden/shadow_cutover.txt" ]
-    in
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+let read_golden name =
+  let path =
+    List.find Sys.file_exists [ "golden/" ^ name; "test/golden/" ^ name ]
+  in
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* The stdout of `hypertp-cli shadow --vms 2 [--fault SPEC]` (machine
+   m1, Xen -> KVM, 1 GiB VMs, seed 42): the report, then the fault
+   trace when a plan is armed. *)
+let cli_transcript ?fault () =
+  let fault =
+    Option.map
+      (fun spec -> Fault.of_specs [ Result.get_ok (Fault.parse_spec spec) ])
+      fault
   in
   let src = provision_src ~seed:42L ~vms:2 in
   let spare = Hv.Host.create ~name:"cli-spare" (Hw.Machine.m1 ()) in
   let r =
-    Hypertp.Api.transplant_shadow ~rng:(Sim.Rng.create 42L) ~src ~spare
-      ~target:Hv.Kind.Kvm ()
+    Hypertp.Api.transplant_shadow ~rng:(Sim.Rng.create 42L) ?fault ~src
+      ~spare ~target:Hv.Kind.Kvm ()
   in
-  checks "cutover report matches the golden pin" golden
-    (Format.asprintf "%a@." M.pp_shadow_report r)
+  Format.asprintf "%a@.%a" M.pp_shadow_report r
+    (fun fmt -> function
+      | None -> ()
+      | Some f -> Format.fprintf fmt "fault trace:@.%a@." Fault.pp_trace f)
+    fault
+
+let test_cutover_golden () =
+  (* The CLI transcripts are the pins: the calm cutover, and the
+     watchdog trip path, whose converge phase ends at the trip. *)
+  checks "cutover report matches the golden pin"
+    (read_golden "shadow_cutover.txt")
+    (cli_transcript ());
+  checks "diverge transcript matches the golden pin"
+    (read_golden "shadow_diverge.txt")
+    (cli_transcript ~fault:"shadow_diverge:1" ())
 
 (* --- the campaign's shadow rung --- *)
 
