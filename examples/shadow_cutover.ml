@@ -76,8 +76,8 @@ let () =
     (String.concat ", " (Hv.Host.vm_names src));
 
   (* 4. A guest that outruns the link.  The convergence watchdog (a
-     cancellable deadline timer per replay round) trips instead of
-     looping forever. *)
+     replay round must shrink below 0.9 x its predecessor) trips
+     instead of looping forever. *)
   Format.printf "@.--- injected divergence: watchdog trips ---@.";
   let src, spare = provision_pair () in
   let fault =
@@ -86,5 +86,5 @@ let () =
   in
   let r = Hypertp.Api.transplant_shadow ~fault ~src ~spare ~target:Hv.Kind.Kvm () in
   Format.printf "%a@." Hypertp.Migrate.pp_shadow_report r;
-  Format.printf "watchdog trips: %d (timers cancelled in time: %d)@."
+  Format.printf "watchdog trips: %d (round deadlines met: %d)@."
     r.Hypertp.Migrate.sh_watchdog_trips r.Hypertp.Migrate.sh_watchdog_cancels

@@ -1077,32 +1077,13 @@ type ctx = {
       (* where [ev] delivers: [on_event] of this context until [stop]
          points it at [ignore], which makes every pending event a no-op
          and lets a dead incarnation be collected *)
-  (* A traced controller on its own engine reports its host events as
-     timers on the "engine" track: [timer:fired] when a live one fires,
-     and [timer:cancelled] for every live one still armed when the
-     attempt resolves.  [armed] counts those per host. *)
-  timer_trace : Obs.Tracer.t option;
-  armed : int array; (* empty without [timer_trace] *)
 }
 
 let now ctx = Sim.Engine.now ctx.eng
 
 let arm ctx i at kind =
   let epoch = ctx.st.attempts.(i) land epoch_mask in
-  Sim.Engine.schedule_event ctx.eng at ctx.ev (kind lor (epoch lsl 3) lor (i lsl 6));
-  match ctx.timer_trace with
-  | None -> ()
-  | Some _ -> ctx.armed.(i) <- ctx.armed.(i) + 1
-
-(* Host [i]'s attempt resolved: its armed events are stale from now on. *)
-let disarm ctx i =
-  match ctx.timer_trace with
-  | None -> ()
-  | Some tr ->
-    for _ = 1 to ctx.armed.(i) do
-      Obs.Tracer.instant tr ~at:(now ctx) ~track:"engine" "timer:cancelled"
-    done;
-    ctx.armed.(i) <- 0
+  Sim.Engine.schedule_event ctx.eng at ctx.ev (kind lor (epoch lsl 3) lor (i lsl 6))
 
 let decided w bit = w land (1 lsl bit) <> 0
 let is_pending st i = match st.phase.(i) with Pending -> true | _ -> false
@@ -1290,11 +1271,6 @@ and on_event ctx p =
     let st = ctx.st and i = p lsr 6 in
     match st.phase.(i) with
     | Running when st.attempts.(i) land epoch_mask = (p lsr 3) land epoch_mask ->
-      (match ctx.timer_trace with
-      | None -> ()
-      | Some tr ->
-        ctx.armed.(i) <- ctx.armed.(i) - 1;
-        Obs.Tracer.instant tr ~at:(now ctx) ~track:"engine" "timer:fired");
       if kind = ev_deadline then on_deadline ctx i
       else if kind = ev_flap_leg then on_flap_leg ctx i
       else if kind = ev_complete then on_complete ctx i
@@ -1303,21 +1279,18 @@ and on_event ctx p =
   end
 
 and on_deadline ctx i =
-  disarm ctx i;
   append ctx.st ~at:(now ctx) (host_word k_strag i 0);
   settle ctx
 
 and on_fail ctx i man =
   let st = ctx.st in
   let step = step_field st.adm.(i) in
-  disarm ctx i;
   append st ~at:(now ctx) (host_word k_fail i ((step lsl 4) lor (man lsl 6)));
   settle ctx
 
 and on_complete ctx i =
   let st = ctx.st in
   let step = step_field st.adm.(i) in
-  disarm ctx i;
   (* Post-commit audit verdict for steps that end on the new hypervisor
      via InPlaceTP, consulted only when the plan arms the audit sites. *)
   let audit =
@@ -1457,24 +1430,14 @@ let make_report st =
 
 type run_result = Finished of report * journal | Crashed of journal
 
-(* On a caller's engine ([?eng]), shared with other controllers, the
-   controller reports no timer notices. *)
+(* [?eng] is a caller's engine, shared with other controllers. *)
 let make_ctx ?eng st =
-  let eng, timer_trace =
-    match eng with
-    | Some eng -> (eng, None)
-    | None -> (Sim.Engine.create (), st.obs)
-  in
+  let eng = match eng with Some eng -> eng | None -> Sim.Engine.create () in
   (* The handler is registered before the context it runs on exists,
      so it reaches the context through [dispatch]. *)
   let dispatch = ref ignore in
   let ev = Sim.Engine.handler eng (fun p -> !dispatch p) in
-  let armed =
-    match timer_trace with
-    | None -> [||]
-    | Some _ -> Array.make (Array.length st.setup.su_tasks) 0
-  in
-  let ctx = { st; eng; ev; dispatch; timer_trace; armed } in
+  let ctx = { st; eng; ev; dispatch } in
   dispatch := on_event ctx;
   ctx
 

@@ -210,11 +210,8 @@ val run :
     on the [controller] track, one [attempt:<step>] span per admission
     on its host's [host:<node>] track (closed with a [result]
     attribute; flap legs become events on the open span), breaker
-    transitions and journal checkpoints as instants, and, on the
-    campaign's own engine, every host event (deadline, flap leg,
-    failure, completion) as a timer fire or cancel on the [engine]
-    track.  Because all state
-    mutations funnel through the journal apply path, a resumed
+    transitions and journal checkpoints as instants.  Because all
+    state mutations funnel through the journal apply path, a resumed
     campaign re-emits the entire timeline into whatever tracer it is
     given.  [metrics] accumulates attempt/failure/completion counters,
     breaker trips, a running-attempts gauge and, once finished, the

@@ -686,14 +686,10 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
   in
   let note_fault ?vm site = Otrace.fault_noted metrics ~engine:"shadow" ?vm site in
   let fire ?vm site = Otrace.fire fault metrics ~engine:"shadow" ?vm site in
-  (* The watchdog engine: one private discrete-event engine for the
-     whole run; the timer hook keeps the fire/cancel ledger the report
-     exposes. *)
-  let engine = Sim.Engine.create () in
+  (* The watchdog ledger the report exposes, read from each plan: one
+     trip per violator, one met (cancelled) deadline per replay
+     round. *)
   let trips = ref 0 and cancels = ref 0 in
-  Sim.Engine.set_timer_hook engine (fun _ -> function
-    | `Fired -> incr trips
-    | `Cancelled -> incr cancels);
   (* Source fingerprint at entry: the abort contract is re-verified
      against this, never assumed. *)
   let entry =
@@ -857,8 +853,8 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
       raise (Shadow_abort Fault.Shadow_stage_fail);
     (* --- stream + converge: every VM walks the analytic checkpoint
        stream concurrently (the link model already divides the
-       bandwidth across [streams]); the engine watchdog re-derives each
-       verdict from cancellable deadline timers. *)
+       bandwidth across [streams]); the converge phase lasts until
+       the slowest VM's watchdog verdict. *)
     let outcomes =
       List.map
         (fun n ->
@@ -877,9 +873,6 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
     let diverged = ref None in
     List.iter
       (fun (n, _vm, total_pages, dirty, outcome) ->
-        let stream_dur =
-          Sim.Time.of_sec_f (float_of_int total_pages *. per_page)
-        in
         match outcome with
         | Migration.Shadow.Stream_dropped { drop_round; spent; wasted_bytes }
           ->
@@ -889,6 +882,9 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
               m "%s: checkpoint stream died in round %d" n drop_round);
           if drop_round = 0 then stream_t := Sim.Time.max !stream_t spent
           else begin
+            let stream_dur =
+              Sim.Time.of_sec_f (float_of_int total_pages *. per_page)
+            in
             stream_t := Sim.Time.max !stream_t stream_dur;
             converge_t :=
               Sim.Time.max !converge_t (Sim.Time.sub spent stream_dur)
@@ -901,33 +897,11 @@ let run_shadow ?rng ?fault ?(retry = default_retry) ?obs:obs_arg ?metrics
                   sv_fixups = [] } ];
           if !dropped = None then dropped := Some n
         | Migration.Shadow.Stream_ok p | Migration.Shadow.Stream_diverged p ->
-          let rounds =
-            (p.Migration.Shadow.stream_round
-            :: p.Migration.Shadow.replay_rounds)
-            @
-            match p.Migration.Shadow.violator with
-            | Some v -> [ v ]
-            | None -> []
-          in
-          let w = Migration.Shadow.run_watchdog sparams ~engine ~rounds in
-          let wall =
-            match (w, p.Migration.Shadow.verdict) with
-            | Migration.Shadow.Watchdog_passed wall, _ ->
-              (* Converging, or the replay budget ran dry with every
-                 round still shrinking (no violator to trip on). *)
-              wall
-            | ( Migration.Shadow.Watchdog_tripped { trip_round; wall },
-                Migration.Shadow.Diverging i ) ->
-              (* The engine watchdog and the analytic verdict agree on
-                 the violating round. *)
-              assert (trip_round = i);
-              wall
-            | Migration.Shadow.Watchdog_tripped _, Migration.Shadow.Converging
-              ->
-              assert false
-          in
+          cancels := !cancels + List.length p.Migration.Shadow.replay_rounds;
+          if p.Migration.Shadow.violator <> None then incr trips;
           stream_t := Sim.Time.max !stream_t p.Migration.Shadow.stream_time;
-          converge_t := Sim.Time.max !converge_t (Sim.Time.sub wall stream_dur);
+          converge_t :=
+            Sim.Time.max !converge_t (Migration.Shadow.verdict_time sparams p);
           wire := !wire + p.Migration.Shadow.wire_bytes;
           per_vm :=
             !per_vm

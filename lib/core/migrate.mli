@@ -201,9 +201,12 @@ type shadow_report = {
       (** on an abort: the source management plane is consistent and
           every VM is still running with its entry checksum (verified,
           not assumed); vacuously [true] on a committed cutover *)
-  sh_watchdog_trips : int;  (** convergence-watchdog timers that fired *)
+  sh_watchdog_trips : int;
+      (** convergence-watchdog trips: one per VM whose plan names a
+          violator *)
   sh_watchdog_cancels : int;
-      (** deadline timers cancelled by in-time round completions *)
+      (** round deadlines met: one per replay round that shrank in
+          time *)
   sh_checks : checks option;
       (** cutover verification on the spare ([Some] only when the swap
           committed; a degraded run's checks live in [sh_classic]) *)
@@ -227,9 +230,10 @@ val run_shadow :
     classic MigrationTP needs the same spare.  {!Fault.Shadow_stage_fail}
     hits skeleton pre-staging after the target boots;
     {!Fault.Shadow_stream_drop} and {!Fault.Shadow_diverge} hit the
-    stream/converge walk (divergence is detected by the engine-timer
-    watchdog, not asserted); {!Fault.Swap_partition} hits the handshake
-    strictly before the flip.  All five abort with the source verified
+    stream/converge walk (divergence is detected by the watchdog's
+    shrink rule, not asserted; the converge phase ends at the slowest
+    VM's {!Migration.Shadow.verdict_time}); {!Fault.Swap_partition}
+    hits the handshake strictly before the flip.  All five abort with the source verified
     intact, then walk the degradation ladder: classic {!run} against
     the staged spare when [ladder] (default [true]), defer otherwise.
 

@@ -58,13 +58,23 @@ let validate params ~page_bytes ~total_pages ~dirty_pages_per_sec =
   if not (params.watchdog_shrink > 0.0 && params.watchdog_shrink < 1.0) then
     invalid_arg "Shadow.plan: watchdog shrink outside (0, 1)"
 
-(* The watchdog rule, shared verbatim between the analytic plan, the
-   pure verdict function and the engine-timer run: replay round [i]
-   (1-based over the replay list) is non-shrinking iff its page count
-   fails to drop below [watchdog_shrink] x its predecessor's.  The
-   stream round is the first predecessor. *)
+(* The watchdog rule, shared verbatim between the analytic plan and the
+   pure verdict function: replay round [i] (1-based over the replay
+   list) is non-shrinking iff its page count fails to drop below
+   [watchdog_shrink] x its predecessor's.  The stream round is the
+   first predecessor. *)
 let shrinks params ~prev ~cur =
   float_of_int cur < params.watchdog_shrink *. float_of_int prev
+
+(* A violator trips the watchdog at its deadline, [watchdog_shrink] x
+   the last shrinking round's duration into the round. *)
+let verdict_time params p =
+  match p.violator with
+  | None -> p.converge_time
+  | Some _ ->
+    let last = List.fold_left (fun _ r -> r) p.stream_round p.replay_rounds in
+    Sim.Time.add p.converge_time
+      (Sim.Time.scale params.watchdog_shrink last.Precopy.duration)
 
 let watchdog_verdict params = function
   | [] | [ _ ] -> Converging
@@ -142,54 +152,6 @@ let plan params ~page_bytes ~total_pages ~dirty_pages_per_sec =
     cutover_downtime;
     wire_bytes = pages_on_wire * wire_per_page;
   }
-
-type watchdog_outcome =
-  | Watchdog_passed of Sim.Time.t
-  | Watchdog_tripped of { trip_round : int; wall : Sim.Time.t }
-
-let run_watchdog params ~engine ~rounds =
-  match rounds with
-  | [] -> Watchdog_passed Sim.Time.zero
-  | (first : Precopy.round) :: rest ->
-    let start = Sim.Engine.now engine in
-    let outcome = ref (Watchdog_passed Sim.Time.zero) in
-    let tripped = ref false in
-    (* Each round races its completion event against a deadline timer
-       set at [watchdog_shrink] x the previous round's duration.  The
-       timer is armed before the completion event, so on a tie (an
-       exactly non-shrinking round) the watchdog wins — matching the
-       strict-shrink rule of [watchdog_verdict]. *)
-    let rec arm i (prev : Precopy.round) = function
-      | [] ->
-        outcome :=
-          Watchdog_passed (Sim.Time.sub (Sim.Engine.now engine) start)
-      | (r : Precopy.round) :: rest ->
-        let deadline = Sim.Time.scale params.watchdog_shrink prev.duration in
-        let dog =
-          Sim.Engine.schedule_timer_after engine deadline (fun () ->
-              tripped := true;
-              outcome :=
-                Watchdog_tripped
-                  {
-                    trip_round = i;
-                    wall = Sim.Time.sub (Sim.Engine.now engine) start;
-                  })
-        in
-        Sim.Engine.schedule_after engine r.duration (fun () ->
-            if not !tripped then begin
-              Sim.Engine.cancel dog;
-              arm (i + 1) r rest
-            end)
-    in
-    (* The first replay round streams while the checkpoint settles; its
-       own deadline is the stream round's shrink allowance. *)
-    Sim.Engine.schedule_after engine first.duration (fun () ->
-        arm 1 first rest);
-    Sim.Engine.run engine;
-    (match !outcome with
-    | Watchdog_passed _ ->
-      Watchdog_passed (Sim.Time.sub (Sim.Engine.now engine) start)
-    | Watchdog_tripped _ as t -> t)
 
 type stream_outcome =
   | Stream_ok of plan

@@ -26,9 +26,8 @@
     Divergence is the watchdog's business, not an error: a guest that
     dirties faster than the replay link drains is detected — a replay
     round that fails to shrink below [watchdog_shrink] x its
-    predecessor, on a cancellable {!Sim.Engine} timer in the live
-    engine — and reported as a {!verdict}, so the caller can degrade
-    the strategy instead of looping forever. *)
+    predecessor — and reported as a {!verdict}, so the caller can
+    degrade the strategy instead of looping forever. *)
 
 (** The five protocol phases, in execution order. *)
 type phase = Stage | Stream | Converge | Swap | Reclaim
@@ -72,12 +71,11 @@ type plan = {
   replay_rounds : Precopy.round list;  (** buffered replay, rounds 1.. *)
   verdict : verdict;
   violator : Precopy.round option;
-      (** the non-shrinking round behind a [Diverging] verdict, so the
-          engine watchdog can be driven over
-          [stream_round :: replay_rounds @ [violator]] and trip at the
-          same index {!watchdog_verdict} reports; [None] when
-          converging or when the replay {e budget} ran out with every
-          round still shrinking *)
+      (** the non-shrinking round behind a [Diverging] verdict:
+          {!watchdog_verdict} over
+          [stream_round :: replay_rounds @ [violator]] trips at the
+          verdict's index; [None] when converging or when the replay
+          {e budget} ran out with every round still shrinking *)
   final_pages : int;  (** dirty set crossed during the swap; 0 if diverging *)
   stream_time : Sim.Time.t;
   converge_time : Sim.Time.t;
@@ -102,29 +100,18 @@ val watchdog_verdict : params -> Precopy.round list -> verdict
 (** The pure watchdog rule over a round list whose head is the
     baseline (the stream round): the first subsequent round whose
     pages fail to shrink below [watchdog_shrink] x its predecessor's
-    trips it, reported by its 1-based position.  The engine's
-    timer-based watchdog ({!run_watchdog}) and the analytic {!plan}
-    both reduce to this rule; note a {!plan}'s [replay_rounds] only
-    ever contain shrinking rounds — the violator is excluded and named
-    by the [Diverging] index. *)
+    trips it, reported by its 1-based position.  The analytic {!plan}
+    applies this rule round by round; note a {!plan}'s [replay_rounds]
+    only ever contain shrinking rounds — the violator is excluded and
+    named by the [Diverging] index. *)
 
-type watchdog_outcome =
-  | Watchdog_passed of Sim.Time.t  (** converge wall clock *)
-  | Watchdog_tripped of { trip_round : int; wall : Sim.Time.t }
-
-val run_watchdog :
-  params -> engine:Sim.Engine.t -> rounds:Precopy.round list ->
-  watchdog_outcome
-(** Drive the replay rounds through a discrete-event engine with a
-    {e cancellable deadline timer} per round: round [i]'s deadline is
-    [watchdog_shrink] x round [i-1]'s duration; the completion event
-    cancels the timer, the timer firing first (ties included — equal
-    durations are non-shrinking) trips the watchdog and abandons the
-    remaining rounds.  The outcome provably agrees with
-    {!watchdog_verdict} on the same rounds; what the engine adds is
-    the timer fire/cancel record (via {!Sim.Engine.set_timer_hook})
-    and virtual-time wall clocks.  The engine's queue is drained when
-    this returns. *)
+val verdict_time : params -> plan -> Sim.Time.t
+(** Replay time until the watchdog's verdict, the converge phase of a
+    shadow run: the plan's [converge_time] when no round violates (a
+    budget run-out included), and [converge_time + watchdog_shrink] x
+    the last shrinking round's duration when one does — the violator's
+    deadline, where the watchdog trips.  The last shrinking round is
+    the stream round when the first replay round already violates. *)
 
 type stream_outcome =
   | Stream_ok of plan  (** converged; ready to swap *)

@@ -9,8 +9,6 @@
    closure event's code is [closure_code] and its payload is a slot in
    [thunks], a pool of pending closures recycled through [free]. *)
 
-type timer_notice = [ `Fired | `Cancelled ]
-
 type handler = int
 
 type t = {
@@ -23,7 +21,6 @@ type t = {
   mutable thunks : (unit -> unit) array;
   mutable free : int array; (* free [thunks] slots, a stack *)
   mutable n_free : int;
-  mutable timer_hook : (Time.t -> timer_notice -> unit) option;
 }
 
 let stride = 4
@@ -32,13 +29,8 @@ let closure_code = -1
 let create () =
   { clock = Time.zero; keys = Array.make (64 * stride) 0; size = 0;
     next_seq = 0; handlers = Array.make 4 ignore; n_handlers = 0;
-    thunks = [||]; free = [||]; n_free = 0; timer_hook = None }
+    thunks = [||]; free = [||]; n_free = 0 }
 
-let set_timer_hook t hook = t.timer_hook <- Some hook
-let clear_timer_hook t = t.timer_hook <- None
-
-let notify t notice =
-  match t.timer_hook with None -> () | Some hook -> hook t.clock notice
 let now t = t.clock
 let pending t = t.size
 
@@ -151,8 +143,6 @@ let schedule_at t at run =
   t.n_free <- t.n_free - 1;
   t.thunks.(slot) <- run
 
-let schedule_after t delay run = schedule_at t (Time.add t.clock delay) run
-
 let schedule_every t ?start period f =
   if Time.(period <= zero) then
     invalid_arg "Engine.schedule_every: period must be positive";
@@ -163,34 +153,6 @@ let schedule_every t ?start period f =
         | `Stop -> ())
   in
   tick (match start with Some s -> s | None -> Time.add t.clock period)
-
-(* A timer is a scheduled event behind a revocable guard: the heap entry
-   stays put, but a cancelled guard makes it a no-op when popped. *)
-
-type timer_state = Timer_pending | Timer_fired | Timer_cancelled
-
-type timer = { mutable state : timer_state; owner : t }
-
-let schedule_timer_at t at run =
-  let timer = { state = Timer_pending; owner = t } in
-  schedule_at t at (fun () ->
-      if timer.state = Timer_pending then begin
-        timer.state <- Timer_fired;
-        notify t `Fired;
-        run ()
-      end);
-  timer
-
-let schedule_timer_after t delay run =
-  schedule_timer_at t (Time.add t.clock delay) run
-
-let cancel timer =
-  if timer.state = Timer_pending then begin
-    timer.state <- Timer_cancelled;
-    notify timer.owner `Cancelled
-  end
-
-let timer_pending timer = timer.state = Timer_pending
 
 let run t =
   while t.size > 0 do

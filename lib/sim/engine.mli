@@ -5,7 +5,12 @@
     time order; ties break in scheduling order, which keeps every run
     deterministic.  Handlers may schedule further events, and an
     exception a handler raises propagates out of {!run} with the queue
-    intact. *)
+    intact.
+
+    An event leaves the queue only by running: there is no
+    cancellation.  A caller that changes its mind makes the event a
+    no-op when it fires, e.g. the campaign controller stamps each host
+    event with the attempt it belongs to and ignores stale ones. *)
 
 type t
 
@@ -19,8 +24,16 @@ val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_at e t f] runs [f] when the clock reaches [t].  Raises
     [Invalid_argument] if [t] is in the past. *)
 
-val schedule_after : t -> Time.t -> (unit -> unit) -> unit
-(** [schedule_after e d f] runs [f] at [now e + d]. *)
+val schedule_every :
+  t -> ?start:Time.t -> Time.t -> (unit -> [ `Continue | `Stop ]) -> unit
+(** [schedule_every e d f] runs [f] at [start] (default [now e + d]) and
+    then every [d] thereafter, until [f] returns [`Stop].  This is the
+    heartbeat surface supervision layers are built on: the control
+    plane's root supervisor ticks on it to collect sub-controller
+    heartbeats and arm detection timeouts.  Each firing counts as one
+    engine event; the callback decides continuation, so there is no
+    handle to cancel — return [`Stop].  Raises [Invalid_argument] if
+    [d] is not strictly positive. *)
 
 (** {1 Typed events}
 
@@ -42,58 +55,6 @@ val handler : t -> (int -> unit) -> handler
 val schedule_event : t -> Time.t -> handler -> int -> unit
 (** [schedule_event e t h payload] runs [h payload] when the clock
     reaches [t].  Raises [Invalid_argument] if [t] is in the past. *)
-
-(** {1 Cancellable timers}
-
-    A scheduled event cannot be removed from the heap, but a {!timer}
-    wraps its closure with a revocable guard: cancelling before the fire
-    time turns the event into a no-op.  This is what supervision code
-    needs — arm a completion event and a deadline event for the same
-    task and cancel whichever loses the race. *)
-
-type timer
-
-val schedule_timer_at : t -> Time.t -> (unit -> unit) -> timer
-(** Like {!schedule_at}, but returns a handle that can revoke the
-    event. *)
-
-val schedule_timer_after : t -> Time.t -> (unit -> unit) -> timer
-(** Like {!schedule_after}, but cancellable. *)
-
-val cancel : timer -> unit
-(** Revoke the timer.  A no-op if it already fired or was cancelled. *)
-
-val schedule_every :
-  t -> ?start:Time.t -> Time.t -> (unit -> [ `Continue | `Stop ]) -> unit
-(** [schedule_every e d f] runs [f] at [start] (default [now e + d]) and
-    then every [d] thereafter, until [f] returns [`Stop].  This is the
-    heartbeat surface supervision layers are built on: the control
-    plane's root supervisor ticks on it to collect sub-controller
-    heartbeats and arm detection timeouts.  Each firing counts as one
-    engine event; the callback decides continuation, so there is no
-    handle to cancel — return [`Stop].  Raises [Invalid_argument] if
-    [d] is not strictly positive. *)
-
-val timer_pending : timer -> bool
-(** [true] until the timer fires or is cancelled. *)
-
-(** {1 Timer observability}
-
-    Supervision layers want every timer fire and cancellation on the
-    record (the observability subsystem turns them into trace events).
-    The hook is invoked with the engine's clock at the moment the
-    notice happens: the fire time for [`Fired], the cancellation time —
-    not the would-be fire time — for [`Cancelled].  Plain
-    {!schedule_at} events and typed events are not reported; only
-    cancellable timers are (a controller built on typed events derives
-    its own notices). *)
-
-type timer_notice = [ `Fired | `Cancelled ]
-
-val set_timer_hook : t -> (Time.t -> timer_notice -> unit) -> unit
-(** Install the (single) timer observer, replacing any previous one. *)
-
-val clear_timer_hook : t -> unit
 
 val run : t -> unit
 (** Execute events until the queue is empty. *)

@@ -414,7 +414,8 @@ let test_large_campaign_deterministic () =
 (* --- trace pin --- *)
 
 (* The Chrome trace of a small campaign under host flap, timeout and
-   crash faults, engine-track timer notices included.  The same bytes
+   crash faults: attempt spans, breaker transitions and journal
+   checkpoints.  The same bytes
    come from [hypertp-cli campaign --nodes 6 --vms-per-node 4 --seed 42
    --fault host_flap:1 --fault host_timeout:2 --fault host_crash:3
    --trace-out FILE]. *)

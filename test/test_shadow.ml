@@ -1,5 +1,5 @@
-(* Tests for shadow-host MigrationTP: the protocol plan and its engine
-   watchdog, the abort-safety contract (qcheck over all five fault
+(* Tests for shadow-host MigrationTP: the protocol plan and its
+   watchdog rule, the abort-safety contract (qcheck over all five fault
    sites: any pre-swap fault leaves the source verified byte-identical
    and the report names the degraded strategy actually used), the
    golden cutover transcript, and the campaign's mid-shadow
@@ -68,29 +68,52 @@ let test_plan_diverging () =
   checki "no final dirty set" 0 p.S.final_pages;
   checkb "violator round named" true (p.S.violator <> None)
 
-(* --- the engine watchdog agrees with the pure rule --- *)
+(* --- the plan agrees with the pure watchdog rule --- *)
 
 let watchdog_rounds p =
   p.S.stream_round :: p.S.replay_rounds
   @ (match p.S.violator with Some r -> [ r ] | None -> [])
 
+(* The reference rule over the plan's rounds trips exactly where the
+   plan names a violator, at the plan's index; with no violator it
+   never trips, and the plan either converged or ran out of replay
+   budget with every round still shrinking. *)
+let plan_agrees_with_rule p =
+  let budget = (params ()).S.replay_budget in
+  match (p.S.violator, S.watchdog_verdict (params ()) (watchdog_rounds p)) with
+  | Some _, (S.Diverging _ as v) -> v = p.S.verdict
+  | None, S.Converging -> (
+    match p.S.verdict with
+    | S.Converging -> true
+    | S.Diverging i ->
+      i = budget && List.length p.S.replay_rounds = budget)
+  | Some _, S.Converging | None, S.Diverging _ -> false
+
+let plan_at dirty =
+  S.plan (params ()) ~page_bytes:4096 ~total_pages:gib_pages
+    ~dirty_pages_per_sec:dirty
+
 let prop_watchdog_agreement =
   QCheck.Test.make ~count:50
-    ~name:"engine watchdog agrees with the analytic verdict"
-    QCheck.(int_range 10 100_000)
-    (fun dirty ->
-      let p =
-        S.plan (params ()) ~page_bytes:4096 ~total_pages:gib_pages
-          ~dirty_pages_per_sec:(float_of_int dirty *. 1000.0)
-      in
-      let rounds = watchdog_rounds p in
-      let engine = Sim.Engine.create () in
-      let outcome = S.run_watchdog (params ()) ~engine ~rounds in
-      match (S.watchdog_verdict (params ()) rounds, outcome) with
-      | S.Converging, S.Watchdog_passed _ -> true
-      | S.Diverging i, S.Watchdog_tripped { trip_round; _ } -> i = trip_round
-      | S.Converging, S.Watchdog_tripped _
-      | S.Diverging _, S.Watchdog_passed _ -> false)
+    ~name:"plan agrees with the watchdog rule"
+    (* Dirty pages/s: a wide sweep, plus the band where the replay
+       budget runs out with every round shrinking. *)
+    QCheck.(
+      oneof [ map (fun d -> d * 1000) (int_range 10 100_000);
+              int_range 21_500 25_500 ])
+    (fun dirty -> plan_agrees_with_rule (plan_at (float_of_int dirty)))
+
+let test_budget_run_out () =
+  (* Each replay round shrinks by a steady ~20 %: the budget runs out
+     long before the dirty set is swappable, and no round ever trips
+     the watchdog. *)
+  let p = plan_at 23_000.0 in
+  checkb "budget run-out diverges" true
+    (p.S.verdict = S.Diverging (params ()).S.replay_budget);
+  checkb "no violator" true (p.S.violator = None);
+  checkb "the rule agrees" true (plan_agrees_with_rule p);
+  checkb "verdict at the end of the replay" true
+    (Sim.Time.compare (S.verdict_time (params ()) p) p.S.converge_time = 0)
 
 (* --- abort safety: the qcheck pin --- *)
 
@@ -199,6 +222,19 @@ let test_calm_cutover () =
     (Sim.Time.compare sum r.M.sh_shadow_time = 0);
   checki "all five phases present" 5 (List.length r.M.sh_phases);
   checkb "watchdog cancelled once per VM" true (r.M.sh_watchdog_cancels = 2);
+  checki "watchdog never tripped" 0 r.M.sh_watchdog_trips;
+  (* A calm converge phase lasts as long as the slowest VM's replay. *)
+  let slowest_replay =
+    List.fold_left
+      (fun acc sv ->
+        match sv.M.sv_plan with
+        | Some p -> Sim.Time.max acc p.S.converge_time
+        | None -> acc)
+      Sim.Time.zero r.M.sh_per_vm
+  in
+  checkb "converge phase ends with the slowest replay" true
+    (Sim.Time.compare (List.assoc S.Converge r.M.sh_phases) slowest_replay
+    = 0);
   (* The acceptance pin, at the engine level: the committed cutover's
      downtime stays under 20 % of classic MigrationTP on an identical
      pair (BENCH_shadow.json carries the same ratio at fleet scale). *)
@@ -222,10 +258,7 @@ let read_golden name =
   let path =
     List.find Sys.file_exists [ "golden/" ^ name; "test/golden/" ^ name ]
   in
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+  In_channel.with_open_bin path In_channel.input_all
 
 (* The stdout of `hypertp-cli shadow --vms 2 [--fault SPEC]` (machine
    m1, Xen -> KVM, 1 GiB VMs, seed 42): the report, then the fault
@@ -373,6 +406,7 @@ let suites =
         Alcotest.test_case "converging plan" `Quick test_plan_converging;
         Alcotest.test_case "diverging plan" `Quick test_plan_diverging;
         qtest prop_watchdog_agreement;
+        Alcotest.test_case "replay budget run-out" `Quick test_budget_run_out;
       ] );
     ( "shadow.abort",
       [

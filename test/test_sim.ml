@@ -220,7 +220,9 @@ let test_engine_cascade () =
   let count = ref 0 in
   let rec tick () =
     incr count;
-    if !count < 10 then Sim.Engine.schedule_after e (Sim.Time.ms 5) tick
+    if !count < 10 then
+      Sim.Engine.schedule_at e (Sim.Time.add (Sim.Engine.now e) (Sim.Time.ms 5))
+        tick
   in
   Sim.Engine.schedule_at e Sim.Time.zero tick;
   Sim.Engine.run e;
@@ -376,25 +378,6 @@ let test_trace_pp_interleaving () =
   checkb "markers keep insertion order" true (pos "first" < pos "second");
   checkb "later sample last" true (pos "second" < pos "20")
 
-let test_engine_timer_hook () =
-  let e = Sim.Engine.create () in
-  let notices = ref [] in
-  Sim.Engine.set_timer_hook e (fun at n ->
-      notices := (Sim.Time.to_ns at, n) :: !notices);
-  let _fires = Sim.Engine.schedule_timer_at e (Sim.Time.ms 5) (fun () -> ()) in
-  let doomed = Sim.Engine.schedule_timer_at e (Sim.Time.ms 9) (fun () -> ()) in
-  Sim.Engine.schedule_at e (Sim.Time.ms 2) (fun () -> Sim.Engine.cancel doomed);
-  Sim.Engine.run e;
-  (* Cancellation is recorded at the cancel time, not the would-be fire
-     time. *)
-  checkb "notices" true
-    (List.rev !notices = [ (2_000_000, `Cancelled); (5_000_000, `Fired) ]);
-  Sim.Engine.clear_timer_hook e;
-  let e2 = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule_timer_at e2 (Sim.Time.ms 1) (fun () -> ()));
-  Sim.Engine.run e2;
-  checki "hook cleared, nothing new" 2 (List.length !notices)
-
 let test_trace_bucketize () =
   let t = Sim.Trace.create ~name:"t" () in
   List.iter
@@ -487,7 +470,6 @@ let suites =
         Alcotest.test_case "past scheduling rejected" `Quick test_engine_past_rejected;
         Alcotest.test_case "2000 random events stay monotone" `Quick
           test_engine_many_events;
-        Alcotest.test_case "timer hook" `Quick test_engine_timer_hook;
         Alcotest.test_case "schedule_every" `Quick test_engine_schedule_every;
         Alcotest.test_case "typed and closure ties" `Quick
           test_engine_typed_mixed_ties;
