@@ -1025,19 +1025,7 @@ let fleet_cmd =
   in
   let run id topology =
     let o = Cluster.Fleet.simulate ?topology ~cve_id:id () in
-    Array.iter
-      (fun (at, ev) ->
-        match ev with
-        | Cluster.Fleet.Disclosed id ->
-          Format.printf "%8.0fs  disclosed %s@." (Sim.Time.to_sec_f at) id
-        | Cluster.Fleet.Host_transplanted { host; to_hv; downtime } ->
-          Format.printf "%8.0fs  %s -> %s (downtime %a)@."
-            (Sim.Time.to_sec_f at) host to_hv Sim.Time.pp downtime
-        | Cluster.Fleet.Patch_released ->
-          Format.printf "%8.0fs  patch released@." (Sim.Time.to_sec_f at)
-        | Cluster.Fleet.Host_patched { host; downtime } ->
-          Format.printf "%8.0fs  %s patched (downtime %a)@."
-            (Sim.Time.to_sec_f at) host Sim.Time.pp downtime)
+    Array.iter (Format.printf "%a@." Cluster.Fleet.pp_event)
       o.Cluster.Fleet.events;
     Format.printf "%a@." Cluster.Fleet.pp_outcome o
   in

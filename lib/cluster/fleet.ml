@@ -145,6 +145,18 @@ let simulate ?(topology = default_topology) ?window_days
     transplants = !transplants;
   }
 
+let pp_event fmt (at, ev) =
+  let at = Sim.Time.to_sec_f at in
+  match ev with
+  | Disclosed id -> Format.fprintf fmt "%8.0fs  disclosed %s" at id
+  | Host_transplanted { host; to_hv; downtime } ->
+    Format.fprintf fmt "%8.0fs  %s -> %s (downtime %a)" at host to_hv
+      Sim.Time.pp downtime
+  | Patch_released -> Format.fprintf fmt "%8.0fs  patch released" at
+  | Host_patched { host; downtime } ->
+    Format.fprintf fmt "%8.0fs  %s patched (downtime %a)" at host Sim.Time.pp
+      downtime
+
 let pp_outcome fmt o =
   Format.fprintf fmt
     "@[<v>%d transplants; exposure %.1f host-hours vs %.1f without HyperTP \

@@ -49,4 +49,8 @@ val simulate :
     first transplant fires (the qcheck property in the test suite pins
     this equal to the recomputed integral over the event log). *)
 
+val pp_event : Format.formatter -> Sim.Time.t * event -> unit
+(** One line of the [hypertp-cli fleet] transcript, e.g.
+    ["     60s  host00 -> kvm (downtime 2.758s)"]. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit

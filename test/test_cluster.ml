@@ -408,6 +408,24 @@ let test_fleet_timeline () =
   in
   checkb "no host patched before the patch exists" false patched_before_release
 
+(* The stdout of `hypertp-cli fleet`, then of `hypertp-cli fleet
+   --topology 'east:3:2;west:2:5'`: every event in dispatch order, then
+   the outcome line. *)
+let test_fleet_timeline_golden () =
+  let transcript topology =
+    let o = Cluster.Fleet.simulate ?topology ~cve_id:"CVE-2016-6258" () in
+    Format.asprintf "%a%a@."
+      (fun fmt -> Array.iter (Format.fprintf fmt "%a@." Cluster.Fleet.pp_event))
+      o.Cluster.Fleet.events Cluster.Fleet.pp_outcome o
+  in
+  let ragged = Result.get_ok (Cluster.Topology.of_spec "east:3:2;west:2:5") in
+  Alcotest.check Alcotest.string "fleet transcripts match the golden pin"
+    (In_channel.with_open_bin
+       (List.find Sys.file_exists
+          [ "golden/fleet_timeline.txt"; "test/golden/fleet_timeline.txt" ])
+       In_channel.input_all)
+    (transcript None ^ transcript (Some ragged))
+
 (* Golden pin of the Fig. 13 sweep: exact migration counts and totals
    at the paper's fractions, plus the ~80 % time-gain shape.  Any
    planner or cost-model drift shows up here first. *)
@@ -605,6 +623,8 @@ let suites =
       [
         Alcotest.test_case "vulnerability-window timeline (Fig 1)" `Quick
           test_fleet_timeline;
+        Alcotest.test_case "fleet transcript golden" `Quick
+          test_fleet_timeline_golden;
         Alcotest.test_case "exposure integral ends at transplant" `Quick
           test_fleet_exposure_integral;
         Alcotest.test_case "stagger scales exposure" `Quick

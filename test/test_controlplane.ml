@@ -301,6 +301,49 @@ let test_double_crash_during_resume_golden () =
   checks "merged timeline matches the golden pin" golden
     (CP.merged_to_string b)
 
+(* The stdout of `hypertp-cli controlplane --topology 4x10x8
+   --concurrency 8 --seed 29 --fault host_crash:p=0.3,seed=29 --fault
+   ctl_partition:2 --timeline`: the summary, then the merged journals.
+   The partitions cost spurious restarts (pinned by count: they follow
+   the heartbeat ticks) and the early finishers' slots move as
+   [Limit_raised] grants. *)
+let test_partition_timeline_golden () =
+  let fault =
+    Fault.of_specs
+      (List.map
+         (fun s -> Result.get_ok (Fault.parse_spec s))
+         [ "host_crash:p=0.3,seed=29"; "ctl_partition:2" ])
+  in
+  let cfg =
+    CP.config_of_topology
+      (Result.get_ok (Cluster.Topology.of_spec "4x10x8"))
+      { CP.default_config with CP.global_concurrency = 8; seed = 29L }
+  in
+  let metrics = Obs.Metrics.create () in
+  let r, b = finished (CP.run ~fault ~metrics cfg) in
+  let out = CP.summary r ^ CP.merged_to_string b in
+  let spurious =
+    List.fold_left
+      (fun acc region ->
+        acc
+        +. Obs.Metrics.value
+             (Obs.Metrics.counter metrics
+                ~labels:
+                  [ ("engine", "controlplane"); ("kind", "spurious");
+                    ("region", Printf.sprintf "r%d" region) ]
+                "hypertp_ctl_restarts_total"))
+      0.0 [ 0; 1; 2; 3 ]
+  in
+  checki "spurious restarts" 2 (int_of_float spurious);
+  checkb "grants journaled" true (count_sub "limit-raised" out > 0);
+  checks "timeline matches the golden pin"
+    (In_channel.with_open_bin
+       (List.find Sys.file_exists
+          [ "golden/controlplane_partition.txt";
+            "test/golden/controlplane_partition.txt" ])
+       In_channel.input_all)
+    out
+
 (* --- serialisation --- *)
 
 let test_bundle_parse_errors () =
@@ -464,6 +507,8 @@ let suites =
           test_double_crash_during_resume_golden;
         Alcotest.test_case "stopped controller records nothing" `Quick
           test_stopped_controller_is_inert;
+        Alcotest.test_case "partition timeline (golden)" `Quick
+          test_partition_timeline_golden;
       ] );
     ( "controlplane.bundle",
       [ Alcotest.test_case "parse errors" `Quick test_bundle_parse_errors ] );

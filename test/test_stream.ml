@@ -508,6 +508,40 @@ let test_service_population_bound () =
       { Stream.Service.xen_hosts = ok; kvm_hosts = huge; bhyve_hosts = 0 };
       { Stream.Service.xen_hosts = ok; kvm_hosts = ok; bhyve_hosts = huge } ]
 
+let read_golden name =
+  In_channel.with_open_bin
+    (List.find Sys.file_exists [ "golden/" ^ name; "test/golden/" ^ name ])
+    In_channel.input_all
+
+(* The [--journal] file of `hypertp-cli serve --hosts 36 --tempo 16000
+   --concurrency 2 --preempt --batch-days 5 --fault
+   cve_burst:p=0.3,seed=5`.  Bursts crowd criticals into one tick, so
+   preemptions fire; with 5-day ticks some patches land before the tick
+   that admits their CVE, so those closes fire at the tick's own
+   instant, right after it. *)
+let test_serve_journal_golden () =
+  let fault =
+    Fault.of_specs [ Result.get_ok (Fault.parse_spec "cve_burst:p=0.3,seed=5") ]
+  in
+  let cfg =
+    {
+      Stream.Service.default_config with
+      Stream.Service.mix =
+        { Stream.Service.xen_hosts = 18; kvm_hosts = 18; bhyve_hosts = 0 };
+      tempo = 16000.0;
+      concurrency = 2;
+      batch_days = 5.0;
+      preempt = true;
+      seed = 42L;
+    }
+  in
+  match Stream.Service.run ~fault cfg with
+  | Stream.Service.Crashed _ -> Alcotest.fail "no crash site is armed"
+  | Stream.Service.Finished (r, j) ->
+    checkb "preemptions fired" true (r.Stream.Service.preemptions > 0);
+    checks "journal matches the golden pin" (read_golden "serve_journal.txt")
+      (Stream.Service.journal_to_string j)
+
 let test_metrics_dashboard () =
   let metrics = Obs.Metrics.create () in
   let r, _ = Stream.Service.run_to_completion ~metrics small_config in
@@ -561,6 +595,8 @@ let suites =
         Alcotest.test_case "population bound" `Quick test_service_population_bound;
         Alcotest.test_case "work bounds" `Quick test_work_bounds;
         Alcotest.test_case "metrics dashboard" `Quick test_metrics_dashboard;
+        Alcotest.test_case "serve journal golden" `Quick
+          test_serve_journal_golden;
         qtest prop_service_deterministic;
         qtest prop_policy_dominance;
         qtest prop_preemption_safe;
