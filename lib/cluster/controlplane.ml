@@ -183,6 +183,8 @@ type st = {
   obs : Obs.Tracer.t option;
   metrics : Obs.Metrics.t option;
   mutable root_span : Obs.Span.t option;
+  realloc_ev : Sim.Engine.handler;  (* payload: the grantor region *)
+  beat_ev : Sim.Engine.handler;  (* the heartbeat tick *)
 }
 
 exception Root_died
@@ -190,47 +192,6 @@ exception Subctl_died of int
 
 let region_name r = Printf.sprintf "r%d" r
 let labels r = [ ("engine", "controlplane"); ("region", region_name r) ]
-
-let make_st ?fault ?obs ?metrics (cfg : config) =
-  validate_config cfg;
-  let obs = Option.map Hypertp.Otrace.attach obs in
-  let chaos_seed = match fault with Some f -> Fault.seed f | None -> 0xC7A05L in
-  {
-    cfg;
-    eng = Sim.Engine.create ();
-    plan = C.plan (region_configs cfg).(0);
-    regions = [||];
-    (* Region plans carry the host sites only, so adding control-plane
-       sites to a plan never changes a region journal. *)
-    hplan =
-      Option.map
-        (fun f ->
-          Fault.make ~seed:(Fault.seed f)
-            (List.filter
-               (fun i ->
-                 List.mem i.Fault.site
-                   [ Fault.Host_flap; Fault.Host_crash; Fault.Host_timeout ])
-               (Fault.injections f)))
-        fault;
-    chaos = fault;
-    partition_rng =
-      Array.init cfg.regions (fun r ->
-          Sim.Rng.create
-            (Int64.logxor chaos_seed
-               (Int64.of_int (Hashtbl.hash ("partition", region_name r)))));
-    granted = Array.make cfg.regions 0;
-    realloc_done = Array.make cfg.regions false;
-    obs;
-    metrics;
-    root_span =
-      Hypertp.Otrace.start obs ~at:Sim.Time.zero ~track:"root"
-        ~attrs:
-          [ ("engine", "controlplane");
-            ("regions", string_of_int cfg.regions);
-            ("hosts", string_of_int (cfg.regions * cfg.hosts_per_region));
-            ("concurrency", string_of_int cfg.global_concurrency) ]
-        "controlplane";
-  }
 
 let root_instant st ?attrs name =
   Hypertp.Otrace.instant st.obs ~at:(Sim.Engine.now st.eng) ?parent:st.root_span
@@ -250,27 +211,31 @@ let finished r = C.controller_finished_at r.ctl <> None
 
 (* A finished region's slots go [realloc_lag] after its finish to the
    lowest-index region still running, as a durable [Limit_raised] entry
-   in the recipient's journal. *)
-let rec schedule_realloc st j ~finished_at =
-  Sim.Engine.schedule_at st.eng (Sim.Time.add finished_at st.cfg.realloc_lag)
-    (fun () ->
-      st.realloc_done.(j) <- true;
-      match Array.find_opt (fun r -> not (finished r)) st.regions with
-      | None -> ()
-      | Some k ->
-        let slots = base_limit_of st.cfg j + st.granted.(j) in
-        root_instant st "realloc"
-          ~attrs:
-            [ ("to", region_name k.r_index); ("from", region_name j);
-              ("slots", string_of_int slots) ];
-        Hypertp.Otrace.count st.metrics ~labels:(labels k.r_index)
-          "hypertp_ctl_reallocs_total";
-        C.grant k.ctl ~from_region:j ~slots)
+   in the recipient's journal.  [realloc st j] is grantor [j]'s lease
+   running out. *)
+let realloc st j =
+  st.realloc_done.(j) <- true;
+  match Array.find_opt (fun r -> not (finished r)) st.regions with
+  | None -> ()
+  | Some k ->
+    let slots = base_limit_of st.cfg j + st.granted.(j) in
+    root_instant st "realloc"
+      ~attrs:
+        [ ("to", region_name k.r_index); ("from", region_name j);
+          ("slots", string_of_int slots) ];
+    Hypertp.Otrace.count st.metrics ~labels:(labels k.r_index)
+      "hypertp_ctl_reallocs_total";
+    C.grant k.ctl ~from_region:j ~slots
+
+let schedule_realloc st j ~finished_at =
+  Sim.Engine.schedule_event st.eng
+    (Sim.Time.add finished_at st.cfg.realloc_lag)
+    st.realloc_ev j
 
 (* At the campaign's journal-then-crash point: [Subctl_crash] after each
    live append, [Crash_during_resume] before each replayed entry.  Grants
    feed the ledger either way; a live finish starts the region's lease. *)
-and probe st r ~replaying at ev =
+let probe st r ~replaying at ev =
   let chaos site counter =
     chaos st site ~vm:(region_name r) ~labels:(labels r) counter
   in
@@ -308,14 +273,20 @@ let restart st r ~kind =
   r.ctl <- resume_region st r.r_index r.r_topo (C.controller_journal r.ctl);
   r.last_seen <- Sim.Engine.now st.eng
 
+let arm_heartbeat st =
+  Sim.Engine.schedule_event st.eng
+    (Sim.Time.add (Sim.Engine.now st.eng) st.cfg.heartbeat_every)
+    st.beat_ev 0
+
 (* One root heartbeat tick: consult [Root_crash], collect heartbeats
    (dropping them through active partitions, arming new partitions via
    [Ctl_partition]), then fence and rebuild any sub-controller silent
    past the timeout.  Only a partition silences a live region, so every
-   such restart is spurious: supervision accounting, never progress. *)
-let tick st () =
-  if Array.for_all finished st.regions then `Stop
-  else begin
+   such restart is spurious: supervision accounting, never progress.
+   The tick arms its successor last, so a root death inside it, or a
+   fleet already finished, ends the series. *)
+let tick st =
+  if not (Array.for_all finished st.regions) then begin
     let now = Sim.Engine.now st.eng in
     if chaos st Fault.Root_crash ~vm:"root" ~labels:[ ("engine", "controlplane") ]
          "root_crashes"
@@ -342,8 +313,60 @@ let tick st () =
           && Sim.Time.(st.cfg.heartbeat_timeout < diff now r.last_seen)
         then restart st r ~kind:"spurious")
       st.regions;
-    `Continue
+    arm_heartbeat st
   end
+
+let make_st ?fault ?obs ?metrics (cfg : config) =
+  validate_config cfg;
+  let obs = Option.map Hypertp.Otrace.attach obs in
+  let chaos_seed = match fault with Some f -> Fault.seed f | None -> 0xC7A05L in
+  let eng = Sim.Engine.create () in
+  (* The handlers reach the state through the lazy knot; it is forced
+     before any event can fire. *)
+  let rec st =
+    lazy
+      {
+        cfg;
+        eng;
+        plan = C.plan (region_configs cfg).(0);
+        regions = [||];
+        (* Region plans carry the host sites only, so adding control-plane
+           sites to a plan never changes a region journal. *)
+        hplan =
+          Option.map
+            (fun f ->
+              Fault.make ~seed:(Fault.seed f)
+                (List.filter
+                   (fun i ->
+                     List.mem i.Fault.site
+                       [ Fault.Host_flap; Fault.Host_crash;
+                         Fault.Host_timeout ])
+                   (Fault.injections f)))
+            fault;
+        chaos = fault;
+        partition_rng =
+          Array.init cfg.regions (fun r ->
+              Sim.Rng.create
+                (Int64.logxor chaos_seed
+                   (Int64.of_int (Hashtbl.hash ("partition", region_name r)))));
+        granted = Array.make cfg.regions 0;
+        realloc_done = Array.make cfg.regions false;
+        obs;
+        metrics;
+        root_span =
+          Hypertp.Otrace.start obs ~at:Sim.Time.zero ~track:"root"
+            ~attrs:
+              [ ("engine", "controlplane");
+                ("regions", string_of_int cfg.regions);
+                ("hosts", string_of_int (cfg.regions * cfg.hosts_per_region));
+                ("concurrency", string_of_int cfg.global_concurrency) ]
+            "controlplane";
+        realloc_ev =
+          Sim.Engine.handler eng (fun j -> realloc (Lazy.force st) j);
+        beat_ev = Sim.Engine.handler eng (fun _ -> tick (Lazy.force st));
+      }
+  in
+  Lazy.force st
 
 (* --- results --- *)
 
@@ -445,7 +468,7 @@ let launch st make =
         schedule_realloc st r.r_index ~finished_at
       | _ -> ())
     st.regions;
-  Sim.Engine.schedule_every st.eng st.cfg.heartbeat_every (tick st);
+  arm_heartbeat st;
   drive st
 
 let run ?fault ?obs ?metrics cfg =

@@ -12,7 +12,8 @@
     - reallocates: [realloc_lag] after a region finishes, the
       lowest-index unfinished region receives its slots as a
       {!Campaign.Limit_raised} entry in its own journal;
-    - collects heartbeats on {!Sim.Engine.schedule_every}, fencing and
+    - collects heartbeats on a self-re-arming engine handler (each
+      tick arms the next one [heartbeat_every] later), fencing and
       rebuilding a sub-controller whose heartbeats a partition drops.
 
     {b Recovery is a rebuild from the journal.}  A crashed

@@ -74,7 +74,7 @@ let simulate ?(topology = default_topology) ?window_days
   in
   let engine = Sim.Engine.create () in
   (* Exactly 2 events per host plus disclosure and patch release, so
-     the buffer is sized once; callbacks append in engine dispatch
+     the buffer is sized once; the handler appends in engine dispatch
      order, which is the documented (time, schedule-order) order. *)
   let events =
     Sim.Vec.create ~capacity:((2 * hosts) + 2) (Sim.Time.zero, Patch_released)
@@ -82,64 +82,63 @@ let simulate ?(topology = default_topology) ?window_days
   let emit ev = Sim.Vec.push events (Sim.Engine.now engine, ev) in
   let total_downtime = ref Sim.Time.zero in
   let transplants = ref 0 in
-  (* Exposure accrues incrementally: each host stops being exposed at
-     its first transplant, and the callbacks fire in host order, so the
-     running sum adds the same terms in the same order as the old
-     end-of-run fold over the fleet. *)
+  (* Exposure accrues as each host leaves the vulnerable hypervisor,
+     capped at the patch release; every host has an out-transplant, so
+     when the run ends the sum covers the whole fleet. *)
   let exposed = ref 0.0 in
-  let out_transplanted = ref 0 in
-  (* t0: disclosure; hosts transplant to the safe target one after
-     another (operators stagger rollouts). *)
-  Sim.Engine.schedule_at engine Sim.Time.zero (fun () -> emit (Disclosed cve_id));
-  Array.iteri
-    (fun i host ->
-      Sim.Engine.schedule_at engine
-        (Sim.Time.add (Sim.Time.sec 60) (Sim.Time.scale (float_of_int i) stagger))
-        (fun () ->
-          let report = Hypertp.Api.transplant_inplace ~host ~target () in
-          assert (Hypertp.Inplace.all_ok report.Hypertp.Inplace.checks);
-          let downtime = Hypertp.Phases.downtime report.Hypertp.Inplace.phases in
-          incr transplants;
-          total_downtime :=
-            Sim.Time.add !total_downtime
-              (Sim.Time.scale (float_of_int per_host_vms.(i)) downtime);
-          exposed := !exposed +. hours (Sim.Engine.now engine);
-          incr out_transplanted;
-          emit
-            (Host_transplanted
-               { host = host.Hv.Host.host_name;
-                 to_hv = Hv.Kind.to_string target; downtime })))
-    fleet;
-  (* t_patch: the fixed hypervisor ships; hosts transplant back. *)
-  Sim.Engine.schedule_at engine window (fun () -> emit Patch_released);
-  Array.iteri
-    (fun i host ->
-      Sim.Engine.schedule_at engine
-        (Sim.Time.add window
-           (Sim.Time.add (Sim.Time.sec 60)
-              (Sim.Time.scale (float_of_int i) stagger)))
-        (fun () ->
-          let report =
-            Hypertp.Api.transplant_inplace ~host ~target:Hv.Kind.Xen ()
-          in
-          assert (Hypertp.Inplace.all_ok report.Hypertp.Inplace.checks);
-          let downtime = Hypertp.Phases.downtime report.Hypertp.Inplace.phases in
-          incr transplants;
-          total_downtime :=
-            Sim.Time.add !total_downtime
-              (Sim.Time.scale (float_of_int per_host_vms.(i)) downtime);
-          emit
-            (Host_patched { host = host.Hv.Host.host_name; downtime })))
-    fleet;
-  Sim.Engine.run engine;
-  (* Hosts that never transplanted (impossible today, but kept for
-     robustness) stay exposed for the whole window. *)
-  let exposed =
-    !exposed +. (float_of_int (hosts - !out_transplanted) *. hours window)
+  let transplant i target =
+    let report = Hypertp.Api.transplant_inplace ~host:fleet.(i) ~target () in
+    assert (Hypertp.Inplace.all_ok report.Hypertp.Inplace.checks);
+    let downtime = Hypertp.Phases.downtime report.Hypertp.Inplace.phases in
+    incr transplants;
+    total_downtime :=
+      Sim.Time.add !total_downtime
+        (Sim.Time.scale (float_of_int per_host_vms.(i)) downtime);
+    downtime
   in
+  (* One handler plays the whole timeline.  Payload: [-1] disclosure,
+     [-2] patch release, [2i] host [i] transplants to the safe target,
+     [2i + 1] host [i] transplants back. *)
+  let on_event p =
+    if p = -1 then emit (Disclosed cve_id)
+    else if p = -2 then emit Patch_released
+    else begin
+      let i = p lsr 1 in
+      let host = fleet.(i).Hv.Host.host_name in
+      if p land 1 = 0 then begin
+        let downtime = transplant i target in
+        exposed :=
+          !exposed +. hours (Sim.Time.min (Sim.Engine.now engine) window);
+        emit
+          (Host_transplanted
+             { host; to_hv = Hv.Kind.to_string target; downtime })
+      end
+      else begin
+        let downtime = transplant i Hv.Kind.Xen in
+        emit (Host_patched { host; downtime })
+      end
+    end
+  in
+  let ev = Sim.Engine.handler engine on_event in
+  (* t0: disclosure; hosts transplant to the safe target one after
+     another (operators stagger rollouts).  t_patch: the fixed
+     hypervisor ships; hosts transplant back on the same stagger. *)
+  let slot i =
+    Sim.Time.add (Sim.Time.sec 60) (Sim.Time.scale (float_of_int i) stagger)
+  in
+  Sim.Engine.schedule_event engine Sim.Time.zero ev (-1);
+  for i = 0 to hosts - 1 do
+    Sim.Engine.schedule_event engine (slot i) ev (2 * i)
+  done;
+  Sim.Engine.schedule_event engine window ev (-2);
+  for i = 0 to hosts - 1 do
+    Sim.Engine.schedule_event engine (Sim.Time.add window (slot i)) ev
+      ((2 * i) + 1)
+  done;
+  Sim.Engine.run engine;
   {
     events = Sim.Vec.to_array events;
-    exposed_host_hours = exposed;
+    exposed_host_hours = !exposed;
     baseline_exposed_host_hours = float_of_int hosts *. hours window;
     total_vm_downtime = !total_downtime;
     transplants = !transplants;

@@ -3,11 +3,9 @@
    order, which pins down determinism.
 
    The heap holds no pointers: each slot is four ints in one flat array
-   (time in ns, sequence, code, payload), so scheduling and popping move
-   ints and never allocate or run the write barrier.  A typed event's
-   code is the index of a handler registered once with [handler]; a
-   closure event's code is [closure_code] and its payload is a slot in
-   [thunks], a pool of pending closures recycled through [free]. *)
+   (time in ns, sequence, handler, payload), so scheduling and popping
+   move ints and never allocate or run the write barrier.  A handler is
+   its index in [handlers], registered once with [handler]. *)
 
 type handler = int
 
@@ -18,18 +16,13 @@ type t = {
   mutable next_seq : int;
   mutable handlers : (int -> unit) array;
   mutable n_handlers : int;
-  mutable thunks : (unit -> unit) array;
-  mutable free : int array; (* free [thunks] slots, a stack *)
-  mutable n_free : int;
 }
 
 let stride = 4
-let closure_code = -1
 
 let create () =
   { clock = Time.zero; keys = Array.make (64 * stride) 0; size = 0;
-    next_seq = 0; handlers = Array.make 4 ignore; n_handlers = 0;
-    thunks = [||]; free = [||]; n_free = 0 }
+    next_seq = 0; handlers = Array.make 4 ignore; n_handlers = 0 }
 
 let now t = t.clock
 let pending t = t.size
@@ -56,8 +49,9 @@ let move k ~src ~dst =
   k.(d + 2) <- k.(s + 2);
   k.(d + 3) <- k.(s + 3)
 
-let push t (at : Time.t) code payload =
-  if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";
+let schedule_event t (at : Time.t) h payload =
+  if Time.(at < t.clock) then
+    invalid_arg "Engine.schedule_event: time in the past";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   if (t.size + 1) * stride > Array.length t.keys then begin
@@ -77,7 +71,7 @@ let push t (at : Time.t) code payload =
   let d = !i * stride in
   k.(d) <- at;
   k.(d + 1) <- seq;
-  k.(d + 2) <- code;
+  k.(d + 2) <- h;
   k.(d + 3) <- payload;
   t.size <- t.size + 1
 
@@ -109,50 +103,10 @@ let remove_root t =
    an exception it raises leaves the engine usable. *)
 let step t =
   let k = t.keys in
-  let at = k.(0) and code = k.(2) and payload = k.(3) in
+  let at = k.(0) and h = k.(2) and payload = k.(3) in
   remove_root t;
   t.clock <- Time.ns at;
-  if code = closure_code then begin
-    let run = t.thunks.(payload) in
-    t.thunks.(payload) <- ignore;
-    t.free.(t.n_free) <- payload;
-    t.n_free <- t.n_free + 1;
-    run ()
-  end
-  else t.handlers.(code) payload
-
-let schedule_event t at h payload = push t at h payload
-
-let schedule_at t at run =
-  if t.n_free = 0 then begin
-    let n = Array.length t.thunks in
-    let cap = Stdlib.max 16 (2 * n) in
-    let thunks = Array.make cap ignore in
-    Array.blit t.thunks 0 thunks 0 n;
-    t.thunks <- thunks;
-    (* [free] is empty, so it only needs room for the new slots now and
-       for every slot once they are all returned. *)
-    t.free <- Array.make cap 0;
-    for s = cap - 1 downto n do
-      t.free.(t.n_free) <- s;
-      t.n_free <- t.n_free + 1
-    done
-  end;
-  let slot = t.free.(t.n_free - 1) in
-  push t at closure_code slot;
-  t.n_free <- t.n_free - 1;
-  t.thunks.(slot) <- run
-
-let schedule_every t ?start period f =
-  if Time.(period <= zero) then
-    invalid_arg "Engine.schedule_every: period must be positive";
-  let rec tick at =
-    schedule_at t at (fun () ->
-        match f () with
-        | `Continue -> tick (Time.add t.clock period)
-        | `Stop -> ())
-  in
-  tick (match start with Some s -> s | None -> Time.add t.clock period)
+  t.handlers.(h) payload
 
 let run t =
   while t.size > 0 do

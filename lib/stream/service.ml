@@ -385,15 +385,24 @@ let run_internal ?fault ?obs ?metrics ~replay cfg =
   let wall_days (rep : Cluster.Campaign.report) =
     cfg.tempo *. Sim.Time.to_sec_f rep.Cluster.Campaign.wall_clock /. 86400.0
   in
-  let schedule_close ep =
-    let target = Sim.Time.max (now ()) (day_to_time ep.e_patch_cap) in
-    Sim.Engine.schedule_at engine target (fun () ->
+  (* Episodes waiting for their close, by id.  A close drops its entry,
+     so a closed episode's covers are not held for the rest of the run. *)
+  let closing = Hashtbl.create 16 in
+  let close_ev =
+    Sim.Engine.handler engine (fun id ->
+        let ep = Hashtbl.find closing id in
+        Hashtbl.remove closing id;
         let hh = exposure_from ep.e_arrival ep.e_cover ep.e_patch_cap in
         exposed_hh := !exposed_hh +. hh;
         gset m_exposed !exposed_hh;
         emit
           (Printf.sprintf "C %d %s %.6f %d" ep.e_id ep.e_pop.p_name hh
              (cursor ())))
+  in
+  let schedule_close ep =
+    let target = Sim.Time.max (now ()) (day_to_time ep.e_patch_cap) in
+    Hashtbl.add closing ep.e_id ep;
+    Sim.Engine.schedule_event engine target close_ev ep.e_id
   in
   let preempt_pop pop t new_ep_id =
     let released = ref 0 in
@@ -579,20 +588,27 @@ let run_internal ?fault ?obs ?metrics ~replay cfg =
         end)
       pops
   in
+  (* The batch tick drains the arrivals due by now, then arms its
+     successor one period later while any remain: a crash inside the
+     tick ends the series. *)
   let idx = ref 0 in
-  Sim.Engine.schedule_every engine
-    (day_to_time cfg.batch_days)
-    (fun () ->
-      let t = now_day () in
-      gset m_day t;
-      while
-        !idx < Array.length arrivals
-        && arrivals.(!idx).Gen.day <= t +. 1e-9
-      do
-        process_arrival arrivals.(!idx);
-        incr idx
-      done;
-      if !idx >= Array.length arrivals then `Stop else `Continue);
+  let period = day_to_time cfg.batch_days in
+  let rec tick_ev = lazy (Sim.Engine.handler engine (fun _ -> tick ()))
+  and arm () =
+    Sim.Engine.schedule_event engine (Sim.Time.add (now ()) period)
+      (Lazy.force tick_ev) 0
+  and tick () =
+    let t = now_day () in
+    gset m_day t;
+    while
+      !idx < Array.length arrivals && arrivals.(!idx).Gen.day <= t +. 1e-9
+    do
+      process_arrival arrivals.(!idx);
+      incr idx
+    done;
+    if !idx < Array.length arrivals then arm ()
+  in
+  arm ();
   let finish () =
     Sim.Engine.run engine;
     gset m_day horizon;

@@ -535,43 +535,82 @@ let test_fleet_rejects_huge_counts () =
 (* --- incremental exposure accounting == recomputed integral --- *)
 
 (* Fleet: the running sum kept as transplants fire must equal the
-   integral recomputed from the event log after the fact. *)
+   integral recomputed from the event log after the fact.  A host stops
+   accruing at its first transplant or at the patch release, whichever
+   comes first. *)
 let fleet_integral (o : Cluster.Fleet.outcome) =
   let firsts = Hashtbl.create 16 in
-  let disclosed = ref Sim.Time.zero in
+  let disclosed = ref Sim.Time.zero and patched = ref Sim.Time.zero in
   Array.iter
     (fun (t, ev) ->
       match ev with
       | Cluster.Fleet.Disclosed _ -> disclosed := t
+      | Cluster.Fleet.Patch_released -> patched := t
       | Cluster.Fleet.Host_transplanted { host; _ } ->
         if not (Hashtbl.mem firsts host) then Hashtbl.add firsts host t
-      | Cluster.Fleet.Patch_released | Cluster.Fleet.Host_patched _ -> ())
+      | Cluster.Fleet.Host_patched _ -> ())
     o.Cluster.Fleet.events;
   Hashtbl.fold
     (fun _ t acc ->
-      acc +. (Sim.Time.to_sec_f (Sim.Time.sub t !disclosed) /. 3600.0))
+      let stop = Sim.Time.min t !patched in
+      acc +. (Sim.Time.to_sec_f (Sim.Time.sub stop !disclosed) /. 3600.0))
     firsts 0.0
 
+(* A one-day window with up to 6 h between hosts: from 6 hosts up, the
+   later out-slots can fall after the patch, where the cap matters. *)
 let test_fleet_incremental_exposure_qcheck () =
+  let window_days = 1 in
+  (* No shrinking: it would step below the ranges into invalid
+     topologies, and the failure message already names the case. *)
   let gen =
     QCheck.(
-      pair (int_range 2 12)
-        (pair (int_range 1 3) (int_range 30 3600)))
+      set_shrink Shrink.nil
+        (pair (int_range 2 12) (pair (int_range 1 3) (int_range 30 21600))))
   in
+  let crossed = ref 0 in
   let prop (hosts, (vms_per_host, stagger_s)) =
     let o =
       Cluster.Fleet.simulate ~topology:(flat_topology hosts vms_per_host)
-        ~stagger:(Sim.Time.sec stagger_s) ~cve_id:"CVE-2016-6258" ()
+        ~window_days ~stagger:(Sim.Time.sec stagger_s)
+        ~cve_id:"CVE-2016-6258" ()
     in
+    if 60 + ((hosts - 1) * stagger_s) > window_days * 86400 then incr crossed;
     let integral = fleet_integral o in
     if Float.abs (integral -. o.Cluster.Fleet.exposed_host_hours) > 1e-6 then
       QCheck.Test.fail_reportf
-        "incremental %.9f <> integral %.9f (hosts=%d stagger=%ds)"
-        o.Cluster.Fleet.exposed_host_hours integral hosts stagger_s;
+        "incremental %.9f <> integral %.9f (hosts=%d stagger=%ds window=%dd)"
+        o.Cluster.Fleet.exposed_host_hours integral hosts stagger_s
+        window_days;
+    if o.Cluster.Fleet.exposed_host_hours
+       > o.Cluster.Fleet.baseline_exposed_host_hours
+    then
+      QCheck.Test.fail_reportf
+        "exposed %.9f above the baseline %.9f (hosts=%d stagger=%ds \
+         window=%dd)"
+        o.Cluster.Fleet.exposed_host_hours
+        o.Cluster.Fleet.baseline_exposed_host_hours hosts stagger_s
+        window_days;
     true
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:30 ~name:"fleet incremental exposure" gen prop)
+    (QCheck.Test.make ~count:30 ~name:"fleet incremental exposure" gen prop);
+  checkb "some cases transplant out after the patch" true (!crossed > 0)
+
+(* Twelve hosts 3 h apart against a one-day window: hosts 0-7 leave at
+   60 s + i x 3 h, before the patch; hosts 8-11 would leave after it,
+   so they count the whole day, as without HyperTP. *)
+let test_fleet_exposure_capped_at_patch () =
+  let o =
+    Cluster.Fleet.simulate ~topology:(flat_topology 12 1) ~window_days:1
+      ~stagger:(Sim.Time.sec 10800) ~cve_id:"CVE-2016-6258" ()
+  in
+  let early = ((8.0 *. 60.0) +. (28.0 *. 10800.0)) /. 3600.0 in
+  Alcotest.check (Alcotest.float 1e-9) "capped exposure"
+    (early +. (4.0 *. 24.0))
+    o.Cluster.Fleet.exposed_host_hours;
+  checkb "below the baseline" true
+    (o.Cluster.Fleet.exposed_host_hours
+    < o.Cluster.Fleet.baseline_exposed_host_hours)
 
 let suites =
   [
@@ -632,6 +671,8 @@ let suites =
         Alcotest.test_case "medium flaws rejected" `Quick test_fleet_rejects_medium;
         Alcotest.test_case "huge flat counts rejected" `Quick
           test_fleet_rejects_huge_counts;
+        Alcotest.test_case "exposure capped at the patch" `Quick
+          test_fleet_exposure_capped_at_patch;
         Alcotest.test_case "fleet incremental (qcheck)" `Slow
           test_fleet_incremental_exposure_qcheck;
       ] );

@@ -85,10 +85,25 @@ let test_config_validation () =
   in
   bad "zero regions" { small_cfg with CP.regions = 0 };
   bad "budget below region count" { small_cfg with CP.global_concurrency = 2 };
+  (* The engine has no period check of its own: these guards are what
+     keep the heartbeat tick from re-arming forever at one instant.
+     small_cfg's lag is exactly the detection window, so the bound is
+     inclusive. *)
+  bad "zero heartbeat period"
+    { small_cfg with CP.heartbeat_every = Sim.Time.zero };
+  bad "negative (wrapped) heartbeat period"
+    { small_cfg with
+      CP.heartbeat_every = Sim.Time.add (Sim.Time.ns max_int) (Sim.Time.ns 1) };
   bad "timeout below heartbeat"
     { small_cfg with CP.heartbeat_timeout = Sim.Time.sec 2 };
+  bad "timeout equal to heartbeat"
+    { small_cfg with CP.heartbeat_timeout = small_cfg.CP.heartbeat_every };
   bad "realloc lag inside detection window"
     { small_cfg with CP.realloc_lag = Sim.Time.sec 15 };
+  bad "realloc lag 1 ns inside detection window"
+    { small_cfg with
+      CP.realloc_lag =
+        Sim.Time.ns (Sim.Time.to_ns small_cfg.CP.realloc_lag - 1) };
   bad "straggler factor below flap ceiling"
     { small_cfg with CP.straggler_factor = 1.1 }
 

@@ -135,9 +135,13 @@ let test_engine_empty_run_until () =
 let test_engine_schedule_at_now () =
   let e = Sim.Engine.create () in
   let hits = ref 0 in
-  Sim.Engine.schedule_at e (Sim.Time.ms 5) (fun () ->
-      (* Scheduling at exactly `now` from inside a handler is legal. *)
-      Sim.Engine.schedule_at e (Sim.Engine.now e) (fun () -> incr hits));
+  let hit = Sim.Engine.handler e (fun _ -> incr hits) in
+  let h =
+    Sim.Engine.handler e (fun _ ->
+        (* Scheduling at exactly `now` from inside a handler is legal. *)
+        Sim.Engine.schedule_event e (Sim.Engine.now e) hit 0)
+  in
+  Sim.Engine.schedule_event e (Sim.Time.ms 5) h 0;
   Sim.Engine.run e;
   checki "same-time event ran" 1 !hits
 

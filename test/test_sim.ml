@@ -196,20 +196,25 @@ let prop_stats_mean_bounds =
 
 (* --- Engine --- *)
 
+(* A handler that logs its payloads, newest first. *)
+let logger e =
+  let log = ref [] in
+  (log, Sim.Engine.handler e (fun p -> log := p :: !log))
+
 let test_engine_ordering () =
   let e = Sim.Engine.create () in
-  let log = ref [] in
-  Sim.Engine.schedule_at e (Sim.Time.ms 30) (fun () -> log := 3 :: !log);
-  Sim.Engine.schedule_at e (Sim.Time.ms 10) (fun () -> log := 1 :: !log);
-  Sim.Engine.schedule_at e (Sim.Time.ms 20) (fun () -> log := 2 :: !log);
+  let log, h = logger e in
+  Sim.Engine.schedule_event e (Sim.Time.ms 30) h 3;
+  Sim.Engine.schedule_event e (Sim.Time.ms 10) h 1;
+  Sim.Engine.schedule_event e (Sim.Time.ms 20) h 2;
   Sim.Engine.run e;
   check (Alcotest.list Alcotest.int) "time order" [ 1; 2; 3 ] (List.rev !log)
 
 let test_engine_tie_break () =
   let e = Sim.Engine.create () in
-  let log = ref [] in
+  let log, h = logger e in
   for i = 1 to 5 do
-    Sim.Engine.schedule_at e (Sim.Time.ms 10) (fun () -> log := i :: !log)
+    Sim.Engine.schedule_event e (Sim.Time.ms 10) h i
   done;
   Sim.Engine.run e;
   check (Alcotest.list Alcotest.int) "fifo ties" [ 1; 2; 3; 4; 5 ]
@@ -218,13 +223,15 @@ let test_engine_tie_break () =
 let test_engine_cascade () =
   let e = Sim.Engine.create () in
   let count = ref 0 in
-  let rec tick () =
+  let rec h = lazy (Sim.Engine.handler e tick)
+  and tick _ =
     incr count;
     if !count < 10 then
-      Sim.Engine.schedule_at e (Sim.Time.add (Sim.Engine.now e) (Sim.Time.ms 5))
-        tick
+      Sim.Engine.schedule_event e
+        (Sim.Time.add (Sim.Engine.now e) (Sim.Time.ms 5))
+        (Lazy.force h) 0
   in
-  Sim.Engine.schedule_at e Sim.Time.zero tick;
+  Sim.Engine.schedule_event e Sim.Time.zero (Lazy.force h) 0;
   Sim.Engine.run e;
   checki "cascaded" 10 !count;
   checki "clock" 45_000_000 (Sim.Time.to_ns (Sim.Engine.now e))
@@ -232,8 +239,9 @@ let test_engine_cascade () =
 let test_engine_run_until () =
   let e = Sim.Engine.create () in
   let fired = ref 0 in
-  Sim.Engine.schedule_at e (Sim.Time.ms 10) (fun () -> incr fired);
-  Sim.Engine.schedule_at e (Sim.Time.ms 50) (fun () -> incr fired);
+  let h = Sim.Engine.handler e (fun _ -> incr fired) in
+  Sim.Engine.schedule_event e (Sim.Time.ms 10) h 0;
+  Sim.Engine.schedule_event e (Sim.Time.ms 50) h 0;
   Sim.Engine.run_until e (Sim.Time.ms 20);
   checki "only first fired" 1 !fired;
   checki "clock at limit" 20_000_000 (Sim.Time.to_ns (Sim.Engine.now e));
@@ -241,10 +249,14 @@ let test_engine_run_until () =
 
 let test_engine_past_rejected () =
   let e = Sim.Engine.create () in
-  Sim.Engine.schedule_at e (Sim.Time.ms 10) (fun () ->
-      Alcotest.check_raises "past"
-        (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
-          Sim.Engine.schedule_at e (Sim.Time.ms 5) ignore));
+  let noop = Sim.Engine.handler e ignore in
+  let h =
+    Sim.Engine.handler e (fun _ ->
+        Alcotest.check_raises "past"
+          (Invalid_argument "Engine.schedule_event: time in the past")
+          (fun () -> Sim.Engine.schedule_event e (Sim.Time.ms 5) noop 0))
+  in
+  Sim.Engine.schedule_event e (Sim.Time.ms 10) h 0;
   Sim.Engine.run e
 
 let test_engine_many_events () =
@@ -252,31 +264,34 @@ let test_engine_many_events () =
   let rng = Sim.Rng.create 3L in
   let last = ref Sim.Time.zero in
   let monotone = ref true in
-  for _ = 1 to 2000 do
-    let at = Sim.Time.ms (Sim.Rng.int rng 10_000) in
-    Sim.Engine.schedule_at e at (fun () ->
+  let h =
+    Sim.Engine.handler e (fun _ ->
         if Sim.Time.compare (Sim.Engine.now e) !last < 0 then monotone := false;
         last := Sim.Engine.now e)
+  in
+  for _ = 1 to 2000 do
+    Sim.Engine.schedule_event e (Sim.Time.ms (Sim.Rng.int rng 10_000)) h 0
   done;
   Sim.Engine.run e;
   checkb "clock monotone over 2000 events" true !monotone
 
-(* Typed events share the closure events' queue and key: at one
-   nanosecond the two kinds interleave in scheduling order. *)
-let test_engine_typed_mixed_ties () =
+(* Two handlers share one queue and one key: at one nanosecond their
+   events interleave in scheduling order. *)
+let test_engine_handler_ties () =
   let e = Sim.Engine.create () in
   let log = ref [] in
   let h = Sim.Engine.handler e (fun p -> log := p :: !log) in
+  let g = Sim.Engine.handler e (fun p -> log := (10 * p) :: !log) in
   let at = Sim.Time.ns 7 in
   Sim.Engine.schedule_event e at h 1;
-  Sim.Engine.schedule_at e at (fun () -> log := 2 :: !log);
+  Sim.Engine.schedule_event e at g 2;
   Sim.Engine.schedule_event e at h 3;
   Sim.Engine.schedule_event e (Sim.Time.ns 3) h 0;
-  Sim.Engine.schedule_at e at (fun () -> log := 4 :: !log);
+  Sim.Engine.schedule_event e at g 4;
   Sim.Engine.schedule_event e at h 5;
   Sim.Engine.run e;
   check (Alcotest.list Alcotest.int) "scheduling order at one instant"
-    [ 0; 1; 2; 3; 4; 5 ] (List.rev !log)
+    [ 0; 1; 20; 3; 40; 5 ] (List.rev !log)
 
 let test_engine_typed_run_until () =
   let e = Sim.Engine.create () in
@@ -284,7 +299,7 @@ let test_engine_typed_run_until () =
   let h = Sim.Engine.handler e (fun n -> fired := !fired + n) in
   Sim.Engine.schedule_event e (Sim.Time.ms 10) h 1;
   Sim.Engine.schedule_event e (Sim.Time.ms 50) h 10;
-  Sim.Engine.schedule_at e (Sim.Time.ms 60) ignore;
+  Sim.Engine.schedule_event e (Sim.Time.ms 60) h 0;
   checki "pending counts typed events" 3 (Sim.Engine.pending e);
   Sim.Engine.run_until e (Sim.Time.ms 20);
   checki "only the first fired" 1 !fired;
@@ -400,34 +415,6 @@ let test_trace_between () =
   checki "window half-open" 2
     (List.length (Sim.Trace.between t (Sim.Time.sec 1) (Sim.Time.sec 3)))
 
-let test_engine_schedule_every () =
-  let eng = Sim.Engine.create () in
-  let ticks = ref [] in
-  Sim.Engine.schedule_every eng (Sim.Time.sec 5) (fun () ->
-      ticks := Sim.Time.to_ns (Sim.Engine.now eng) :: !ticks;
-      if List.length !ticks >= 3 then `Stop else `Continue);
-  (* an explicit start overrides the default now+period *)
-  let started = ref [] in
-  Sim.Engine.schedule_every eng ~start:(Sim.Time.sec 1) (Sim.Time.sec 100)
-    (fun () ->
-      started := Sim.Time.to_ns (Sim.Engine.now eng) :: !started;
-      `Stop);
-  Sim.Engine.run eng;
-  Alcotest.(check (list int))
-    "periodic ticks at 5s/10s/15s"
-    [ Sim.Time.to_ns (Sim.Time.sec 5); Sim.Time.to_ns (Sim.Time.sec 10);
-      Sim.Time.to_ns (Sim.Time.sec 15) ]
-    (List.rev !ticks);
-  Alcotest.(check (list int))
-    "explicit start honoured, Stop ends the series"
-    [ Sim.Time.to_ns (Sim.Time.sec 1) ]
-    (List.rev !started);
-  checkb "non-positive period rejected" true
-    (try
-       Sim.Engine.schedule_every eng Sim.Time.zero (fun () -> `Stop);
-       false
-     with Invalid_argument _ -> true)
-
 let suites =
   [
     ( "sim.time",
@@ -470,9 +457,8 @@ let suites =
         Alcotest.test_case "past scheduling rejected" `Quick test_engine_past_rejected;
         Alcotest.test_case "2000 random events stay monotone" `Quick
           test_engine_many_events;
-        Alcotest.test_case "schedule_every" `Quick test_engine_schedule_every;
-        Alcotest.test_case "typed and closure ties" `Quick
-          test_engine_typed_mixed_ties;
+        Alcotest.test_case "two handlers tie FIFO" `Quick
+          test_engine_handler_ties;
         Alcotest.test_case "typed run_until and pending" `Quick
           test_engine_typed_run_until;
         Alcotest.test_case "typed handler raises" `Quick test_engine_typed_raise;
